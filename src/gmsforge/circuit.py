@@ -18,6 +18,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -63,10 +64,11 @@ class PerPair:
         object.__setattr__(self, "table", canon)
 
     def angle(self, i: int, j: int) -> float:
+        # binary search of the sorted table: (a, b) sorts just before (a, b, chi)
         key = (min(i, j), max(i, j))
-        for a, b, chi in self.table:
-            if (a, b) == key:
-                return chi
+        k = bisect.bisect_left(self.table, key)
+        if k < len(self.table) and self.table[k][:2] == key:
+            return self.table[k][2]
         raise ValueError(f"pair {key} not in coupling table")
 
     def negated(self) -> "PerPair":

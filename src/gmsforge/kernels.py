@@ -1,4 +1,4 @@
-"""Statevector update kernels, numba-jitted with a pure-numpy fallback.
+"""Statevector update kernels: one numpy engine on reshape views.
 
 Five primitives cover the whole gate set; each mutates a C-contiguous
 (dim, batch) complex128 array in place so a unitary build is just the
@@ -6,38 +6,31 @@ statevector path with batch = dim.  Bit masks address qubits by basis-index
 significance: qubit 0 of an n-qubit register is the most significant bit,
 mask ``1 << (n - 1)``.
 
-The active backend is chosen once at import: numba when importable, unless
-``GMSFORGE_PURE_NUMPY=1`` forces the numpy path.  ``benchmarks/bench_kernels.py``
-times one against the other.
+``sim`` applies a GMS pulse as Hadamards, one ``apply_scale`` with a phase
+table broadcast over a reshaped view of the state, and Hadamards again, and
+it fuses runs of single-qubit gates into one ``apply_1q``.  ``apply_xx``
+serves the two-qubit XX gate only.  ``sim`` looks every kernel up on
+``BACKEND`` at each call, so the kernels can be wrapped from outside.
 """
 
 from __future__ import annotations
 
-import os
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAS_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations (reshape views, no index arrays)
-# ---------------------------------------------------------------------------
 
 class NumpyBackend:
-    name = "numpy"
-
     @staticmethod
     def apply_1q(st, m00, m01, m10, m11, mask):
         hi = st.shape[0] // (2 * mask)
         v = st.reshape(hi, 2, -1)
-        a = v[:, 0].copy()
-        b = v[:, 1]
-        v[:, 0] = m00 * a + m01 * b
-        v[:, 1] = m10 * a + m11 * b
+        a, b = v[:, 0], v[:, 1]
+        if m01 == 0 and m10 == 0:
+            a *= m00
+            b *= m11
+            return
+        t = m10 * a  # the only half-size temporary besides m01 * b
+        a *= m00
+        a += m01 * b
+        b *= m11
+        b += t
 
     @staticmethod
     def apply_xx(st, cos_half, sin_half, m1, m2):
@@ -72,108 +65,8 @@ class NumpyBackend:
 
     @staticmethod
     def apply_scale(st, phase):
+        # ``phase`` is a scalar or an array broadcast against a view of st
         st *= phase
 
 
-# ---------------------------------------------------------------------------
-# numba implementations (flat index loops)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_apply_1q(st, m00, m01, m10, m11, mask):
-        dim, nb = st.shape
-        for i in range(dim):
-            if (i & mask) == 0:
-                j = i | mask
-                for b in range(nb):
-                    a = st[i, b]
-                    c = st[j, b]
-                    st[i, b] = m00 * a + m01 * c
-                    st[j, b] = m10 * a + m11 * c
-
-    @njit(cache=True)
-    def _nb_apply_xx(st, cos_half, sin_half, pair_mask):
-        dim, nb = st.shape
-        fac = -1j * sin_half
-        for i in range(dim):
-            j = i ^ pair_mask
-            if i < j:
-                for b in range(nb):
-                    a = st[i, b]
-                    c = st[j, b]
-                    st[i, b] = cos_half * a + fac * c
-                    st[j, b] = cos_half * c + fac * a
-
-    @njit(cache=True)
-    def _nb_apply_cnot(st, cmask, tmask):
-        dim, nb = st.shape
-        for i in range(dim):
-            if (i & cmask) != 0 and (i & tmask) == 0:
-                j = i | tmask
-                for b in range(nb):
-                    tmp = st[i, b]
-                    st[i, b] = st[j, b]
-                    st[j, b] = tmp
-
-    @njit(cache=True)
-    def _nb_apply_cp(st, both_mask, phase):
-        dim, nb = st.shape
-        for i in range(dim):
-            if (i & both_mask) == both_mask:
-                for b in range(nb):
-                    st[i, b] = st[i, b] * phase
-
-    @njit(cache=True)
-    def _nb_apply_scale(st, phase):
-        dim, nb = st.shape
-        for i in range(dim):
-            for b in range(nb):
-                st[i, b] = st[i, b] * phase
-
-    class NumbaBackend:
-        name = "numba"
-
-        @staticmethod
-        def apply_1q(st, m00, m01, m10, m11, mask):
-            _nb_apply_1q(st, m00, m01, m10, m11, mask)
-
-        @staticmethod
-        def apply_xx(st, cos_half, sin_half, m1, m2):
-            _nb_apply_xx(st, cos_half, sin_half, m1 | m2)
-
-        @staticmethod
-        def apply_cnot(st, cmask, tmask):
-            _nb_apply_cnot(st, cmask, tmask)
-
-        @staticmethod
-        def apply_cp(st, m1, m2, phase):
-            _nb_apply_cp(st, m1 | m2, phase)
-
-        @staticmethod
-        def apply_scale(st, phase):
-            _nb_apply_scale(st, phase)
-
-
-def available_backends() -> list[str]:
-    return ["numpy", "numba"] if HAS_NUMBA else ["numpy"]
-
-
-def get_backend(name: str):
-    if name == "numpy":
-        return NumpyBackend
-    if name == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba is not installed")
-        return NumbaBackend
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-def _select_default():
-    if os.environ.get("GMSFORGE_PURE_NUMPY", "") in ("1", "true", "yes"):
-        return NumpyBackend
-    return NumbaBackend if HAS_NUMBA else NumpyBackend
-
-
-BACKEND = _select_default()
+BACKEND = NumpyBackend

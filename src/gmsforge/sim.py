@@ -6,8 +6,14 @@ index sum(q_k * 2**(n-1-k)).
 
 The dense-unitary path is guarded at 12 qubits by default (matrices get to
 the 100 MB scale there); override with the GMSFORGE_MAX_DENSE_QUBITS
-environment variable.  The statevector path has no such guard and is used
-for wide-register parity checks.
+environment variable.  The ancilla check's columns get the same byte limit.
+The statevector path has no such guard and is used for wide-register
+parity checks.
+
+Every path runs through ``_run`` on the numpy kernels.  A GMS pulse is
+diagonal in the X basis, so it costs one phase pass between Hadamards on
+its wires instead of one XX pass per pair, and each run of single-qubit
+gates on a wire is fused into one 2x2 matrix.
 """
 
 from __future__ import annotations
@@ -38,27 +44,103 @@ def _mask(n: int, q: int) -> int:
     return 1 << (n - 1 - q)
 
 
-def _run(circuit: Circuit, st: np.ndarray, backend=None) -> np.ndarray:
-    """Apply every gate of ``circuit`` to the (dim, batch) array in place."""
-    be = backend or BACKEND
+_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+
+
+def _one_qubit_matrix(g) -> np.ndarray:
+    if g.kind == "H":
+        return _H
+    c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
+    if g.kind == "RX":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if g.kind == "RY":
+        return np.array([[c, -s], [s, c]], dtype=np.complex128)
+    return np.array([[c - 1j * s, 0], [0, c + 1j * s]])  # RZ
+
+
+def _pulse_phases(g, n: int, batch: int) -> tuple[tuple, np.ndarray]:
+    """A GMS pulse in the X basis: exp(-i/2 sum_{i<j} chi_ij z_i z_j).
+
+    Returns a view shape for the (dim, batch) state and a phase table that
+    broadcasts against it.  z = 1 - 2b over the bits b of the pulse's wires,
+    first wire most significant; runs of neighbouring wires share one axis.
+    The 2^k-entry table is rebuilt at every call, as outer products of the
+    pair factors exp(-i chi_ij z_i z_j / 2): O(2^k) multiplications and no
+    transcendental call per entry.
+    """
+    wires = sorted(g.qubits)
+    k = len(wires)
+    pos = {q: a for a, q in enumerate(wires)}
+    factors = np.ones((k, k, 2), dtype=np.complex128)  # z_i z_j = +1, -1
+    for i, j, chi in g.pair_angles():
+        factors[pos[i], pos[j]] = cmath.exp(-0.5j * chi), cmath.exp(0.5j * chi)
+    phases = np.ones(1, dtype=np.complex128)
+    for m in reversed(range(k)):
+        # prod_{j>m} factor(z_j) over the later wires' bits, for z_m = +1;
+        # z_m = -1 flips every z_j, which reverses the table
+        field = np.ones(1, dtype=np.complex128)
+        for j in reversed(range(m + 1, k)):
+            field = np.multiply.outer(factors[m, j], field).ravel()
+        phases = np.concatenate((phases * field, phases * field[::-1]))
+    view, table = [], []
+    for q in range(n):
+        inside = q in pos
+        if q and inside == (q - 1 in pos):
+            view[-1] *= 2
+            table[-1] *= 1 + inside
+        else:
+            view.append(2)
+            table.append(1 + inside)
+    return (*view, batch), phases.reshape(*table, 1)
+
+
+def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
+    """Apply every gate of ``circuit`` to the (dim, batch) array in place.
+
+    Single-qubit gates on a wire are multiplied into one pending 2x2 matrix,
+    applied when a multi-qubit gate touches the wire or at the end.  A GMS
+    pulse becomes Hadamards on its wires (merged into the pending matrices),
+    one diagonal phase pass, and Hadamards left pending; an H meeting a
+    pending H cancels exactly.
+    """
+    be = BACKEND
     n = circuit.n_qubits
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
+    pending: dict[int, np.ndarray] = {}
+
+    def push(q, m):
+        prev = pending.get(q)
+        if prev is None:
+            pending[q] = m
+        elif prev is _H and m is _H:
+            del pending[q]
+        else:
+            pending[q] = m @ prev
+
+    def flush(q):
+        m = pending.pop(q, None)
+        if m is not None:
+            be.apply_1q(st, m[0, 0], m[0, 1], m[1, 0], m[1, 1], _mask(n, q))
+
     for g in circuit.gates:
         kind = g.kind
-        if kind == "H":
-            m = _mask(n, g.qubits[0])
-            be.apply_1q(st, inv_sqrt2 + 0j, inv_sqrt2 + 0j,
-                        inv_sqrt2 + 0j, -inv_sqrt2 + 0j, m)
-        elif kind == "RX":
-            c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
-            be.apply_1q(st, c + 0j, -1j * s, -1j * s, c + 0j, _mask(n, g.qubits[0]))
-        elif kind == "RY":
-            c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
-            be.apply_1q(st, c + 0j, -s + 0j, s + 0j, c + 0j, _mask(n, g.qubits[0]))
-        elif kind == "RZ":
-            ph = cmath.exp(1j * g.theta / 2)
-            be.apply_1q(st, ph.conjugate(), 0j, 0j, ph, _mask(n, g.qubits[0]))
-        elif kind == "CNOT":
+        if kind in ("H", "RX", "RY", "RZ"):
+            push(g.qubits[0], _one_qubit_matrix(g))
+            continue
+        if kind == "PHASE":
+            # a global phase commutes with every gate: ride on a pending matrix
+            ph = cmath.exp(1j * g.theta)
+            if pending:
+                q = next(iter(pending))
+                pending[q] = pending[q] * ph
+            else:
+                be.apply_scale(st, ph)
+            continue
+        if kind == "GMS":
+            for q in g.qubits:
+                push(q, _H)
+        for q in g.qubits:
+            flush(q)
+        if kind == "CNOT":
             be.apply_cnot(st, _mask(n, g.qubits[0]), _mask(n, g.qubits[1]))
         elif kind == "CP":
             be.apply_cp(st, _mask(n, g.qubits[0]), _mask(n, g.qubits[1]),
@@ -67,17 +149,18 @@ def _run(circuit: Circuit, st: np.ndarray, backend=None) -> np.ndarray:
             c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
             be.apply_xx(st, c + 0j, s + 0j, _mask(n, g.qubits[0]), _mask(n, g.qubits[1]))
         elif kind == "GMS":
-            for i, j, chi in g.pair_angles():
-                c, s = math.cos(chi / 2), math.sin(chi / 2)
-                be.apply_xx(st, c + 0j, s + 0j, _mask(n, i), _mask(n, j))
-        elif kind == "PHASE":
-            be.apply_scale(st, cmath.exp(1j * g.theta))
+            view, phases = _pulse_phases(g, n, st.shape[1])
+            be.apply_scale(st.reshape(view), phases)
+            for q in g.qubits:
+                pending[q] = _H
         else:  # pragma: no cover
             raise ValueError(f"unhandled gate kind {kind}")
+    for q in list(pending):
+        flush(q)
     return st
 
 
-def unitary_of(circuit: Circuit, backend=None) -> np.ndarray:
+def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (product of gate matrices in order)."""
     guard = max_dense_qubits()
     if circuit.n_qubits > guard:
@@ -86,17 +169,17 @@ def unitary_of(circuit: Circuit, backend=None) -> np.ndarray:
             "(set GMSFORGE_MAX_DENSE_QUBITS to raise it)")
     dim = 1 << circuit.n_qubits
     st = np.eye(dim, dtype=np.complex128)
-    return _run(circuit, st, backend)
+    return _run(circuit, st)
 
 
-def apply(circuit: Circuit, state: np.ndarray, backend=None) -> np.ndarray:
+def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     """Gate-wise application to a statevector; no dense-width guard."""
     dim = 1 << circuit.n_qubits
     state = np.asarray(state, dtype=np.complex128)
     if state.shape != (dim,):
         raise ValueError(f"state has shape {state.shape}, expected ({dim},)")
     st = state.reshape(dim, 1).copy()
-    return _run(circuit, st, backend).reshape(dim)
+    return _run(circuit, st).reshape(dim)
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
@@ -142,13 +225,14 @@ class AncillaMatch:
 
 
 def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
-                     tol: float = 1e-9, backend=None) -> AncillaMatch:
+                     tol: float = 1e-9) -> AncillaMatch:
     """Check the circuit acts as ``data_unitary`` on the data register.
 
     Every data basis state |x>|0...0> is run through the circuit; the result
     must be (V|x>)|0...0> with one common global phase.  Residual population
     on the ancilla-neq-0 rows above tol is reported as the distinct
-    "leakage" failure.
+    "leakage" failure.  The 2^n x 2^d columns are held at once, so they may
+    take no more bytes than a dense unitary at the qubit guard.
     """
     n = circuit.n_qubits
     data = circuit.data_qubits
@@ -160,6 +244,13 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
     if data_unitary.shape != (ddim, ddim):
         raise ValueError(
             f"reference acts on {data_unitary.shape}, data register is {ddim}")
+    guard = max_dense_qubits()
+    if n + d > 2 * guard:
+        raise DenseGuardError(
+            f"ancilla-column guard: 2^{n} x 2^{d} columns need "
+            f"{16 << (n + d)} bytes, limit is {16 << (2 * guard)} bytes, the "
+            f"size of a dense unitary at the {guard}-qubit guard "
+            "(set GMSFORGE_MAX_DENSE_QUBITS to raise it)")
 
     def embed(x: int) -> int:
         idx = 0
@@ -171,7 +262,7 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
     cols = np.zeros((1 << n, ddim), dtype=np.complex128)
     for x in range(ddim):
         cols[embed(x), x] = 1.0
-    _run(circuit, cols, backend)
+    _run(circuit, cols)
 
     data_rows = np.fromiter((embed(x) for x in range(ddim)), dtype=np.int64)
     w = cols[data_rows, :]

@@ -171,6 +171,20 @@ def test_gate_validation():
                     '[{"kind": "CNOT", "qubits": [0, 1, 2]}]}')
 
 
+def test_per_pair_angle_lookup():
+    prof = PerPair(((7, 3, 2.0), (1, 7, 1.0), (3, 1, 0.5)))
+    assert [prof.angle(1, 3), prof.angle(7, 1), prof.angle(3, 7)] == [0.5, 1.0, 2.0]
+    for i, j in ((1, 2), (0, 1), (7, 8)):
+        with pytest.raises(ValueError, match="not in coupling table"):
+            prof.angle(i, j)
+    wires = (9, 2, 5, 0)
+    table = tuple((a, b, float(10 * a + b)) for k, a in enumerate(wires) for b in wires[k + 1:])
+    want = {frozenset((a, b)): chi for a, b, chi in table}
+    got = gms(wires, PerPair(table)).pair_angles()
+    assert [(i, j) for i, j, _ in got] == [(0, 2), (0, 5), (0, 9), (2, 5), (2, 9), (5, 9)]
+    assert all(chi == want[frozenset((i, j))] for i, j, chi in got)
+
+
 def test_ancilla_validation():
     with pytest.raises(ValueError):
         Circuit(3, (), frozenset({3}))

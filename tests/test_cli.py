@@ -65,6 +65,20 @@ def test_verify_guard_exit3(tmp_path, capsys, monkeypatch):
     assert code == 3 and "guard" in err
 
 
+def test_verify_ancilla_columns_guard_exit3(tmp_path, capsys, monkeypatch):
+    # Toffoli-5 runs on 7 qubits: 2^7 x 2^5 columns pass a 6-qubit guard's
+    # 2^12 entries, a 5-qubit guard's 2^10 do not (the reference still fits)
+    path = tmp_path / "t5.json"
+    run(capsys, "synth", "toffoli", "--n", "5", "--out", str(path))
+    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", "6")
+    code, out, _ = run(capsys, "verify", str(path), "--against", "toffoli", "--n", "5")
+    assert code == 0 and out.startswith("PASS")
+    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", "5")
+    code, out, err = run(capsys, "verify", str(path), "--against", "toffoli", "--n", "5")
+    assert code == 3 and out == ""
+    assert "guard" in err and str(16 << 12) in err and str(16 << 10) in err
+
+
 def test_verify_emit_unitary(tmp_path, capsys):
     path = tmp_path / "cx.json"
     run(capsys, "synth", "cnot-xx", "--out", str(path))

@@ -1,41 +1,143 @@
+import cmath
+import math
 import random
 
 import numpy as np
 import pytest
 
-from conftest import random_circuit, random_state
+from conftest import random_state
 from gmsforge import kernels, sim
+from gmsforge.circuit import (Circuit, Exponential, PerPair, PowerLawSum,
+                              Uniform, cnot, cp, global_phase, gms, h, rx, ry,
+                              rz, xx)
 
 
-def test_default_backend_selected():
-    assert kernels.BACKEND.name in kernels.available_backends()
+def pairwise_run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
+    """Oracle: every gate applied on its own, a GMS as one XX pass per pair."""
+    be = kernels.BACKEND
+    n = circuit.n_qubits
+
+    def mask(q):
+        return 1 << (n - 1 - q)
+
+    for g in circuit.gates:
+        if g.kind == "GMS":
+            for i, j, chi in g.pair_angles():
+                be.apply_xx(st, math.cos(chi / 2) + 0j, math.sin(chi / 2) + 0j,
+                            mask(i), mask(j))
+        elif g.kind == "XX":
+            be.apply_xx(st, math.cos(g.theta / 2) + 0j, math.sin(g.theta / 2) + 0j,
+                        mask(g.qubits[0]), mask(g.qubits[1]))
+        elif g.kind == "CNOT":
+            be.apply_cnot(st, mask(g.qubits[0]), mask(g.qubits[1]))
+        elif g.kind == "CP":
+            be.apply_cp(st, mask(g.qubits[0]), mask(g.qubits[1]),
+                        cmath.exp(1j * g.theta))
+        elif g.kind == "PHASE":
+            be.apply_scale(st, cmath.exp(1j * g.theta))
+        else:
+            m = sim._one_qubit_matrix(g)
+            be.apply_1q(st, m[0, 0], m[0, 1], m[1, 0], m[1, 1], mask(g.qubits[0]))
+    return st
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_on_random_circuits():
+def oracle_state(circuit, psi):
+    return pairwise_run(circuit, psi.reshape(-1, 1).copy()).reshape(-1)
+
+
+def oracle_unitary(circuit):
+    return pairwise_run(circuit, np.eye(1 << circuit.n_qubits, dtype=complex))
+
+
+def random_profile(rng, wires):
+    kind = rng.choice(["uniform", "per_pair", "exponential", "power_law"])
+    if kind == "uniform":
+        return Uniform(rng.uniform(-math.pi, math.pi))
+    if kind == "exponential":
+        return Exponential()
+    if kind == "power_law":
+        terms = tuple((rng.choice([-1, 1]) * rng.uniform(0.3, 3.0), rng.uniform(0.5, 3.5))
+                      for _ in range(rng.randint(1, 2)))
+        return PowerLawSum(terms, offset=rng.choice([0, 1]))
+    return PerPair(tuple((a, b, rng.uniform(-math.pi, math.pi))
+                         for k, a in enumerate(wires) for b in wires[k + 1:]))
+
+
+def random_pulse_circuit(rng, n, n_gates):
+    """Pulses on unsorted, non-contiguous wire sets of every profile kind,
+    mixed with single-qubit runs and the other multi-qubit gates."""
+    gates = []
+    for _ in range(n_gates):
+        r = rng.random()
+        theta = rng.uniform(-2 * math.pi, 2 * math.pi)
+        if r < 0.35:
+            wires = rng.sample(range(n), rng.randint(2, n))  # unsorted
+            gates.append(gms(wires, random_profile(rng, wires)))
+        elif r < 0.75:
+            q = rng.randrange(n)
+            gates.append(rng.choice([h(q), rx(q, theta), ry(q, theta), rz(q, theta)]))
+        elif r < 0.95:
+            a, b = rng.sample(range(n), 2)
+            gates.append(rng.choice([cnot(a, b), cp(a, b, theta), xx(a, b, theta)]))
+        else:
+            gates.append(global_phase(theta))
+    return Circuit(n, tuple(gates))
+
+
+def test_engine_matches_pairwise_oracle_on_states():
     rng = random.Random(13)
     nrng = np.random.default_rng(13)
-    np_backend = kernels.get_backend("numpy")
-    nb_backend = kernels.get_backend("numba")
-    for _ in range(40):
-        n = rng.choice([2, 3, 4, 5, 6])
-        circ = random_circuit(rng, n, 10)
+    for _ in range(60):
+        n = rng.choice([2, 3, 4, 5, 6, 7])
+        circ = random_pulse_circuit(rng, n, 14)
         psi = random_state(nrng, n)
-        a = sim.apply(circ, psi, backend=np_backend)
-        b = sim.apply(circ, psi, backend=nb_backend)
-        assert np.max(np.abs(a - b)) < 1e-12
+        assert np.max(np.abs(sim.apply(circ, psi) - oracle_state(circ, psi))) < 1e-12
 
 
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_on_unitaries():
+def test_engine_matches_pairwise_oracle_on_unitaries():
     rng = random.Random(29)
-    for _ in range(10):
-        circ = random_circuit(rng, 4, 12)
-        a = sim.unitary_of(circ, backend=kernels.get_backend("numpy"))
-        b = sim.unitary_of(circ, backend=kernels.get_backend("numba"))
-        assert np.max(np.abs(a - b)) < 1e-12
+    for _ in range(20):
+        n = rng.choice([3, 4, 5])
+        circ = random_pulse_circuit(rng, n, 12)
+        assert np.max(np.abs(sim.unitary_of(circ) - oracle_unitary(circ))) < 1e-12
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        kernels.get_backend("cuda")
+@pytest.mark.parametrize("profile", [
+    Uniform(0.7), Exponential(), PowerLawSum(((0.4, 2.5), (-0.5, 3.4))),
+    PowerLawSum(((1.3, 1.0),), offset=1),
+    PerPair(((0, 2, 0.3), (0, 5, -1.1), (2, 5, 2.2))),
+], ids=["uniform", "exponential", "power_law_two_term", "power_law_offset",
+        "per_pair"])
+@pytest.mark.parametrize("wires", [(5, 0, 2), (2, 5, 0), (0, 2, 5)])
+def test_single_pulse_on_scattered_wires(profile, wires):
+    circ = Circuit(6, (gms(wires, profile),))
+    assert np.max(np.abs(sim.unitary_of(circ) - oracle_unitary(circ))) < 1e-12
+
+
+def test_single_qubit_runs_interrupted_by_two_qubit_gates():
+    gates = (h(0), rz(0, 0.3), rx(1, 1.1), cnot(0, 1), ry(0, -0.4), h(0),
+             rz(1, 0.8), cp(1, 2, 0.9), h(1), h(1), rx(2, 0.2), xx(2, 0, 1.7),
+             rz(2, -2.1), h(2), gms((2, 0, 1), Uniform(0.5)), h(0), rz(0, 0.6),
+             global_phase(0.25), h(1))
+    circ = Circuit(3, gates)
+    psi = random_state(np.random.default_rng(5), 3)
+    assert np.max(np.abs(sim.apply(circ, psi) - oracle_state(circ, psi))) < 1e-12
+    assert np.max(np.abs(sim.unitary_of(circ) - oracle_unitary(circ))) < 1e-12
+
+
+def test_wide_pulse_matches_oracle():
+    # a full-register pulse and a scattered one on a 12-qubit state
+    nrng = np.random.default_rng(7)
+    wires = (11, 3, 0, 7, 4)
+    circ = Circuit(12, (gms(range(12), PowerLawSum(((0.4, 2.5), (-0.5, 3.4)))),
+                        rx(3, 0.4), gms(wires, Exponential()), h(11)))
+    psi = random_state(nrng, 12)
+    assert np.max(np.abs(sim.apply(circ, psi) - oracle_state(circ, psi))) < 1e-12
+
+
+def test_pulse_makes_no_xx_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels.BACKEND, "apply_xx",
+                        staticmethod(lambda *args: calls.append(args)))
+    sim.apply(Circuit(4, (gms(range(4), Uniform(0.3)),)), sim.basis_state(4, 0))
+    assert calls == []
