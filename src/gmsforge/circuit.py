@@ -46,9 +46,6 @@ class Uniform:
     def angle(self, i: int, j: int) -> float:
         return self.theta
 
-    def negated(self) -> "Uniform":
-        return Uniform(-self.theta)
-
 
 @dataclass(frozen=True)
 class PerPair:
@@ -71,9 +68,6 @@ class PerPair:
             return self.table[k][2]
         raise ValueError(f"pair {key} not in coupling table")
 
-    def negated(self) -> "PerPair":
-        return PerPair(tuple((i, j, -chi) for i, j, chi in self.table))
-
 
 @dataclass(frozen=True)
 class Exponential:
@@ -81,11 +75,6 @@ class Exponential:
 
     def angle(self, i: int, j: int) -> float:
         return math.pi / 2 ** abs(i - j)
-
-    def negated(self) -> "PerPair":
-        # The exponential kind fixes the +pi numerator, so its inverse is
-        # only expressible as an explicit table; built lazily by the gate.
-        raise NotImplementedError("negate via Gate context (needs the qubit set)")
 
 
 @dataclass(frozen=True)
@@ -144,6 +133,10 @@ class Gate:
             raise ValueError("angle must be finite")
         if self.kind in _PARAMETRIC and self.theta is None:
             raise ValueError(f"{self.kind} requires an angle")
+        if self.kind not in _PARAMETRIC and self.theta is not None:
+            raise ValueError(f"{self.kind} takes no angle")
+        if self.kind != "GMS" and self.profile is not None:
+            raise ValueError(f"{self.kind} takes no profile")
         if self.kind == "GMS":
             if len(self.qubits) < 2:
                 raise ValueError("GMS needs at least 2 participating qubits")
@@ -167,9 +160,8 @@ class Gate:
         if self.kind in _PARAMETRIC:
             return Gate(self.kind, self.qubits, -self.theta)
         # GMS: negate every coupling
-        prof = self.profile
-        if isinstance(prof, (Uniform, PerPair)):
-            return Gate("GMS", self.qubits, profile=prof.negated())
+        if isinstance(self.profile, Uniform):
+            return Gate("GMS", self.qubits, profile=Uniform(-self.profile.theta))
         return Gate("GMS", self.qubits,
                     profile=PerPair(tuple((i, j, -chi) for i, j, chi in self.pair_angles())))
 
@@ -363,24 +355,18 @@ def _profile_to_obj(profile: CouplingProfile) -> dict:
 
 def _profile_from_obj(obj, path: str) -> CouplingProfile:
     if not isinstance(obj, dict):
-        raise SchemaError(path, "profile must be an object")
+        raise SchemaError(path, "expected a profile object")
     kind = obj.get("kind")
     try:
         if kind == "uniform":
-            return Uniform(_number(obj, "theta", path))
+            return Uniform(float(_typed(obj.get("theta"), _NUMBER, f"{path}.theta")))
         if kind == "per_pair":
-            table = obj.get("table")
-            if not isinstance(table, list):
-                raise SchemaError(f"{path}.table", "expected a list of [i, j, chi]")
-            return PerPair(tuple((int(i), int(j), float(chi)) for i, j, chi in table))
+            return PerPair(_rows(obj, "table", path, (_INT, _INT, _NUMBER)))
         if kind == "exponential":
             return Exponential()
         if kind == "power_law":
-            terms = obj.get("terms")
-            if not isinstance(terms, list):
-                raise SchemaError(f"{path}.terms", "expected a list of [b, p]")
-            return PowerLawSum(tuple((float(b), float(p)) for b, p in terms),
-                               int(obj.get("offset", 0)))
+            return PowerLawSum(_rows(obj, "terms", path, (_NUMBER, _NUMBER)),
+                               _typed(obj.get("offset", 0), _INT, f"{path}.offset"))
     except SchemaError:
         raise
     except (TypeError, ValueError) as exc:
@@ -388,11 +374,37 @@ def _profile_from_obj(obj, path: str) -> CouplingProfile:
     raise SchemaError(f"{path}.kind", f"unknown profile kind {kind!r}")
 
 
-def _number(obj: dict, key: str, path: str) -> float:
-    val = obj.get(key)
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise SchemaError(f"{path}.{key}", "expected a number")
-    return float(val)
+# Exact types: json reads true/false as bool, which isinstance takes for int.
+_INT, _NUMBER = (int,), (int, float)
+_EXPECTED = {_INT: "expected an integer", _NUMBER: "expected a number"}
+
+
+def _typed(val, types: tuple, path: str):
+    if type(val) not in types:
+        raise SchemaError(path, _EXPECTED[types])
+    return val
+
+
+def _integers(val, path: str) -> tuple[int, ...]:
+    if not isinstance(val, list):
+        raise SchemaError(path, "expected a list of integers")
+    for k, v in enumerate(val):
+        if type(v) is not int:
+            raise SchemaError(f"{path}[{k}]", _EXPECTED[_INT])
+    return tuple(val)
+
+
+def _rows(obj: dict, key: str, path: str, cells: tuple) -> tuple[tuple, ...]:
+    """obj[key] as a list of fixed-width rows, cell c of a type in cells[c]."""
+    rows, path = obj.get(key), f"{path}.{key}"
+    if not (isinstance(rows, list)
+            and all(isinstance(r, list) and len(r) == len(cells) for r in rows)):
+        raise SchemaError(path, f"expected a list of rows of {len(cells)}")
+    for k, row in enumerate(rows):
+        for c, (types, v) in enumerate(zip(cells, row)):
+            if type(v) not in types:
+                raise SchemaError(f"{path}[{k}][{c}]", _EXPECTED[types])
+    return tuple(map(tuple, rows))
 
 
 def serialize(circuit: Circuit) -> str:
@@ -418,11 +430,9 @@ def deserialize(text: str) -> Circuit:
     if not isinstance(doc, dict):
         raise SchemaError("$", "top level must be an object")
     n = doc.get("n_qubits")
-    if not isinstance(n, int) or n <= 0:
+    if type(n) is not int or n <= 0:
         raise SchemaError("n_qubits", "expected a positive integer")
-    anc = doc.get("ancillas", [])
-    if not isinstance(anc, list) or not all(isinstance(a, int) for a in anc):
-        raise SchemaError("ancillas", "expected a list of integers")
+    anc = _integers(doc.get("ancillas", []), "ancillas")
     raw_gates = doc.get("gates", [])
     if not isinstance(raw_gates, list):
         raise SchemaError("gates", "expected a list")
@@ -434,19 +444,18 @@ def deserialize(text: str) -> Circuit:
         kind = obj.get("kind")
         if kind not in GATE_KINDS:
             raise SchemaError(f"{path}.kind", f"unknown gate kind {kind!r}")
-        qubits = obj.get("qubits", [])
-        if not isinstance(qubits, list) or not all(isinstance(q, int) for q in qubits):
-            raise SchemaError(f"{path}.qubits", "expected a list of integers")
-        theta = None
+        qubits = _integers(obj.get("qubits", []), f"{path}.qubits")
+        theta = profile = None
         if kind in _PARAMETRIC:
-            theta = _number(obj, "theta", path)
-        profile = None
+            theta = float(_typed(obj.get("theta"), _NUMBER, f"{path}.theta"))
+        elif "theta" in obj:
+            raise SchemaError(f"{path}.theta", f"{kind} takes no angle")
         if kind == "GMS":
-            if "profile" not in obj:
-                raise SchemaError(f"{path}.profile", "GMS gate requires a profile")
-            profile = _profile_from_obj(obj["profile"], f"{path}.profile")
+            profile = _profile_from_obj(obj.get("profile"), f"{path}.profile")
+        elif "profile" in obj:
+            raise SchemaError(f"{path}.profile", f"{kind} takes no profile")
         try:
-            gates.append(Gate(kind, tuple(qubits), theta, profile))
+            gates.append(Gate(kind, qubits, theta, profile))
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from exc
     try:

@@ -2,22 +2,24 @@
 
 Each generator that implements a standard unitary is returned as a
 ConstructionSpec pairing the pulse-based circuit with a local-gate reference
-for the same unitary; the verification harness checks them against each
-other up to a global phase (on the data register when ancillas are
-involved).
+for the same unitary, built on first access; the verification harness
+checks them against each other up to a global phase (on the data register
+when ancillas are involved).
 
 Multi-controlled phase references are synthesized exactly from the parity
 expansion x1*...*xm = sum over nonempty subsets S of (-1)^(|S|+1)(xor S) /
 2^(m-1), realized as CNOT folds plus RZ, with the residual scalar tracked
-in an explicit global-phase gate.
+in an explicit global-phase gate.  The spin-echo and inverse-pulse
+rewrites are single left-to-right passes over per-wire gate stacks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .circuit import (Circuit, Gate, PerPair, Uniform, cnot, gms,
                       global_phase, h, rx, ry, rz, xx)
@@ -32,7 +34,11 @@ class ConstructionSpec:
     name: str
     parameters: dict
     generated: Circuit
-    reference: Circuit
+    build_reference: Callable[[], Circuit] = field(compare=False, repr=False)
+
+    @cached_property
+    def reference(self) -> Circuit:
+        return self.build_reference()
 
     @property
     def check_kind(self) -> str:
@@ -152,9 +158,8 @@ def fanout(n: int, control: int = 0) -> ConstructionSpec:
         raise ValueError("control out of range")
     targets = [q for q in range(n) if q != control]
     generated = Circuit(n, tuple(_fan_gates(control, targets)))
-    reference = Circuit(n, _shared_control_cnots(control, targets))
-    return ConstructionSpec("fanout", {"n": n, "control": control},
-                            generated, reference)
+    return ConstructionSpec("fanout", {"n": n, "control": control}, generated,
+                            lambda: Circuit(n, _shared_control_cnots(control, targets)))
 
 
 def fanin(n: int, target: int = 0) -> ConstructionSpec:
@@ -164,9 +169,8 @@ def fanin(n: int, target: int = 0) -> ConstructionSpec:
     controls = [q for q in range(n) if q != target]
     layer = [h(q) for q in range(n)]
     generated = Circuit(n, tuple(layer + _fan_gates(target, controls) + layer))
-    reference = Circuit(n, tuple(cnot(c, target) for c in controls))
-    return ConstructionSpec("fanin", {"n": n, "target": target},
-                            generated, reference)
+    return ConstructionSpec("fanin", {"n": n, "target": target}, generated,
+                            lambda: Circuit(n, tuple(cnot(c, target) for c in controls)))
 
 
 def parity_measure_prefix(n: int, target: int = 0) -> Circuit:
@@ -191,9 +195,8 @@ def cnot_via_xx(control: int = 0, target: int = 1, n: int | None = None) -> Cons
     if n is None:
         n = max(control, target) + 1
     generated = Circuit(n, tuple(_cnot_xx_gates(control, target)))
-    reference = Circuit(n, (cnot(control, target),))
     return ConstructionSpec("cnot_via_xx", {"control": control, "target": target},
-                            generated, reference)
+                            generated, lambda: Circuit(n, (cnot(control, target),)))
 
 
 def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec:
@@ -209,10 +212,9 @@ def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec
     gates += _star_gates(keep, control, -PI / 2)
     gates += [rx(control, -PI / 2), rx(target, -PI / 2), ry(control, -PI / 2)]
     generated = Circuit(n, tuple(gates))
-    reference = Circuit(n, (cnot(control, target),))
     return ConstructionSpec("cnot_via_4gms", {"n": n, "control": control,
                                               "target": target},
-                            generated, reference)
+                            generated, lambda: Circuit(n, (cnot(control, target),)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +236,11 @@ TDISTILL_FANS = (
 def tdistill() -> ConstructionSpec:
     """The 34-CNOT encoder as five fan columns of two pulses each."""
     gates: list[Gate] = []
-    ref: list[Gate] = []
     for control, targets in TDISTILL_FANS:
         gates += _fan_gates(control, targets)
-        ref += _shared_control_cnots(control, targets)
-    return ConstructionSpec("tdistill", {},
-                            Circuit(15, tuple(gates)),
-                            Circuit(15, tuple(ref)))
+    return ConstructionSpec("tdistill", {}, Circuit(15, tuple(gates)),
+                            lambda: Circuit(15, sum((_shared_control_cnots(c, ts)
+                                                     for c, ts in TDISTILL_FANS), ())))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def ccz_3gms() -> ConstructionSpec:
              gms((a, b, c, anc), Uniform(-PI / 2)),
              ry(a, -PI / 2), ry(b, -PI / 2), h(c)]
     generated = Circuit(4, tuple(gates), frozenset({anc}))
-    return ConstructionSpec("ccz_3gms", {}, generated, controlled_z_reference(3))
+    return ConstructionSpec("ccz_3gms", {}, generated, lambda: controlled_z_reference(3))
 
 
 def cccz_4gms() -> ConstructionSpec:
@@ -291,7 +291,7 @@ def cccz_4gms() -> ConstructionSpec:
              gms(allq, Uniform(-PI / 2)),
              ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
     generated = Circuit(5, tuple(gates), frozenset({anc}))
-    return ConstructionSpec("cccz_4gms", {}, generated, controlled_z_reference(4))
+    return ConstructionSpec("cccz_4gms", {}, generated, lambda: controlled_z_reference(4))
 
 
 def cccz_3gms() -> ConstructionSpec:
@@ -308,7 +308,7 @@ def cccz_3gms() -> ConstructionSpec:
              gms(allq, Uniform(-PI / 2)),
              ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
     generated = Circuit(5, tuple(gates), frozenset({anc}))
-    return ConstructionSpec("cccz_3gms", {}, generated, controlled_z_reference(4))
+    return ConstructionSpec("cccz_3gms", {}, generated, lambda: controlled_z_reference(4))
 
 
 def toffoli3_gms() -> ConstructionSpec:
@@ -322,8 +322,8 @@ def toffoli3_gms() -> ConstructionSpec:
              gms((0, 1, 2), Uniform(PI / 2)),
              rx(0, PI / 2), rx(1, PI / 2), rx(2, PI / 2),
              ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2)]
-    return ConstructionSpec("toffoli3_gms", {},
-                            Circuit(3, tuple(gates)), toffoli_reference(3))
+    return ConstructionSpec("toffoli3_gms", {}, Circuit(3, tuple(gates)),
+                            lambda: toffoli_reference(3))
 
 
 def toffoli4_7gms() -> ConstructionSpec:
@@ -347,8 +347,8 @@ def toffoli4_7gms() -> ConstructionSpec:
              gms(allq, Uniform(-PI / 8)),
              ry(3, PI / 2),
              ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2), ry(3, -PI / 2)]
-    return ConstructionSpec("toffoli4_7gms", {},
-                            Circuit(4, tuple(gates)), toffoli_reference(4))
+    return ConstructionSpec("toffoli4_7gms", {}, Circuit(4, tuple(gates)),
+                            lambda: toffoli_reference(4))
 
 
 def _toffoli4_unit(x: int, y: int, z: int, target: int, helper: int) -> list[Gate]:
@@ -407,7 +407,7 @@ def toffoli_n(n: int) -> ConstructionSpec:
         else:
             gates += _toffoli3_unit(unit[1], unit[2], unit[3])
     generated = Circuit(total, tuple(gates), frozenset(range(n, total)))
-    return ConstructionSpec("toffoli_n", {"n": n}, generated, toffoli_reference(n))
+    return ConstructionSpec("toffoli_n", {"n": n}, generated, lambda: toffoli_reference(n))
 
 
 # ---------------------------------------------------------------------------
@@ -479,85 +479,86 @@ def gms_dagger_rewrite(n: int, chi: float) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def _echo_partner(gates: Sequence[Gate], i: int, q: int, step: int) -> int | None:
-    """Nearest XX/GMS through commuting spectators in the given direction."""
-    j = i + step
-    while 0 <= j < len(gates):
-        cand = gates[j]
-        if q in cand.qubits:
-            if cand.kind not in ("XX", "GMS"):
-                return None
-            lo, hi = (j + 1, i) if step < 0 else (i + 1, j)
-            support = set(cand.qubits)
-            if all(support.isdisjoint(gates[k].qubits) for k in range(lo, hi)):
-                return j
-            return None
-        j += step
-    return None
+def _stack_pass(circuit: Circuit, match: Callable) -> Circuit:
+    """One left-to-right pass keeping each wire's output slots as a stack.
+
+    ``match(out, stacks, gate)`` returns None or (partner slot, replacement)
+    for an arriving gate.  The gate is then dropped and the replacement,
+    put in the partner's slot, is tried again as if just arrived: no later
+    gate touches its wires, so this is the fixpoint of a rescan per match.
+    """
+    out: list[Gate | None] = []
+    stacks: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
+    for gate in circuit.gates:
+        slot = len(out)
+        out.append(gate)
+        while gate is not None and (found := match(out, stacks, gate)) is not None:
+            out[slot] = None
+            slot, gate = found
+            for w in out[slot].qubits:  # the partner is at the top or just below
+                del stacks[w][-1 if stacks[w][-1] == slot else -2]
+            out[slot] = gate
+        if gate is not None:
+            for w in gate.qubits:
+                stacks[w].append(slot)
+    return Circuit(circuit.n_qubits, tuple(g for g in out if g is not None),
+                   circuit.ancillas)
 
 
-def _echo_collapse(gate: Gate, q: int) -> list[Gate]:
+def _echo_collapse(gate: Gate, q: int) -> Gate | None:
     """Result of an identical XX/GMS pair straddling RZ(pi) on wire q: the
-    q couplings cancel, the rest double."""
+    q couplings cancel, the rest double (nothing is left of an XX pair)."""
     rest = sorted(set(gate.qubits) - {q})
     if len(rest) < 2:
-        return []
-    if gate.kind == "GMS" and isinstance(gate.profile, Uniform):
-        return [gms(rest, Uniform(2 * gate.profile.theta))]
-    angle = {(min(a, b), max(a, b)): chi for a, b, chi in gate.pair_angles()} \
-        if gate.kind == "GMS" else {}
-    table = tuple((a, b, 2 * angle[(a, b)]) for a, b in combinations(rest, 2))
-    return [gms(rest, PerPair(table))]
+        return None
+    if isinstance(gate.profile, Uniform):
+        return gms(rest, Uniform(2 * gate.profile.theta))
+    return gms(rest, PerPair(tuple((a, b, 2 * chi) for a, b, chi in gate.pair_angles()
+                                   if q not in (a, b))))
+
+
+def _echo_match(out: list, stacks: list[list[int]], gate: Gate):
+    """An XX/GMS echoes the same pulse sitting just below an RZ(pi) on one
+    of its wires q when that pulse is also the last gate on its other wires."""
+    if gate.kind not in ("XX", "GMS"):
+        return None
+    for q in gate.qubits:
+        if len(stacks[q]) < 2:
+            continue
+        top, left = out[stacks[q][-1]], stacks[q][-2]
+        if (top.kind == "RZ" and abs(top.theta) == PI
+                and all(stacks[w] and stacks[w][-1] == left for w in gate.qubits if w != q)
+                and out[left] == gate):
+            return left, _echo_collapse(gate, q)
+    return None
 
 
 def spin_echo_cancel(circuit: Circuit) -> Circuit:
     """Peephole deletion of identical XX/GMS pairs straddling an RZ(pi).
 
     The echo wire's couplings vanish; pulses larger than the echoed pair
-    collapse to a doubled-angle pulse on the remaining wires.  Applied to a
-    fixpoint; unitary preserved exactly.
+    collapse, in the left pulse's slot, to a doubled-angle pulse on the
+    remaining wires.  One pass to the fixpoint; unitary preserved exactly.
     """
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(gates):
-            if g.kind != "RZ" or abs(g.theta) != PI:
-                continue
-            q = g.qubits[0]
-            left = _echo_partner(gates, i, q, -1)
-            right = _echo_partner(gates, i, q, +1)
-            if left is None or right is None or gates[left] != gates[right]:
-                continue
-            collapsed = _echo_collapse(gates[left], q)
-            gates = (gates[:left] + collapsed + gates[left + 1:right]
-                     + gates[right + 1:])
-            changed = True
-            break
-    return Circuit(circuit.n_qubits, tuple(gates), circuit.ancillas)
+    return _stack_pass(circuit, _echo_match)
+
+
+def _inverse_match(out: list, stacks: list[list[int]], gate: Gate):
+    """A GMS cancels the last gate on all its wires if that is one GMS on the
+    same qubits with every coupling negated."""
+    if gate.kind != "GMS" or not stacks[gate.qubits[0]]:
+        return None
+    left = stacks[gate.qubits[0]][-1]
+    prev = out[left]
+    if (prev.kind == "GMS" and prev.qubits == gate.qubits
+            and all(stacks[w][-1] == left for w in gate.qubits)
+            and all(abs(ca + cb) == 0.0 for (_, _, ca), (_, _, cb)
+                    in zip(prev.pair_angles(), gate.pair_angles()))):
+        return left, None
+    return None
 
 
 def cancel_inverse_gms(circuit: Circuit) -> Circuit:
     """Drop GMS pairs that are exact inverses separated only by gates on
-    disjoint wires."""
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(gates):
-            if g.kind != "GMS":
-                continue
-            support = set(g.qubits)
-            for j in range(i + 1, len(gates)):
-                other = gates[j]
-                if support.isdisjoint(other.qubits):
-                    continue
-                if (other.kind == "GMS" and other.qubits == g.qubits
-                        and all(abs(ca + cb) == 0.0 for (_, _, ca), (_, _, cb)
-                                in zip(g.pair_angles(), other.pair_angles()))):
-                    gates = gates[:i] + gates[i + 1:j] + gates[j + 1:]
-                    changed = True
-                break
-            if changed:
-                break
-    return Circuit(circuit.n_qubits, tuple(gates), circuit.ancillas)
+    disjoint wires, in one pass to the fixpoint."""
+    return _stack_pass(circuit, _inverse_match)

@@ -25,13 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import (Circuit, Exponential, Gate, PerPair, PowerLawSum,
-                      cp, gms, global_phase, h, rz)
+                      _pairs, cp, gms, global_phase, h, rz)
 from .sim import trace_fidelity, unitary_of
 
 PI = math.pi
-
-# Optimizer parameters are the power-law profile itself.
-PowerLawParams = PowerLawSum
 
 
 def qft_reference(n: int) -> Circuit:
@@ -85,7 +82,7 @@ def _phase_star(hub: int, targets: list[int], shift: int, laws: list) -> list[Ga
     gates = [h(q) for q in support]
     for law in laws:
         full = tuple((a, b, -law(abs(slots[a] - slots[b]) - shift) / 2)
-                     for a, b in _sorted_pairs(support))
+                     for a, b in _pairs(support))
         if len(targets) >= 2:
             gates.append(gms(support, PerPair(full)))
             sub = tuple((a, b, -chi) for a, b, chi in full if hub not in (a, b))
@@ -100,11 +97,6 @@ def _phase_star(hub: int, targets: list[int], shift: int, laws: list) -> list[Ga
     gates.append(rz(hub, sum(phis) / 2))
     gates.append(global_phase(sum(phis) / 4))
     return gates
-
-
-def _sorted_pairs(qubits):
-    qs = sorted(qubits)
-    return [(qs[i], qs[j]) for i in range(len(qs)) for j in range(i + 1, len(qs))]
 
 
 def _qft_layers(wires: list[int], laws: list) -> list[Gate]:
@@ -146,7 +138,7 @@ def qfa_gms(n: int, profile) -> Circuit:
 # Fidelity objective and grid optimizer
 # ---------------------------------------------------------------------------
 
-def fidelity_formula(n: int, params: PowerLawParams) -> float:
+def fidelity_formula(n: int, params: PowerLawSum) -> float:
     """Analytic transform fidelity of a power-law coupling approximation:
 
         exp(-pi^2 * sum_j 3(n-j)/64 * [2^-j - sum_i 1/(b_i (j+off)^p_i)]^2)
@@ -175,7 +167,7 @@ class FidelityScan:
 
 @dataclass(frozen=True)
 class OptimizeResult:
-    params: PowerLawParams
+    params: PowerLawSum
     fidelity: float
     scans: tuple[FidelityScan, ...] = field(default_factory=tuple)
     evaluations: int = 0
@@ -186,19 +178,19 @@ def _grid(lo: float, hi: float, step: float, skip_zero: bool) -> list[float]:
     return [round(k * step, 10) for k in ks if not (skip_zero and k == 0)]
 
 
-def _axes(params: PowerLawParams) -> list[str]:
+def _axes(params: PowerLawSum) -> list[str]:
     m = len(params.terms)
     return [f"b{i+1}" for i in range(m)] + [f"p{i+1}" for i in range(m)]
 
 
-def _with_axis(params: PowerLawParams, axis: str, value: float) -> PowerLawParams:
+def _with_axis(params: PowerLawSum, axis: str, value: float) -> PowerLawSum:
     idx = int(axis[1:]) - 1
     terms = [list(t) for t in params.terms]
     terms[idx][0 if axis[0] == "b" else 1] = value
     return PowerLawSum(tuple(tuple(t) for t in terms), params.offset)
 
 
-def scan_axis(n: int, params: PowerLawParams, axis: str, step: float = 0.1,
+def scan_axis(n: int, params: PowerLawSum, axis: str, step: float = 0.1,
               b_box: tuple[float, float] = (-0.6, 0.6),
               p_box: tuple[float, float] = (1.5, 4.0)) -> FidelityScan:
     """Fidelity along one parameter axis, all others held fixed."""
@@ -210,7 +202,7 @@ def scan_axis(n: int, params: PowerLawParams, axis: str, step: float = 0.1,
     return FidelityScan(axis, grid, fixed, n)
 
 
-def _axis_value(params: PowerLawParams, axis: str) -> float:
+def _axis_value(params: PowerLawSum, axis: str) -> float:
     idx = int(axis[1:]) - 1
     return params.terms[idx][0 if axis[0] == "b" else 1]
 
@@ -311,7 +303,7 @@ def _descend(n, grid_step, b_box, p_box, offset, bs, ps, n_seeds=16):
     return best, evals
 
 
-def direct_fidelity(n: int, params: PowerLawParams) -> float:
+def direct_fidelity(n: int, params: PowerLawSum) -> float:
     """Full-simulation cross-check: trace fidelity between the exact
     exponential-profile transform and its power-law approximation."""
     if n > 10:

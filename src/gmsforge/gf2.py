@@ -48,9 +48,6 @@ class Gf2Matrix:
             packed.append(sum((1 << j) for j, v in enumerate(row) if v & 1))
         return cls(n, tuple(packed))
 
-    def to_rows(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.n)] for r in self.rows]
-
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_circuit
 from gmsforge.circuit import (Circuit, Exponential, Gate, PerPair,
@@ -166,6 +168,10 @@ def test_gate_validation():
         gms((0, 1, 2), PerPair(((0, 1, 0.5),)))  # missing pairs
     with pytest.raises(ValueError):
         Gate("XX", (0, 1, 2), 0.5)  # wrong arity
+    with pytest.raises(ValueError, match="takes no angle"):
+        Gate("H", (0,), 0.5)  # would serialize a theta that reading rejects
+    with pytest.raises(ValueError, match="takes no profile"):
+        Gate("RX", (0,), 0.5, Uniform(1.0))
     with pytest.raises(SchemaError):
         deserialize('{"n_qubits": 3, "gates": '
                     '[{"kind": "CNOT", "qubits": [0, 1, 2]}]}')
@@ -241,3 +247,45 @@ def test_missing_theta_reports_field():
     with pytest.raises(SchemaError) as err:
         deserialize(text)
     assert "gates[0].theta" in str(err.value)
+
+
+def _one_gate(gate, n=3):
+    return json.dumps({"n_qubits": n, "gates": [gate]})
+
+
+@pytest.mark.parametrize("text,path", [
+    (json.dumps({"n_qubits": True, "gates": []}), "n_qubits"),
+    (_one_gate({"kind": "H", "qubits": [True]}), "gates[0].qubits[0]"),
+    (_one_gate({"kind": "GMS", "qubits": [0, 1], "profile": {
+        "kind": "per_pair", "table": [[0.0, 1.7, 0.3]]}}), "gates[0].profile.table[0][0]"),
+    (_one_gate({"kind": "GMS", "qubits": [0, 1], "profile": {
+        "kind": "power_law", "terms": [[0.4, 2.5]], "offset": True}}), "gates[0].profile.offset"),
+    (_one_gate({"kind": "H", "qubits": [0], "theta": 0.5}), "gates[0].theta"),
+    (_one_gate({"kind": "RX", "qubits": [0], "theta": 0.5,
+                "profile": {"kind": "exponential"}}), "gates[0].profile"),
+], ids=["bool-n_qubits", "bool-qubit", "float-pair-index", "bool-offset",
+        "theta-on-H", "profile-on-RX"])
+def test_strict_schema_names_field(text, path):
+    with pytest.raises(SchemaError) as err:
+        deserialize(text)
+    assert err.value.path == path
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), n_gates=st.integers(0, 12))
+def test_roundtrip_random_circuits(seed, n, n_gates):
+    c = random_circuit(random.Random(seed), n, n_gates)
+    assert deserialize(serialize(c)) == c
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), n_gates=st.integers(1, 12),
+       pick=st.integers(0, 10**6), bad=st.sampled_from([True, False, 1.0, "0", None]))
+def test_corrupt_qubit_index_names_field(seed, n, n_gates, pick, bad):
+    doc = json.loads(serialize(random_circuit(random.Random(seed), n, n_gates)))
+    slots = [(k, i) for k, g in enumerate(doc["gates"]) for i in range(len(g["qubits"]))]
+    k, i = slots[pick % len(slots)]
+    doc["gates"][k]["qubits"][i] = bad
+    with pytest.raises(SchemaError) as err:
+        deserialize(json.dumps(doc))
+    assert err.value.path == f"gates[{k}].qubits[{i}]"

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from conftest import (controlled_z_matrix, random_circuit,
                       random_echo_circuit, toffoli_matrix)
 from gmsforge import constructions as cons
 from gmsforge import sim
-from gmsforge.circuit import (Circuit, PerPair, Uniform, cnot, gms, h, rx, ry,
-                              rz, xx)
+from gmsforge.circuit import (Circuit, PerPair, PowerLawSum, Uniform, cnot, gms,
+                              h, rx, ry, rz, xx)
+from gmsforge.cli import table1_rows
+from gmsforge.fourier import qft_gms
 
 PI = math.pi
 
@@ -384,6 +387,158 @@ def test_spin_echo_cancel_random_preserves():
         r = sim.equiv_phase(sim.unitary_of(out), sim.unitary_of(circ), 1e-9)
         assert r.ok
     assert fired > 30  # the rewrite actually does something
+
+
+# -- single-pass rewrites against the restart-scan oracles ---------------------
+#
+# The rewrites used to rescan the whole circuit after every match; those
+# scans are kept here as oracles for the single passes.
+
+def _oracle_echo_partner(gates, i, q, step):
+    j = i + step
+    while 0 <= j < len(gates):
+        cand = gates[j]
+        if q in cand.qubits:
+            if cand.kind not in ("XX", "GMS"):
+                return None
+            lo, hi = (j + 1, i) if step < 0 else (i + 1, j)
+            support = set(cand.qubits)
+            if all(support.isdisjoint(gates[k].qubits) for k in range(lo, hi)):
+                return j
+            return None
+        j += step
+    return None
+
+
+def _oracle_echo_collapse(gate, q):
+    rest = sorted(set(gate.qubits) - {q})
+    if len(rest) < 2:
+        return []
+    if gate.kind == "GMS" and isinstance(gate.profile, Uniform):
+        return [gms(rest, Uniform(2 * gate.profile.theta))]
+    angle = {(min(a, b), max(a, b)): chi for a, b, chi in gate.pair_angles()}
+    table = tuple((a, b, 2 * angle[(a, b)]) for a, b in combinations(rest, 2))
+    return [gms(rest, PerPair(table))]
+
+
+def oracle_spin_echo_cancel(circuit):
+    gates = list(circuit.gates)
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(gates):
+            if g.kind != "RZ" or abs(g.theta) != PI:
+                continue
+            q = g.qubits[0]
+            left = _oracle_echo_partner(gates, i, q, -1)
+            right = _oracle_echo_partner(gates, i, q, +1)
+            if left is None or right is None or gates[left] != gates[right]:
+                continue
+            collapsed = _oracle_echo_collapse(gates[left], q)
+            gates = (gates[:left] + collapsed + gates[left + 1:right]
+                     + gates[right + 1:])
+            changed = True
+            break
+    return Circuit(circuit.n_qubits, tuple(gates), circuit.ancillas)
+
+
+def oracle_cancel_inverse_gms(circuit):
+    gates = list(circuit.gates)
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(gates):
+            if g.kind != "GMS":
+                continue
+            support = set(g.qubits)
+            for j in range(i + 1, len(gates)):
+                other = gates[j]
+                if support.isdisjoint(other.qubits):
+                    continue
+                if (other.kind == "GMS" and other.qubits == g.qubits
+                        and all(abs(ca + cb) == 0.0 for (_, _, ca), (_, _, cb)
+                                in zip(g.pair_angles(), other.pair_angles()))):
+                    gates = gates[:i] + gates[i + 1:j] + gates[j + 1:]
+                    changed = True
+                break
+            if changed:
+                break
+    return Circuit(circuit.n_qubits, tuple(gates), circuit.ancillas)
+
+
+def test_spin_echo_cancel_matches_restart_oracle():
+    fired = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        circ = random_echo_circuit(rng, rng.randint(2, 6), rng.randint(1, 12))
+        out = cons.spin_echo_cancel(circ)
+        assert out.gates == oracle_spin_echo_cancel(circ).gates, seed
+        fired += len(out.gates) < len(circ.gates)
+    assert fired > 200
+
+
+def test_cancel_inverse_gms_matches_restart_oracle():
+    fired = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        # pulses and blocking rotations followed by their inverse, then
+        # random gates: matches nest, cross spectators and are blocked
+        half = Circuit(n, tuple(g for g in random_circuit(rng, n, 10).gates
+                                if g.kind in ("GMS", "RZ")))
+        circ = half.compose(half.inverse()).extend(random_circuit(rng, n, 4).gates)
+        out = cons.cancel_inverse_gms(circ)
+        assert out.gates == oracle_cancel_inverse_gms(circ).gates, seed
+        fired += len(out.gates) < len(circ.gates)
+    assert fired > 150
+
+
+@pytest.mark.parametrize("terms,offset", [(((0.4, 2.5),), 0),
+                                          (((0.4, 2.5), (-0.5, 3.4)), 0),
+                                          (((0.3, 2.0),), 1)])
+def test_qft_power_law_round_trip_matches_restart_oracle(terms, offset):
+    original = qft_gms(8, PowerLawSum(terms, offset))
+    shrunk = cons.gms_shrink(original)
+    echoed = cons.spin_echo_cancel(shrunk)
+    assert echoed.gates == oracle_spin_echo_cancel(shrunk).gates
+    back = cons.cancel_inverse_gms(echoed)
+    assert back.gates == oracle_cancel_inverse_gms(echoed).gates
+    assert back.cost().gms_pulses == original.cost().gms_pulses
+
+
+def test_toffoli9_shrink_round_trip():
+    original = cons.toffoli_n(9).generated
+    shrunk = cons.gms_shrink(original)
+    assert shrunk.cost().gms_pulses == 9984
+    back = cons.cancel_inverse_gms(cons.spin_echo_cancel(shrunk))
+    assert back.cost().gms_pulses == 21
+
+
+# -- references are built on first use -------------------------------------------
+
+def test_table1_builds_no_reference(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("table1 built a reference")
+
+    monkeypatch.setattr(cons, "controlled_z_reference", forbidden)
+    monkeypatch.setattr(cons, "toffoli_reference", forbidden)
+    rows = table1_rows()
+    assert all(r["outcome"] in ("PASS", "EXCLUDED") for r in rows)
+
+
+def test_reference_built_once():
+    calls = []
+
+    def build():
+        calls.append(1)
+        return cons.toffoli_reference(3)
+
+    spec = cons.ConstructionSpec("t", {}, cons.toffoli3_gms().generated, build)
+    assert calls == []
+    assert spec.reference is spec.reference
+    assert len(calls) == 1
+    tof = cons.toffoli_n(5)
+    assert tof.reference is tof.reference
 
 
 def test_cccz_3gms_derivable_from_4gms():

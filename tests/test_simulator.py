@@ -10,8 +10,8 @@ from gmsforge import sim
 from gmsforge.circuit import Circuit, Uniform, empty, gms, h, rx, xx
 from gmsforge.constructions import (TDISTILL_FANS, fanout, tdistill,
                                     toffoli3_gms, toffoli_n)
-from gmsforge.fourier import PowerLawParams, qft_gms
-from gmsforge.circuit import Exponential
+from gmsforge.fourier import qft_gms
+from gmsforge.circuit import Exponential, PowerLawSum
 from gmsforge.gf2 import FanLayer, linear_simulate
 
 PI = math.pi
@@ -142,7 +142,7 @@ def test_trace_fidelity_orthogonal():
 
 def test_trace_fidelity_powerlaw_qft6():
     exact = sim.unitary_of(qft_gms(6, Exponential()))
-    approx = sim.unitary_of(qft_gms(6, PowerLawParams(((0.4, 2.5), (-0.5, 3.4)), 0)))
+    approx = sim.unitary_of(qft_gms(6, PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 0)))
     f = sim.trace_fidelity(exact, approx)
     assert 0.9 < f <= 1.0
 
