@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, constructions as cons, fourier, gf2
 from .circuit import (Circuit, Exponential, PowerLawSum, SchemaError,
                       deserialize, serialize)
-from .sim import DenseGuardError, equiv_on_ancilla, equiv_phase, unitary_of
+from .sim import DenseGuardError, equiv_on_ancilla, unitary_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD = 0, 1, 2, 3
 
@@ -104,6 +104,17 @@ def _reference_for(name, args) -> Circuit:
     return built.reference if isinstance(built, cons.ConstructionSpec) else built
 
 
+def _resolve(target: str, args, build) -> Circuit:
+    """A construction name always means the construction, built by
+    ``build(name, args)``; any other string is a circuit JSON path."""
+    if target in SYNTH:
+        return build(target, args)
+    if not Path(target).exists():
+        raise UsageError(f"{target!r} is neither a file nor one of: "
+                         + " ".join(sorted(SYNTH)))
+    return deserialize(Path(target).read_text())
+
+
 def cmd_synth(args) -> int:
     if args.name not in SYNTH:
         print(f"unknown construction {args.name!r}; valid names: "
@@ -120,33 +131,11 @@ def cmd_synth(args) -> int:
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     circuit = deserialize(Path(args.file).read_text())
-    if Path(args.against).exists():
-        reference = deserialize(Path(args.against).read_text())
-    elif args.against in SYNTH:
-        reference = _reference_for(args.against, args)
-    else:
-        print(f"--against must be a file or one of: {' '.join(sorted(SYNTH))}",
-              file=sys.stderr)
-        return EXIT_USAGE
-
-    ref_u = unitary_of(reference)
-    data_width = len(circuit.data_qubits)
-    if circuit.ancillas and reference.n_qubits == data_width:
-        res = equiv_on_ancilla(circuit, ref_u, args.tol)
-        outcome = "PASS" if res.ok else f"FAIL ({res.failure})"
-        phase, dev = res.phase, res.max_deviation
-    elif reference.n_qubits == circuit.n_qubits:
-        res = equiv_phase(unitary_of(circuit), ref_u, args.tol)
-        outcome = "PASS" if res.ok else "FAIL"
-        phase, dev = res.phase, res.max_deviation
-    else:
-        print(f"width mismatch: circuit {circuit.n_qubits} "
-              f"(data {data_width}) vs reference {reference.n_qubits}",
-              file=sys.stderr)
-        return EXIT_USAGE
-
-    print(f"{outcome} phase={phase.real:+.9f}{phase.imag:+.9f}j "
-          f"max_deviation={dev:.3e}")
+    reference = _resolve(args.against, args, _reference_for)
+    res = equiv_on_ancilla(circuit, unitary_of(reference), args.tol)
+    outcome = "PASS" if res.ok else f"FAIL ({res.failure})"
+    print(f"{outcome} phase={res.phase.real:+.9f}{res.phase.imag:+.9f}j "
+          f"max_deviation={res.max_deviation:.3e}")
     if args.emit_unitary:
         if circuit.n_qubits > 6:
             print("unitary dump is limited to 6 qubits", file=sys.stderr)
@@ -156,7 +145,8 @@ def cmd_verify(args) -> int:
         print(json.dumps(_manifest("verify", vars(args), start, [
             {"name": f"{args.file} vs {args.against}",
              "outcome": "PASS" if res.ok else "FAIL",
-             "deviation": dev}])))
+             "deviation": res.max_deviation, "phase": [res.phase.real, res.phase.imag],
+             "leakage": res.leakage, "failure": res.failure}])))
     return EXIT_OK if res.ok else EXIT_FAIL
 
 
@@ -169,13 +159,7 @@ def _dump_unitary(u: np.ndarray, path: str) -> None:
 
 
 def cmd_count(args) -> int:
-    if Path(args.target).exists():
-        circuit = deserialize(Path(args.target).read_text())
-    elif args.target in SYNTH:
-        circuit = _build(args.target, args)
-    else:
-        print(f"count target must be a file or construction name", file=sys.stderr)
-        return EXIT_USAGE
+    circuit = _resolve(args.target, args, _build)
     report = circuit.cost()
     if args.json:
         print(json.dumps(report.as_dict()))
@@ -250,7 +234,8 @@ def cmd_table1(args) -> int:
     if args.json:
         checks = [{"name": r["name"],
                    "outcome": "SKIPPED" if r["outcome"] == "EXCLUDED" else r["outcome"],
-                   "deviation": None} for r in rows]
+                   "deviation": None, "want": r["want"], "got": r["got"]}
+                  for r in rows]
         print(json.dumps(_manifest("table1", {}, start, checks)))
     else:
         width = max(len(r["name"]) for r in rows)
@@ -332,6 +317,9 @@ def _add_synth_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--terms", help="power-law terms as b:p[,b:p...]")
     p.add_argument("--offset", type=int, default=0, choices=[0, 1])
     p.add_argument("--matrix", help="JSON file of 0/1 rows (linear synthesis)")
+
+
+def _add_shrink_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-gms-only", action="store_true",
                    help="rewrite subset pulses to full-register pulses")
 
@@ -344,6 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="emit a construction as circuit JSON")
     p.add_argument("name")
     _add_synth_params(p)
+    _add_shrink_flag(p)
     p.add_argument("--out")
     p.set_defaults(func=cmd_synth)
 
@@ -357,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("count", help="entangling-pulse tally of a circuit")
-    p.add_argument("target", help="circuit JSON file or construction name")
+    p.add_argument("target", help="construction name or circuit JSON file")
     p.add_argument("--json", action="store_true")
     _add_synth_params(p)
+    _add_shrink_flag(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("table1", help="recompute the count ledger")

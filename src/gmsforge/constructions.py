@@ -40,10 +40,6 @@ class ConstructionSpec:
     def reference(self) -> Circuit:
         return self.build_reference()
 
-    @property
-    def check_kind(self) -> str:
-        return "ancilla" if self.generated.ancillas else "phase"
-
 
 def embed(gates: Iterable[Gate], wires: Sequence[int]) -> list[Gate]:
     """Remap gates of a small circuit onto the given wires of a wider one.

@@ -4,11 +4,12 @@ Basis convention (fixed once, all verifications depend on it): qubit 0 is
 the most significant bit of the basis index, so |q0 q1 ... q_{n-1}> has
 index sum(q_k * 2**(n-1-k)).
 
-The dense-unitary path is guarded at 12 qubits by default (matrices get to
-the 100 MB scale there); override with the GMSFORGE_MAX_DENSE_QUBITS
-environment variable.  The ancilla check's columns get the same byte limit.
-The statevector path has no such guard and is used for wide-register
-parity checks.
+Every dense check runs the basis columns |x>|0...0> of its d data wires
+through the circuit at once, 2^n x 2^d entries (d = n for a unitary).  One
+byte guard covers them all: n + d may not exceed twice the qubit guard, 12
+by default (a dense unitary at the 100 MB scale); override with the
+GMSFORGE_MAX_DENSE_QUBITS environment variable.  The statevector path has
+no such guard and is used for wide-register parity checks.
 
 Every path runs through ``_run`` on the numpy kernels.  A GMS pulse is
 diagonal in the X basis, so it costs one phase pass between Hadamards on
@@ -21,6 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,16 +162,29 @@ def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
     return st
 
 
+def _columns(circuit: Circuit, data: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Run the basis columns |x>|0...0> of the ``data`` wires through the
+    circuit; return the 2^n x 2^d outputs and the row each column started in.
+    """
+    n, d = circuit.n_qubits, len(data)
+    guard = max_dense_qubits()
+    if n + d > 2 * guard:
+        raise DenseGuardError(
+            f"dense guard: 2^{n} x 2^{d} columns need {16 << (n + d)} bytes, "
+            f"limit is {16 << (2 * guard)} bytes, the size of a dense unitary "
+            f"at the {guard}-qubit guard (set GMSFORGE_MAX_DENSE_QUBITS to raise it)")
+    x = np.arange(1 << d)
+    rows = np.zeros_like(x)
+    for pos, q in enumerate(data):
+        rows |= (x >> (d - 1 - pos) & 1) * _mask(n, q)
+    cols = np.zeros((1 << n, 1 << d), dtype=np.complex128)
+    cols[rows, x] = 1.0
+    return _run(circuit, cols), rows
+
+
 def unitary_of(circuit: Circuit) -> np.ndarray:
     """Dense unitary of the circuit (product of gate matrices in order)."""
-    guard = max_dense_qubits()
-    if circuit.n_qubits > guard:
-        raise DenseGuardError(
-            f"dense unitary needs {circuit.n_qubits} qubits, guard is {guard} "
-            "(set GMSFORGE_MAX_DENSE_QUBITS to raise it)")
-    dim = 1 << circuit.n_qubits
-    st = np.eye(dim, dtype=np.complex128)
-    return _run(circuit, st)
+    return _columns(circuit, range(circuit.n_qubits))[0]
 
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -228,47 +243,28 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
                      tol: float = 1e-9) -> AncillaMatch:
     """Check the circuit acts as ``data_unitary`` on the data register.
 
+    The data register is the circuit's non-ancilla wires, or the whole
+    register when ``data_unitary`` is as wide as the circuit (then this is
+    ``equiv_phase(unitary_of(circuit), data_unitary)`` and leakage is 0).
     Every data basis state |x>|0...0> is run through the circuit; the result
     must be (V|x>)|0...0> with one common global phase.  Residual population
     on the ancilla-neq-0 rows above tol is reported as the distinct
-    "leakage" failure.  The 2^n x 2^d columns are held at once, so they may
-    take no more bytes than a dense unitary at the qubit guard.
+    "leakage" failure.  The columns are held at once under the dense guard.
     """
     n = circuit.n_qubits
-    data = circuit.data_qubits
-    anc = sorted(circuit.ancillas)
-    if not anc:
-        raise ValueError("circuit declares no ancillas")
-    d = len(data)
-    ddim = 1 << d
+    full = data_unitary.shape == (1 << n, 1 << n)
+    data = range(n) if full else circuit.data_qubits
+    ddim = 1 << len(data)
     if data_unitary.shape != (ddim, ddim):
         raise ValueError(
-            f"reference acts on {data_unitary.shape}, data register is {ddim}")
-    guard = max_dense_qubits()
-    if n + d > 2 * guard:
-        raise DenseGuardError(
-            f"ancilla-column guard: 2^{n} x 2^{d} columns need "
-            f"{16 << (n + d)} bytes, limit is {16 << (2 * guard)} bytes, the "
-            f"size of a dense unitary at the {guard}-qubit guard "
-            "(set GMSFORGE_MAX_DENSE_QUBITS to raise it)")
-
-    def embed(x: int) -> int:
-        idx = 0
-        for pos, q in enumerate(data):
-            if (x >> (d - 1 - pos)) & 1:
-                idx |= _mask(n, q)
-        return idx
-
-    cols = np.zeros((1 << n, ddim), dtype=np.complex128)
-    for x in range(ddim):
-        cols[embed(x), x] = 1.0
-    _run(circuit, cols)
-
-    data_rows = np.fromiter((embed(x) for x in range(ddim)), dtype=np.int64)
-    w = cols[data_rows, :]
-    keep = np.zeros(1 << n, dtype=bool)
-    keep[data_rows] = True
-    leakage = float(np.max(np.abs(cols[~keep, :]))) if (1 << n) > ddim else 0.0
+            f"reference acts on {data_unitary.shape}; the data register has "
+            f"dimension {ddim}, the whole register {1 << n}")
+    cols, rows = _columns(circuit, data)
+    w, leakage = cols, 0.0  # a view when every wire is data
+    if not full:
+        w = cols[rows]
+        cols[rows] = 0.0
+        leakage = float(np.max(np.abs(cols)))
     if leakage > tol:
         return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage)
     pm = equiv_phase(w, data_unitary, tol)

@@ -29,10 +29,7 @@ def _verdict(num, label, ok, extra=""):
 
 
 def _equiv(spec):
-    ref = sim.unitary_of(spec.reference)
-    if spec.check_kind == "ancilla":
-        return sim.equiv_on_ancilla(spec.generated, ref, TOL).ok
-    return sim.equiv_phase(sim.unitary_of(spec.generated), ref, TOL).ok
+    return sim.equiv_on_ancilla(spec.generated, sim.unitary_of(spec.reference), TOL).ok
 
 
 def test_criterion_1_construction_equivalence():

@@ -1,8 +1,10 @@
 import json
 
+import math
+
 from gmsforge import cli
-from gmsforge.circuit import deserialize
-from gmsforge.constructions import fanout
+from gmsforge.circuit import deserialize, rx, serialize
+from gmsforge.constructions import fanin, fanout, toffoli_n
 
 
 def run(capsys, *argv):
@@ -55,6 +57,77 @@ def test_verify_ancilla_contract(tmp_path, capsys):
     run(capsys, "synth", "toffoli", "--n", "6", "--out", str(path))
     code, out, _ = run(capsys, "verify", str(path), "--against", "toffoli", "--n", "6")
     assert code == 0 and out.startswith("PASS")
+
+
+def test_verify_full_width_file_reference(tmp_path, capsys):
+    # an ancilla circuit against a file as wide as its whole register
+    path = tmp_path / "t5.json"
+    run(capsys, "synth", "toffoli", "--n", "5", "--out", str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--against", str(path))
+    assert code == 0 and out.startswith("PASS")
+
+
+def test_verify_width_mismatch_exit2(tmp_path, capsys):
+    path = tmp_path / "f4.json"
+    run(capsys, "synth", "fanout", "--n", "4", "--out", str(path))
+    code, out, err = run(capsys, "verify", str(path), "--against", "fanout", "--n", "3")
+    assert code == 2 and out == "" and "data register" in err
+
+
+def test_verify_unknown_target_exit2(tmp_path, capsys):
+    path = tmp_path / "f4.json"
+    run(capsys, "synth", "fanout", "--n", "4", "--out", str(path))
+    code, _, err = run(capsys, "verify", str(path), "--against", "no-such-thing")
+    assert code == 2 and "fanout" in err
+
+
+def test_construction_names_win_over_files(tmp_path, capsys, monkeypatch):
+    # a file named like a construction does not shadow it
+    (tmp_path / "fanout").write_text(serialize(fanin(4).generated) + "\n")
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "synth", "fanout", "--n", "4", "--out", "f4.json")
+    code, out, _ = run(capsys, "verify", "f4.json", "--against", "fanout", "--n", "4")
+    assert code == 0 and out.startswith("PASS")
+    code, out, _ = run(capsys, "count", "fanout", "--n", "4", "--json")
+    assert code == 0 and json.loads(out) == fanout(4).generated.cost().as_dict()
+
+
+def test_verify_rejects_max_gms_only(tmp_path, capsys):
+    path = tmp_path / "t5.json"
+    run(capsys, "synth", "toffoli", "--n", "5", "--out", str(path))
+    code, out, err = run(capsys, "verify", str(path), "--against", "toffoli",
+                         "--n", "5", "--max-gms-only")
+    assert code == 2 and out == "" and "--max-gms-only" in err
+
+
+def test_verify_json_reports_phase_leakage_failure(tmp_path, capsys):
+    t5, f4 = tmp_path / "t5.json", tmp_path / "f4.json"
+    run(capsys, "synth", "toffoli", "--n", "5", "--out", str(t5))
+    run(capsys, "synth", "fanout", "--n", "4", "--out", str(f4))
+    leaky = tmp_path / "leaky.json"
+    anc = min(toffoli_n(5).generated.ancillas)
+    leaky.write_text(serialize(toffoli_n(5).generated.append(rx(anc, math.pi))))
+
+    def check(path, *against):
+        code, out, _ = run(capsys, "verify", str(path), "--against", *against, "--json")
+        text, doc = out.splitlines()
+        return code, text, json.loads(doc)["checks"][0]
+
+    code, text, c = check(t5, "toffoli", "--n", "5")
+    assert code == 0 and c["outcome"] == "PASS" and c["failure"] is None
+    real, imag = c["phase"]
+    assert text.startswith(f"PASS phase={real:+.9f}{imag:+.9f}j")
+    assert abs(abs(complex(real, imag)) - 1) < 1e-12 and 0 <= c["leakage"] < 1e-9
+    assert f"max_deviation={c['deviation']:.3e}" in text
+
+    code, text, c = check(f4, "fanin", "--n", "4")
+    assert code == 1 and c["outcome"] == "FAIL" and c["failure"] == "mismatch"
+    assert text.startswith("FAIL (mismatch)") and c["leakage"] == 0.0
+    assert c["deviation"] > 0.1
+
+    code, text, c = check(leaky, "toffoli", "--n", "5")
+    assert code == 1 and c["failure"] == "leakage" and c["leakage"] > 0.9
+    assert text.startswith("FAIL (leakage)")
 
 
 def test_verify_guard_exit3(tmp_path, capsys, monkeypatch):
@@ -129,6 +202,17 @@ def test_table1_json_manifest(capsys):
     assert code == 0 and doc["command"] == "table1"
     outcomes = {c["outcome"] for c in doc["checks"]}
     assert outcomes == {"PASS", "SKIPPED"}
+
+
+def test_table1_json_keeps_want_got(capsys):
+    _, text, _ = run(capsys, "table1")
+    _, out, _ = run(capsys, "table1", "--json")
+    checks = json.loads(out)["checks"]
+    lines = text.splitlines()[:-1]
+    assert len(checks) == len(lines)
+    for c, line in zip(checks, lines):
+        assert line.startswith(c["name"])
+        assert line.endswith(f"  want {c['want']}  got {c['got']}")
 
 
 def test_optimize_writes_scans(tmp_path, capsys):

@@ -18,13 +18,8 @@ PI = math.pi
 
 
 def assert_spec_ok(spec, tol=1e-9):
-    ref = sim.unitary_of(spec.reference)
-    if spec.check_kind == "ancilla":
-        r = sim.equiv_on_ancilla(spec.generated, ref, tol)
-        assert r.ok, f"{spec.name}: {r.failure} dev={r.max_deviation}"
-    else:
-        r = sim.equiv_phase(sim.unitary_of(spec.generated), ref, tol)
-        assert r.ok, f"{spec.name}: dev={r.max_deviation}"
+    r = sim.equiv_on_ancilla(spec.generated, sim.unitary_of(spec.reference), tol)
+    assert r.ok, f"{spec.name}: {r.failure} dev={r.max_deviation}"
     return r
 
 

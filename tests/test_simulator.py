@@ -7,7 +7,7 @@ import pytest
 from conftest import (HADAMARD, I2, PAULI_Z, controlled_z_matrix, kron_all,
                       random_circuit, random_state, toffoli_matrix, xx_matrix)
 from gmsforge import sim
-from gmsforge.circuit import Circuit, Uniform, empty, gms, h, rx, xx
+from gmsforge.circuit import Circuit, Uniform, empty, gms, h, rx, rz, xx
 from gmsforge.constructions import (TDISTILL_FANS, fanout, tdistill,
                                     toffoli3_gms, toffoli_n)
 from gmsforge.fourier import qft_gms
@@ -131,6 +131,34 @@ def test_equiv_on_ancilla_toffoli6():
     assert r.ok
 
 
+def test_equiv_on_ancilla_without_ancillas_is_equiv_phase():
+    # with no ancillas the whole register is data: the same verdict, phase
+    # and deviation as the full-unitary check, against a phase-shifted copy
+    # and against an RZ(0.1) mutant
+    rng = random.Random(11)
+    for case in range(20):
+        c = random_circuit(rng, rng.randint(2, 5), rng.randint(1, 12))
+        u = sim.unitary_of(c)
+        mutant = sim.unitary_of(c.append(rz(rng.randrange(c.n_qubits), 0.1)))
+        for v, want_ok in ((np.exp(1j * rng.uniform(-PI, PI)) * u, True),
+                           (mutant, False)):
+            r = sim.equiv_on_ancilla(c, v, 1e-9)
+            pm = sim.equiv_phase(u, v, 1e-9)
+            assert r.ok == pm.ok == want_ok, case
+            assert r.phase == pm.phase and r.max_deviation == pm.max_deviation
+            assert r.leakage == 0.0
+            assert r.failure == (None if want_ok else "mismatch")
+
+
+def test_equiv_on_ancilla_full_width_reference():
+    # a reference as wide as the register makes the ancillas data wires
+    spec = toffoli_n(5)
+    r = sim.equiv_on_ancilla(spec.generated, sim.unitary_of(spec.generated), 1e-9)
+    assert r.ok and r.leakage == 0.0
+    with pytest.raises(ValueError, match="data register"):
+        sim.equiv_on_ancilla(spec.generated, np.eye(4), 1e-9)
+
+
 def test_trace_fidelity_self():
     u = sim.unitary_of(random_circuit(random.Random(2), 3, 9))
     assert abs(sim.trace_fidelity(u, u) - 1) < 1e-12
@@ -153,6 +181,14 @@ def test_dense_guard(monkeypatch):
         sim.unitary_of(empty(13))
     monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", "13")
     sim.unitary_of(empty(13))  # now allowed
+
+
+def test_dense_guard_message_names_bytes(monkeypatch):
+    monkeypatch.delenv("GMSFORGE_MAX_DENSE_QUBITS", raising=False)
+    with pytest.raises(sim.DenseGuardError) as info:
+        sim.unitary_of(empty(13))
+    msg = str(info.value)
+    assert "guard" in msg and str(16 << 26) in msg and str(16 << 24) in msg
 
 
 def test_unitarity_of_circuit_matrices():
