@@ -2,12 +2,13 @@
 
 __version__ = "0.1.0"
 
-from .circuit import (Circuit, CostReport, Exponential, Gate, PerPair,
-                      PowerLawSum, SchemaError, Uniform, cnot, cp, deserialize,
-                      empty, gms, global_phase, h, rx, ry, rz, serialize, xx)
+from .circuit import (ArgumentError, Circuit, CostReport, Exponential, Gate,
+                      PerPair, PowerLawSum, SchemaError, Uniform, cnot, cp,
+                      deserialize, empty, gms, global_phase, h, rx, ry, rz,
+                      serialize, xx)
 
 __all__ = [
-    "Circuit", "CostReport", "Exponential", "Gate", "PerPair", "PowerLawSum",
+    "ArgumentError", "Circuit", "CostReport", "Exponential", "Gate", "PerPair", "PowerLawSum",
     "SchemaError", "Uniform", "cnot", "cp", "deserialize", "empty", "gms",
     "global_phase", "h", "rx", "ry", "rz", "serialize", "xx", "__version__",
 ]

@@ -33,6 +33,11 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+class ArgumentError(ValueError):
+    """Raised when a builder's arguments are out of range: a usage error
+    when they come from the command line, unlike other ValueErrors."""
+
+
 # ---------------------------------------------------------------------------
 # Coupling profiles
 # ---------------------------------------------------------------------------
@@ -86,10 +91,10 @@ class PowerLawSum:
 
     def __post_init__(self):
         if self.offset not in (0, 1):
-            raise ValueError("offset must be 0 or 1")
+            raise ArgumentError("offset must be 0 or 1")
         terms = tuple((float(b), float(p)) for b, p in self.terms)
         if any(b == 0.0 for b, _ in terms):
-            raise ValueError("power-law coefficient b must be nonzero")
+            raise ArgumentError("power-law coefficient b must be nonzero")
         object.__setattr__(self, "terms", terms)
 
     def angle(self, i: int, j: int) -> float:

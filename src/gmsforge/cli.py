@@ -2,7 +2,7 @@
 ledger, and the power-law optimizer.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-guard tripped.
+guard tripped.  Any other exception is an internal error and propagates.
 """
 
 from __future__ import annotations
@@ -17,15 +17,24 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, constructions as cons, fourier, gf2
-from .circuit import (Circuit, Exponential, PowerLawSum, SchemaError,
-                      deserialize, serialize)
+from .circuit import (ArgumentError, Circuit, Exponential, PowerLawSum,
+                      SchemaError, deserialize, serialize)
 from .sim import DenseGuardError, equiv_on_ancilla, unitary_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD = 0, 1, 2, 3
 
+MAX_SHRINK_PULSES = 1 << 16
+"""Most pulses ``--max-gms-only`` may emit.  Toffoli-10 emits 10752 and
+Toffoli-11 would emit 92160; at 13 qubits each emitted pulse held about
+0.5 kB of gates and wrote about 0.5 kB of JSON."""
+
 
 class UsageError(Exception):
     pass
+
+
+class OutputGuardError(RuntimeError):
+    """A rewrite would emit more gates than its guard allows."""
 
 
 def _profile_from_args(args):
@@ -34,11 +43,13 @@ def _profile_from_args(args):
     if args.profile == "power-law":
         if not args.terms:
             raise UsageError("power-law profile needs --terms b:p[,b:p...]")
-        terms = []
-        for chunk in args.terms.split(","):
-            b, _, p = chunk.partition(":")
-            terms.append((float(b), float(p)))
-        return PowerLawSum(tuple(terms), args.offset)
+        try:
+            terms = tuple((float(b), float(p)) for b, p in
+                          (chunk.split(":") for chunk in args.terms.split(",")))
+        except ValueError:
+            raise UsageError(
+                f"--terms must read b:p[,b:p...], not {args.terms!r}") from None
+        return PowerLawSum(terms, args.offset)
     raise UsageError(f"unknown profile {args.profile!r}")
 
 
@@ -52,7 +63,10 @@ def _need(args, name):
 def _synth_linear(args):
     if not args.matrix:
         raise UsageError("synth linear needs --matrix FILE (JSON rows of 0/1)")
-    rows = json.loads(Path(args.matrix).read_text())
+    try:
+        rows = json.loads(Path(args.matrix).read_text())
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"--matrix {args.matrix}: {exc}")
     m = gf2.Gf2Matrix.from_rows(rows)
     layers, perm = gf2.synthesize_linear(m)
     gates = []
@@ -95,6 +109,14 @@ def _build(name, args) -> Circuit:
     built = SYNTH[name](args)
     circ = built.generated if isinstance(built, cons.ConstructionSpec) else built
     if args.max_gms_only:
+        # a pulse missing k wires becomes 2^k full-register pulses
+        n = circ.n_qubits
+        pulses = sum(1 << (n - len(g.qubits))
+                     for g in circ.gates if g.kind == "GMS")
+        if pulses > MAX_SHRINK_PULSES:
+            raise OutputGuardError(
+                f"shrink guard: --max-gms-only would emit {pulses} pulses, "
+                f"limit is {MAX_SHRINK_PULSES} pulses")
         circ = cons.gms_shrink(circ)
     return circ
 
@@ -386,7 +408,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SchemaError as exc:
@@ -395,12 +417,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DenseGuardError as exc:
+    except (DenseGuardError, OutputGuardError) as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,8 +21,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .circuit import (Circuit, Gate, PerPair, Uniform, cnot, gms,
-                      global_phase, h, rx, ry, rz, xx)
+from .circuit import (ArgumentError, Circuit, Gate, PerPair, Uniform, cnot,
+                      gms, global_phase, h, rx, ry, rz, xx)
 
 PI = math.pi
 
@@ -76,7 +76,7 @@ def parity_phase_gates(qubits: Sequence[int], coeff: float) -> tuple[list[Gate],
 def controlled_z_reference(m: int) -> Circuit:
     """Exact m-qubit controlled-Z ladder: diag(1, ..., 1, -1)."""
     if m < 1:
-        raise ValueError("need at least one qubit")
+        raise ArgumentError("need at least one qubit")
     gates: list[Gate] = []
     scalar = 0.0
     for size in range(1, m + 1):
@@ -132,9 +132,9 @@ def star_coupling(n: int, hub: int, chi: float) -> Circuit:
     """Two uniform pulses leaving only the hub's couplings active:
     full-register GMS(chi) then GMS(-chi) on the hub's complement."""
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise ArgumentError("need n >= 3")
     if not 0 <= hub < n:
-        raise ValueError("hub out of range")
+        raise ArgumentError("hub out of range")
     return Circuit(n, tuple(_star_gates(range(n), hub, chi)))
 
 
@@ -149,9 +149,9 @@ def _star_gates(qubits: Iterable[int], hub: int, chi: float) -> list[Gate]:
 
 def fanout(n: int, control: int = 0) -> ConstructionSpec:
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     if not 0 <= control < n:
-        raise ValueError("control out of range")
+        raise ArgumentError("control out of range")
     targets = [q for q in range(n) if q != control]
     generated = Circuit(n, tuple(_fan_gates(control, targets)))
     return ConstructionSpec("fanout", {"n": n, "control": control}, generated,
@@ -161,7 +161,7 @@ def fanout(n: int, control: int = 0) -> ConstructionSpec:
 def fanin(n: int, target: int = 0) -> ConstructionSpec:
     """Shared-target CNOT set: Hadamard conjugation of the fan-out."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     controls = [q for q in range(n) if q != target]
     layer = [h(q) for q in range(n)]
     generated = Circuit(n, tuple(layer + _fan_gates(target, controls) + layer))
@@ -177,7 +177,7 @@ def parity_measure_prefix(n: int, target: int = 0) -> Circuit:
     Z statistics match the full fan-in on every basis input.
     """
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise ArgumentError("need n >= 3")
     gates = [h(q) for q in range(n)]
     gates += [ry(target, PI / 2),
               gms(range(n), Uniform(PI / 2)),
@@ -199,9 +199,9 @@ def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec
     """CNOT from full-register pulses only: two star isolations leave a
     single XX(pi/2) between control and target, then standard dressing."""
     if n < 3:
-        raise ValueError("need n >= 3")
+        raise ArgumentError("need n >= 3")
     if control == target or not (0 <= control < n and 0 <= target < n):
-        raise ValueError("bad control/target")
+        raise ArgumentError("bad control/target")
     keep = [q for q in range(n) if q != target]
     gates = [ry(control, PI / 2)]
     gates += _star_gates(range(n), control, PI / 2)
@@ -247,7 +247,7 @@ def phase_polynomial_identity(n: int, theta: float) -> Circuit:
     """Hadamard-conjugated uniform pulse: applies phase exp(i*theta) to the
     parity of every qubit pair, up to one global phase."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     layer = [h(q) for q in range(n)]
     return Circuit(n, tuple(layer + [gms(range(n), Uniform(theta))] + layer))
 
@@ -367,7 +367,7 @@ def toffoli_n(n: int) -> ConstructionSpec:
     count: 3n-9 for even n, 3n-6 for odd n; every ancilla returns to |0>.
     """
     if n < 4:
-        raise ValueError("need n >= 4")
+        raise ArgumentError("need n >= 4")
     controls = list(range(n - 1))
     target = n - 1
     even = n % 2 == 0
@@ -465,9 +465,9 @@ def gms_dagger_rewrite(n: int, chi: float) -> Circuit:
     scalar (-i)^(n(n-1)/2); equals GMS(-chi) exactly, including phase.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     if not 0 <= chi <= PI:
-        raise ValueError("chi must lie in [0, pi]")
+        raise ArgumentError("chi must lie in [0, pi]")
     pairs = n * (n - 1) // 2
     gates = [gms(range(n), Uniform(PI - chi))]
     gates += [rx(q, (n - 1) * PI) for q in range(n)]

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import (Circuit, Exponential, Gate, PerPair, PowerLawSum,
-                      _pairs, cp, gms, global_phase, h, rz)
+from .circuit import (ArgumentError, Circuit, Exponential, Gate, PerPair,
+                      PowerLawSum, _pairs, cp, gms, global_phase, h, rz)
 from .sim import trace_fidelity, unitary_of
 
 PI = math.pi
@@ -35,7 +35,7 @@ def qft_reference(n: int) -> Circuit:
     """Textbook transform: H plus controlled-phase cascade, bit-reversed
     output order (no swap layer)."""
     if n < 1:
-        raise ValueError("need n >= 1")
+        raise ArgumentError("need n >= 1")
     gates: list[Gate] = []
     for k in range(n - 1, 0, -1):
         gates.append(h(k))
@@ -61,7 +61,7 @@ def _gms_laws(profile) -> list:
         off = profile.offset
         return [lambda e, b=b, p=p: PI / (b * (e + off) ** p)
                 for b, p in profile.terms]
-    raise ValueError("transform generators take an exponential or power-law profile")
+    raise ArgumentError("transform generators take an exponential or power-law profile")
 
 
 def _phase_star(hub: int, targets: list[int], shift: int, laws: list) -> list[Gate]:
@@ -115,7 +115,7 @@ def qft_gms(n: int, profile) -> Circuit:
     """Transform from 2(n-1) pulses per power-law term (2(n-1) total with
     the exponential profile); equals qft_reference exactly there."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     return Circuit(n, tuple(_qft_layers(list(range(n)), _gms_laws(profile))))
 
 
@@ -123,7 +123,7 @@ def qfa_gms(n: int, profile) -> Circuit:
     """Adder |a>|b> -> |a>|a+b mod 2^n> on registers a = wires 0..n-1,
     b = wires n..2n-1, both little-endian (wire j carries weight 2^j)."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     laws = _gms_laws(profile)
     b_wires = list(range(n, 2 * n))
     fwd = _qft_layers(b_wires, laws)
@@ -146,7 +146,7 @@ def fidelity_formula(n: int, params: PowerLawSum) -> float:
     with j running 1..n; offset 1 shifts the power-law base for the adder
     variant."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     expo = 0.0
     for j in range(1, n + 1):
         approx = sum(1.0 / (b * (j + params.offset) ** p) for b, p in params.terms)
@@ -218,11 +218,11 @@ def optimize_powerlaw(n: int, m: int, grid_step: float = 0.1,
     from a coarse-grid seed for m = 3.  Deterministic throughout.
     """
     if m not in (1, 2, 3):
-        raise ValueError("m must be 1, 2 or 3")
+        raise ArgumentError("m must be 1, 2 or 3")
     bs = np.array(_grid(b_box[0], b_box[1], grid_step, skip_zero=True))
     ps = np.array(_grid(p_box[0], p_box[1], grid_step, skip_zero=False))
     if bs.size == 0 or ps.size == 0:
-        raise ValueError("empty search grid")
+        raise ArgumentError("empty search grid")
 
     js = np.arange(1, n + 1)
     base = 2.0 ** -js
@@ -333,7 +333,7 @@ def aqft_count(n: int, mode: str, band: int = 4) -> int:
     """Entangling-gate count of the approximate transform under the banded
     model; layers have 1..n-1 controlled phases."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     return _banded(range(1, n), mode, band)
 
 
@@ -341,7 +341,7 @@ def aqfa_count(n: int, mode: str, band: int = 4) -> int:
     """Approximate adder: transform + n control columns (lengths n..1) +
     inverse transform, same per-layer rule."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     return (2 * _banded(range(1, n), mode, band)
             + _banded(range(1, n + 1), mode, band))
 
@@ -351,4 +351,4 @@ def _banded(layer_lengths, mode: str, band: int) -> int:
         return sum(min(length, band) for length in layer_lengths)
     if mode == "mixed_gms":
         return sum(min(2, min(length, band)) for length in layer_lengths)
-    raise ValueError(f"mode must be one of {AQFT_MODES}")
+    raise ArgumentError(f"mode must be one of {AQFT_MODES}")

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .circuit import ArgumentError
+
 
 @dataclass(frozen=True)
 class Gf2Matrix:
@@ -29,10 +31,10 @@ class Gf2Matrix:
 
     def __post_init__(self):
         if len(self.rows) != self.n:
-            raise ValueError("row count does not match dimension")
+            raise ArgumentError("row count does not match dimension")
         limit = 1 << self.n
         if any(r < 0 or r >= limit for r in self.rows):
-            raise ValueError("row has bits outside the matrix width")
+            raise ArgumentError("row has bits outside the matrix width")
 
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
@@ -44,7 +46,7 @@ class Gf2Matrix:
         packed = []
         for row in rows:
             if len(row) != n:
-                raise ValueError("matrix must be square")
+                raise ArgumentError("matrix must be square")
             packed.append(sum((1 << j) for j, v in enumerate(row) if v & 1))
         return cls(n, tuple(packed))
 
@@ -140,7 +142,7 @@ def plu_decompose(m: Gf2Matrix) -> tuple[tuple[int, ...], Gf2Matrix, Gf2Matrix]:
     for k in range(n):
         pivot = next((i for i in range(k, n) if (u[i] >> k) & 1), None)
         if pivot is None:
-            raise ValueError("matrix is singular over GF(2)")
+            raise ArgumentError("matrix is singular over GF(2)")
         if pivot != k:
             u[k], u[pivot] = u[pivot], u[k]
             lrows[k], lrows[pivot] = lrows[pivot], lrows[k]
@@ -229,7 +231,7 @@ def stabilizer_gms_bound(n: int) -> tuple[int, dict[str, int]]:
     tableau.
     """
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise ArgumentError("need n >= 2")
     triangular = 2 * n - 3
     general = 2 * triangular
     breakdown = {

@@ -13,8 +13,11 @@ no such guard and is used for wide-register parity checks.
 
 Every path runs through ``_run`` on the numpy kernels.  A GMS pulse is
 diagonal in the X basis, so it costs one phase pass between Hadamards on
-its wires instead of one XX pass per pair, and each run of single-qubit
-gates on a wire is fused into one 2x2 matrix.
+its wires instead of one XX pass per pair.  Each run of single-qubit gates
+on a wire is fused into one 2x2 matrix, and the pending matrices of
+``WINDOW`` adjacent wires are applied together as one block pass
+(``kernels.apply_block``), so a full-register pulse on n wires costs about
+2n/WINDOW block passes and one phase pass.
 """
 
 from __future__ import annotations
@@ -27,10 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
-from .kernels import BACKEND
+from .circuit import ArgumentError, Circuit
+from .kernels import BACKEND, CHUNK
 
 DEFAULT_DENSE_GUARD = 12
+WINDOW = 4
+"""Adjacent wires whose pending single-qubit matrices are applied as one
+2^WINDOW x 2^WINDOW block.  On the 15-17-qubit benchmark circuits 3 and 4
+measured alike and 5 was slower."""
 
 
 class DenseGuardError(RuntimeError):
@@ -47,6 +54,7 @@ def _mask(n: int, q: int) -> int:
 
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
+_I = np.eye(2, dtype=np.complex128)
 
 
 def _one_qubit_matrix(g) -> np.ndarray:
@@ -99,11 +107,16 @@ def _pulse_phases(g, n: int, batch: int) -> tuple[tuple, np.ndarray]:
 def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
     """Apply every gate of ``circuit`` to the (dim, batch) array in place.
 
-    Single-qubit gates on a wire are multiplied into one pending 2x2 matrix,
-    applied when a multi-qubit gate touches the wire or at the end.  A GMS
-    pulse becomes Hadamards on its wires (merged into the pending matrices),
-    one diagonal phase pass, and Hadamards left pending; an H meeting a
-    pending H cancels exactly.
+    Single-qubit gates on a wire are multiplied into one pending 2x2 matrix.
+    The wires are cut into fixed windows of ``WINDOW`` adjacent wires,
+    counted from the least significant one.  When a multi-qubit gate touches
+    a window, and at the end, every pending matrix of that window is applied
+    at once: their Kronecker product (the identity on idle wires) is one
+    ``apply_block`` pass.  Flushing a wire early is exact, since no later
+    gate has touched it yet.  A window whose one pending matrix is diagonal
+    takes one ``apply_1q`` pass instead.  A GMS pulse becomes Hadamards on
+    its wires (merged into the pending matrices), one diagonal phase pass,
+    and Hadamards left pending; an H meeting a pending H cancels exactly.
     """
     be = BACKEND
     n = circuit.n_qubits
@@ -118,10 +131,28 @@ def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
         else:
             pending[q] = m @ prev
 
-    def flush(q):
-        m = pending.pop(q, None)
-        if m is not None:
-            be.apply_1q(st, m[0, 0], m[0, 1], m[1, 0], m[1, 1], _mask(n, q))
+    def flush(windows):
+        for w in windows:
+            top = max(0, n - WINDOW * (w + 1))
+            wires = range(top, n - WINDOW * w)
+            held = [q for q in wires if q in pending]
+            if not held:
+                continue
+            q = held[0]
+            m = pending[q]
+            if len(held) == 1 and m[0, 1] == 0 and m[1, 0] == 0:
+                del pending[q]
+                be.apply_1q(st, m[0, 0], m[0, 1], m[1, 0], m[1, 1], _mask(n, q))
+                continue
+            blk = np.ones((1, 1), dtype=np.complex128)
+            for q in wires:
+                m = pending.pop(q, _I)
+                size = 2 * len(blk)
+                blk = (blk[:, None, :, None] * m[None, :, None, :]).reshape(size, size)
+            be.apply_block(st, blk, top)
+
+    def window(q):
+        return (n - 1 - q) // WINDOW
 
     for g in circuit.gates:
         kind = g.kind
@@ -140,8 +171,7 @@ def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
         if kind == "GMS":
             for q in g.qubits:
                 push(q, _H)
-        for q in g.qubits:
-            flush(q)
+        flush({window(q) for q in g.qubits})
         if kind == "CNOT":
             be.apply_cnot(st, _mask(n, g.qubits[0]), _mask(n, g.qubits[1]))
         elif kind == "CP":
@@ -157,8 +187,7 @@ def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
                 pending[q] = _H
         else:  # pragma: no cover
             raise ValueError(f"unhandled gate kind {kind}")
-    for q in list(pending):
-        flush(q)
+    flush({window(q) for q in pending})
     return st
 
 
@@ -210,23 +239,50 @@ class PhaseMatch:
     max_deviation: float
 
 
+def _row_blocks(a: np.ndarray):
+    """Blocks of whole rows of ``a`` (contiguous in C order), at most
+    ``kernels.CHUNK`` entries each unless one row is longer."""
+    a = a.reshape(len(a), -1)
+    step = max(1, CHUNK // a.shape[1])
+    return [a[r:r + step] for r in range(0, len(a), step)]
+
+
+def _max_deviation(u: np.ndarray, v: np.ndarray, lam) -> float:
+    """max |u - lam * v| with temporaries of one row block."""
+    peaks = []
+    for a, b in zip(_row_blocks(u), _row_blocks(v)):
+        t = lam * b
+        np.subtract(a, t, out=t)
+        peaks.append(np.abs(t).max())
+    return float(np.max(peaks))
+
+
 def equiv_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> PhaseMatch:
     """Test u == phase * v entrywise within tol.
 
-    The candidate phase is read off at v's largest-magnitude entry (avoids
-    dividing by near-zeros) and renormalized to unit modulus.
+    The candidate phase is read off at v's largest-magnitude entry, the
+    first in row-major order (avoids dividing by near-zeros), and
+    renormalized to unit modulus.  Both scans run over blocks of rows, so
+    their temporaries are one block, not the size of u.
     """
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    flat = np.argmax(np.abs(v))
+    peaks, flats, start = [], [], 0
+    for b in _row_blocks(v):
+        mag = np.abs(b)
+        i = int(np.argmax(mag))
+        peaks.append(mag.flat[i])
+        flats.append(start + i)
+        start += b.size
+    flat = flats[int(np.argmax(peaks))]
     pivot = v.reshape(-1)[flat]
     if abs(pivot) == 0.0:
         return PhaseMatch(False, 1.0 + 0j, float("inf"))
     lam = u.reshape(-1)[flat] / pivot
     if abs(lam) == 0.0:
-        return PhaseMatch(False, 1.0 + 0j, float(np.max(np.abs(u - v))))
+        return PhaseMatch(False, 1.0 + 0j, _max_deviation(u, v, 1.0))
     lam /= abs(lam)
-    dev = float(np.max(np.abs(u - lam * v)))
+    dev = _max_deviation(u, v, lam)
     return PhaseMatch(dev <= tol, lam, dev)
 
 
@@ -256,7 +312,7 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
     data = range(n) if full else circuit.data_qubits
     ddim = 1 << len(data)
     if data_unitary.shape != (ddim, ddim):
-        raise ValueError(
+        raise ArgumentError(
             f"reference acts on {data_unitary.shape}; the data register has "
             f"dimension {ddim}, the whole register {1 << n}")
     cols, rows = _columns(circuit, data)

@@ -1,6 +1,7 @@
 import json
-
 import math
+
+import pytest
 
 from gmsforge import cli
 from gmsforge.circuit import deserialize, rx, serialize
@@ -267,3 +268,33 @@ def test_synth_linear(tmp_path, capsys):
     assert code == 0 and circ.n_qubits == 3
     # one single-target fan: a dressed XX pulse
     assert sum(1 for g in circ.gates if g.kind in ("XX", "GMS")) == 1
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # only validated input exits 2; a fault inside a construction propagates
+    from gmsforge import constructions
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(constructions, "fanout", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["synth", "fanout", "--n", "4"])
+
+
+def test_bad_construction_arguments_exit2(tmp_path, capsys):
+    code, out, err = run(capsys, "synth", "toffoli", "--n", "2")
+    assert code == 2 and out == "" and "n >=" in err
+    code, _, err = run(capsys, "synth", "qft-gms", "--n", "4", "--profile",
+                       "power-law", "--terms", "0.4:x")
+    assert code == 2 and "--terms" in err
+    bad = tmp_path / "m.json"
+    bad.write_text("[[1,1],[0,")
+    code, _, err = run(capsys, "synth", "linear", "--matrix", str(bad))
+    assert code == 2 and "--matrix" in err
+
+
+def test_max_gms_only_output_guard_exit3(capsys):
+    # Toffoli-11's pulses grow to 92160 full-register pulses
+    code, out, err = run(capsys, "count", "toffoli", "--n", "11", "--max-gms-only")
+    assert code == 3 and out == ""
+    assert "guard" in err and "92160" in err and str(cli.MAX_SHRINK_PULSES) in err

@@ -141,3 +141,70 @@ def test_pulse_makes_no_xx_pass(monkeypatch):
                         staticmethod(lambda *args: calls.append(args)))
     sim.apply(Circuit(4, (gms(range(4), Uniform(0.3)),)), sim.basis_state(4, 0))
     assert calls == []
+
+
+# Windowed flushes: the pending matrices of WINDOW adjacent wires, counted
+# from the least significant wire, are applied as one block.
+
+def assert_states_match(circ, nrng):
+    psi = random_state(nrng, circ.n_qubits)
+    assert np.max(np.abs(sim.apply(circ, psi) - oracle_state(circ, psi))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [9, 10, 13, 15])
+def test_windowed_flush_matches_oracle_on_states(n):
+    # several windows, a partial top window (none of these is a multiple of
+    # 4) and pulses straddling window edges; rest = 1 is the GEMM path, and
+    # 2^15 entries take two scratch-buffer chunks per block pass
+    rng = random.Random(n)
+    nrng = np.random.default_rng(n)
+    for _ in range(4):
+        assert_states_match(random_pulse_circuit(rng, n, 16), nrng)
+
+
+def test_windowed_flush_matches_oracle_on_unitaries():
+    # batch = 512 > 1: every window, the bottom one too, is a 3-D block pass
+    rng = random.Random(9)
+    for _ in range(3):
+        circ = random_pulse_circuit(rng, 9, 10)
+        assert np.max(np.abs(sim.unitary_of(circ) - oracle_unitary(circ))) < 1e-12
+
+
+def test_window_edges_and_early_flush():
+    # wires 4/5 and 8/9 sit on either side of a window edge in a 10-qubit
+    # register; each gate touches one window and flushes its neighbours early
+    nrng = np.random.default_rng(3)
+    gates = [h(q) for q in range(10)] + [rx(q, 0.3 * q + 0.1) for q in range(10)]
+    gates += [cnot(5, 6), ry(4, 0.7), cp(4, 5, 1.3), rz(9, 0.4), h(8),
+              xx(9, 8, 0.8), gms((1, 4, 5, 9), Uniform(0.6)), ry(0, 1.1),
+              rx(1, -0.5), cnot(0, 1), h(2), h(3), rz(7, 0.9)]
+    assert_states_match(Circuit(10, tuple(gates)), nrng)
+
+
+def test_window_with_one_diagonal_wire(monkeypatch):
+    # the one pending matrix of wire 8's window is an RZ: one apply_1q pass
+    calls = []
+    real = kernels.BACKEND.apply_1q
+    monkeypatch.setattr(kernels.BACKEND, "apply_1q",
+                        staticmethod(lambda *a: calls.append(a) or real(*a)))
+    circ = Circuit(9, (rx(0, 0.4), rz(8, 0.3), cnot(8, 0), rz(8, -1.2)))
+    psi = random_state(np.random.default_rng(8), 9)
+    got = sim.apply(circ, psi)
+    assert len(calls) == 2  # at the CNOT and at the end; wire 0 is a block
+    assert np.max(np.abs(got - oracle_state(circ, psi))) < 1e-12
+
+
+def test_lone_pulse_pass_budget(monkeypatch):
+    counts = {"apply_block": 0, "apply_scale": 0, "apply_1q": 0, "apply_xx": 0}
+    for name in counts:
+        real = getattr(kernels.BACKEND, name)
+
+        def counted(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(kernels.BACKEND, name, staticmethod(counted))
+    n = 13
+    sim.apply(Circuit(n, (gms(range(n), Uniform(0.3)),)), sim.basis_state(n, 0))
+    assert counts["apply_block"] <= 2 * math.ceil(n / sim.WINDOW)
+    assert counts["apply_scale"] == 1
+    assert counts["apply_1q"] == 0 and counts["apply_xx"] == 0

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,40 @@ def test_equiv_phase_symmetric_transitive():
     w = np.exp(-1.1j) * v
     assert sim.equiv_phase(u, v).ok and sim.equiv_phase(v, u).ok
     assert sim.equiv_phase(v, w).ok and sim.equiv_phase(u, w).ok
+
+
+def unblocked_equiv_phase(u, v, tol=1e-9):
+    """The one-pass form the blocked check must reproduce bit for bit."""
+    flat = np.argmax(np.abs(v))
+    lam = u.reshape(-1)[flat] / v.reshape(-1)[flat]
+    lam /= abs(lam)
+    dev = float(np.max(np.abs(u - lam * v)))
+    return sim.PhaseMatch(dev <= tol, lam, dev)
+
+
+def test_equiv_phase_blocks_are_bit_identical():
+    # many tied maxima (a permutation, a Hadamard layer) and ragged blocks:
+    # the pivot is still the first maximum in row-major order
+    rng = np.random.default_rng(11)
+    perm = np.eye(512)[rng.permutation(512)] * np.exp(0.4j)
+    had = sim.unitary_of(Circuit(9, tuple(h(q) for q in range(9))))
+    noise = rng.normal(size=(512, 512)) * 1e-3
+    ragged = rng.normal(size=(300, 70)) + 1j * rng.normal(size=(300, 70))
+    for u, v in [(perm + noise, perm), (had * np.exp(-1j) + noise, had),
+                 (ragged * np.exp(2j) + 1e-12, ragged)]:
+        assert sim.equiv_phase(u, v, 1e-2) == unblocked_equiv_phase(u, v, 1e-2)
+
+
+def test_equiv_phase_temporaries_are_one_block():
+    u = sim.unitary_of(random_circuit(random.Random(6), 9, 12))
+    v = np.exp(0.7j) * u
+    tracemalloc.start()
+    try:
+        r = sim.equiv_phase(u, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.ok and peak < u.nbytes // 2
 
 
 def test_equiv_on_ancilla_cccz():
