@@ -97,7 +97,7 @@ SYNTH = {
     "toffoli3": lambda a: cons.toffoli3_gms(),
     "toffoli4-7gms": lambda a: cons.toffoli4_7gms(),
     "toffoli": lambda a: cons.toffoli_n(_need(a, "n")),
-    "qft-ref": lambda a: fourier.qft_reference(_need(a, "n")),
+    "qft-ref": lambda a: fourier.qft_reference_spec(_need(a, "n")),
     "qft-gms": lambda a: fourier.qft_gms(_need(a, "n"), _profile_from_args(a)),
     "qfa-gms": lambda a: fourier.qfa_gms(_need(a, "n"), _profile_from_args(a)),
     "gms-dagger": lambda a: cons.gms_dagger_rewrite(_need(a, "n"), _need(a, "chi")),
@@ -121,12 +121,7 @@ def _build(name, args) -> Circuit:
     return circ
 
 
-def _reference_for(name, args) -> Circuit:
-    built = SYNTH[name](args)
-    return built.reference if isinstance(built, cons.ConstructionSpec) else built
-
-
-def _resolve(target: str, args, build) -> Circuit:
+def _resolve(target: str, args, build) -> Circuit | cons.ConstructionSpec:
     """A construction name always means the construction, built by
     ``build(name, args)``; any other string is a circuit JSON path."""
     if target in SYNTH:
@@ -150,11 +145,24 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _reference_matrix(target: str, args) -> tuple[np.ndarray, str]:
+    """The dense data-register unitary to check against, and how it was
+    built: a construction's action applied to the data basis ("oracle"),
+    or the simulated unitary of a plain circuit or file ("circuit")."""
+    ref = _resolve(target, args, lambda name, a: SYNTH[name](a))
+    if isinstance(ref, cons.ConstructionSpec):
+        return ref.act.matrix(), "oracle"
+    return unitary_of(ref), "circuit"
+
+
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     circuit = deserialize(Path(args.file).read_text())
-    reference = _resolve(args.against, args, _reference_for)
-    res = equiv_on_ancilla(circuit, unitary_of(reference), args.tol)
+    read = time.perf_counter()
+    matrix, how = _reference_matrix(args.against, args)
+    built = time.perf_counter()
+    res = equiv_on_ancilla(circuit, matrix, args.tol)
+    checked = time.perf_counter()
     outcome = "PASS" if res.ok else f"FAIL ({res.failure})"
     print(f"{outcome} phase={res.phase.real:+.9f}{res.phase.imag:+.9f}j "
           f"max_deviation={res.max_deviation:.3e}")
@@ -164,11 +172,16 @@ def cmd_verify(args) -> int:
             return EXIT_GUARD
         _dump_unitary(unitary_of(circuit), args.emit_unitary)
     if args.json:
+        n, d = circuit.n_qubits, len(matrix).bit_length() - 1
         print(json.dumps(_manifest("verify", vars(args), start, [
             {"name": f"{args.file} vs {args.against}",
              "outcome": "PASS" if res.ok else "FAIL",
              "deviation": res.max_deviation, "phase": [res.phase.real, res.phase.imag],
-             "leakage": res.leakage, "failure": res.failure}])))
+             "leakage": res.leakage, "failure": res.failure,
+             "method": "dense" if d == n else "ancilla", "reference": how,
+             "columns_bytes": 16 << (n + d),
+             "reference_s": round(built - read, 6),
+             "check_s": round(checked - built, 6)}])))
     return EXIT_OK if res.ok else EXIT_FAIL
 
 

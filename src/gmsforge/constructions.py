@@ -1,15 +1,18 @@
 """Generators and rewrites for circuits built from global MS pulses.
 
 Each generator that implements a standard unitary is returned as a
-ConstructionSpec pairing the pulse-based circuit with a local-gate reference
-for the same unitary, built on first access; the verification harness
-checks them against each other up to a global phase (on the data register
-when ancillas are involved).
+ConstructionSpec pairing the pulse-based circuit with the action of that
+unitary on its data register: a basis-index map (Toffoli, the CNOT fans
+and the encoder) or a sign on the all-ones index (the controlled-Z gates).
+An action builds its index array on first use, so making a spec costs no
+2^d work.  The verification harness checks the circuit against the action
+up to a global phase (on the data register when ancillas are involved).
 
-Multi-controlled phase references are synthesized exactly from the parity
-expansion x1*...*xm = sum over nonempty subsets S of (-1)^(|S|+1)(xor S) /
-2^(m-1), realized as CNOT folds plus RZ, with the residual scalar tracked
-in an explicit global-phase gate.  The spin-echo and inverse-pulse
+The local-gate references are kept as circuits that no check simulates:
+multi-controlled phases are synthesized exactly from the parity expansion
+x1*...*xm = sum over nonempty subsets S of (-1)^(|S|+1)(xor S) / 2^(m-1),
+realized as CNOT folds plus RZ, with the residual scalar tracked in an
+explicit global-phase gate.  The spin-echo, inverse-pulse and RZ-merge
 rewrites are single left-to-right passes over per-wire gate stacks.
 """
 
@@ -17,28 +20,54 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .circuit import (ArgumentError, Circuit, Gate, PerPair, Uniform, cnot,
                       gms, global_phase, h, rx, ry, rz, xx)
+from .sim import AllOnesSign, IndexMap
 
 PI = math.pi
 
 
 @dataclass(frozen=True)
 class ConstructionSpec:
-    """A generated pulse circuit paired with its local-gate reference."""
+    """A generated circuit paired with the action of the unitary it must
+    implement: ``act(cols)`` maps a (2^d, batch) array of data-register
+    states to their images and ``act.matrix()`` is the dense unitary.  The
+    action computes nothing of size 2^d until it is first used."""
 
     name: str
     parameters: dict
     generated: Circuit
-    build_reference: Callable[[], Circuit] = field(compare=False, repr=False)
+    act: Callable = field(compare=False, repr=False)
 
-    @cached_property
-    def reference(self) -> Circuit:
-        return self.build_reference()
+
+def _cnot_map(d: int, cnots: Iterable[tuple[int, int]]) -> np.ndarray:
+    """Basis-index map of a CNOT list applied in order, computed for all
+    2^d indices at once: each CNOT XORs its control bit into its target."""
+    x = np.arange(1 << d)
+    for c, t in cnots:
+        x ^= (x >> (d - 1 - c) & 1) << (d - 1 - t)
+    return x
+
+
+def _toffoli_map(n: int) -> np.ndarray:
+    """Flip the target (wire n-1, the lowest bit) when every control is
+    set: only the last two indices swap."""
+    x = np.arange(1 << n)
+    x[[-2, -1]] = x[[-1, -2]]
+    return x
+
+
+def _cnots_action(d: int, cnots: Sequence[tuple[int, int]]) -> IndexMap:
+    return IndexMap(d, lambda: _cnot_map(d, cnots))
+
+
+def _toffoli_action(n: int) -> IndexMap:
+    return IndexMap(n, lambda: _toffoli_map(n))
 
 
 def embed(gates: Iterable[Gate], wires: Sequence[int]) -> list[Gate]:
@@ -61,7 +90,8 @@ def embed(gates: Iterable[Gate], wires: Sequence[int]) -> list[Gate]:
 
 
 # ---------------------------------------------------------------------------
-# Exact local-gate references
+# Exact local-gate references (the circuits behind the actions above; no
+# check simulates them)
 # ---------------------------------------------------------------------------
 
 def parity_phase_gates(qubits: Sequence[int], coeff: float) -> tuple[list[Gate], float]:
@@ -94,10 +124,6 @@ def toffoli_reference(n: int) -> Circuit:
     target = n - 1
     ladder = controlled_z_reference(n)
     return Circuit(n, (h(target),) + ladder.gates + (h(target),))
-
-
-def _shared_control_cnots(control: int, targets: Sequence[int]) -> tuple[Gate, ...]:
-    return tuple(cnot(control, t) for t in targets)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +181,7 @@ def fanout(n: int, control: int = 0) -> ConstructionSpec:
     targets = [q for q in range(n) if q != control]
     generated = Circuit(n, tuple(_fan_gates(control, targets)))
     return ConstructionSpec("fanout", {"n": n, "control": control}, generated,
-                            lambda: Circuit(n, _shared_control_cnots(control, targets)))
+                            _cnots_action(n, [(control, t) for t in targets]))
 
 
 def fanin(n: int, target: int = 0) -> ConstructionSpec:
@@ -166,7 +192,7 @@ def fanin(n: int, target: int = 0) -> ConstructionSpec:
     layer = [h(q) for q in range(n)]
     generated = Circuit(n, tuple(layer + _fan_gates(target, controls) + layer))
     return ConstructionSpec("fanin", {"n": n, "target": target}, generated,
-                            lambda: Circuit(n, tuple(cnot(c, target) for c in controls)))
+                            _cnots_action(n, [(c, target) for c in controls]))
 
 
 def parity_measure_prefix(n: int, target: int = 0) -> Circuit:
@@ -192,7 +218,7 @@ def cnot_via_xx(control: int = 0, target: int = 1, n: int | None = None) -> Cons
         n = max(control, target) + 1
     generated = Circuit(n, tuple(_cnot_xx_gates(control, target)))
     return ConstructionSpec("cnot_via_xx", {"control": control, "target": target},
-                            generated, lambda: Circuit(n, (cnot(control, target),)))
+                            generated, _cnots_action(n, [(control, target)]))
 
 
 def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec:
@@ -210,7 +236,7 @@ def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec
     generated = Circuit(n, tuple(gates))
     return ConstructionSpec("cnot_via_4gms", {"n": n, "control": control,
                                               "target": target},
-                            generated, lambda: Circuit(n, (cnot(control, target),)))
+                            generated, _cnots_action(n, [(control, target)]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +260,9 @@ def tdistill() -> ConstructionSpec:
     gates: list[Gate] = []
     for control, targets in TDISTILL_FANS:
         gates += _fan_gates(control, targets)
+    cnots = [(c, t) for c, ts in TDISTILL_FANS for t in ts]
     return ConstructionSpec("tdistill", {}, Circuit(15, tuple(gates)),
-                            lambda: Circuit(15, sum((_shared_control_cnots(c, ts)
-                                                     for c, ts in TDISTILL_FANS), ())))
+                            _cnots_action(15, cnots))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +296,7 @@ def ccz_3gms() -> ConstructionSpec:
              gms((a, b, c, anc), Uniform(-PI / 2)),
              ry(a, -PI / 2), ry(b, -PI / 2), h(c)]
     generated = Circuit(4, tuple(gates), frozenset({anc}))
-    return ConstructionSpec("ccz_3gms", {}, generated, lambda: controlled_z_reference(3))
+    return ConstructionSpec("ccz_3gms", {}, generated, AllOnesSign(3))
 
 
 def cccz_4gms() -> ConstructionSpec:
@@ -287,7 +313,7 @@ def cccz_4gms() -> ConstructionSpec:
              gms(allq, Uniform(-PI / 2)),
              ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
     generated = Circuit(5, tuple(gates), frozenset({anc}))
-    return ConstructionSpec("cccz_4gms", {}, generated, lambda: controlled_z_reference(4))
+    return ConstructionSpec("cccz_4gms", {}, generated, AllOnesSign(4))
 
 
 def cccz_3gms() -> ConstructionSpec:
@@ -304,7 +330,7 @@ def cccz_3gms() -> ConstructionSpec:
              gms(allq, Uniform(-PI / 2)),
              ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
     generated = Circuit(5, tuple(gates), frozenset({anc}))
-    return ConstructionSpec("cccz_3gms", {}, generated, lambda: controlled_z_reference(4))
+    return ConstructionSpec("cccz_3gms", {}, generated, AllOnesSign(4))
 
 
 def toffoli3_gms() -> ConstructionSpec:
@@ -319,7 +345,7 @@ def toffoli3_gms() -> ConstructionSpec:
              rx(0, PI / 2), rx(1, PI / 2), rx(2, PI / 2),
              ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2)]
     return ConstructionSpec("toffoli3_gms", {}, Circuit(3, tuple(gates)),
-                            lambda: toffoli_reference(3))
+                            _toffoli_action(3))
 
 
 def toffoli4_7gms() -> ConstructionSpec:
@@ -344,7 +370,7 @@ def toffoli4_7gms() -> ConstructionSpec:
              ry(3, PI / 2),
              ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2), ry(3, -PI / 2)]
     return ConstructionSpec("toffoli4_7gms", {}, Circuit(4, tuple(gates)),
-                            lambda: toffoli_reference(4))
+                            _toffoli_action(4))
 
 
 def _toffoli4_unit(x: int, y: int, z: int, target: int, helper: int) -> list[Gate]:
@@ -403,7 +429,7 @@ def toffoli_n(n: int) -> ConstructionSpec:
         else:
             gates += _toffoli3_unit(unit[1], unit[2], unit[3])
     generated = Circuit(total, tuple(gates), frozenset(range(n, total)))
-    return ConstructionSpec("toffoli_n", {"n": n}, generated, lambda: toffoli_reference(n))
+    return ConstructionSpec("toffoli_n", {"n": n}, generated, _toffoli_action(n))
 
 
 # ---------------------------------------------------------------------------
@@ -558,3 +584,22 @@ def cancel_inverse_gms(circuit: Circuit) -> Circuit:
     """Drop GMS pairs that are exact inverses separated only by gates on
     disjoint wires, in one pass to the fixpoint."""
     return _stack_pass(circuit, _inverse_match)
+
+
+def _rz_match(out: list, stacks: list[list[int]], gate: Gate):
+    """An RZ merges into an RZ that is the last gate on its wire; the sum
+    is dropped only when the angles cancel exactly."""
+    if gate.kind != "RZ" or not stacks[q := gate.qubits[0]]:
+        return None
+    left = stacks[q][-1]
+    if out[left].kind != "RZ":
+        return None
+    theta = out[left].theta + gate.theta
+    return left, None if theta == 0.0 else rz(q, theta)
+
+
+def merge_rz(circuit: Circuit) -> Circuit:
+    """Merge adjacent RZ gates on each wire, RZ(a) RZ(b) = RZ(a + b), in
+    one pass; this removes the RZ(pi) RZ(-pi) residue of cancelled echoes.
+    Unitary preserved exactly, phase included."""
+    return _stack_pass(circuit, _rz_match)

@@ -15,6 +15,10 @@ per term; the single-qubit dressing keeps the exact angles.
 
 Register encoding for the adder is little-endian: wire j of each register
 carries bit j (weight 2^j).
+
+Transforms are verified against the textbook transform's action, a
+normalised inverse FFT of the bit-reversed state (``qft_reference_spec``);
+the gate list ``qft_reference`` is what ``synth qft-ref`` prints.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import numpy as np
 
 from .circuit import (ArgumentError, Circuit, Exponential, Gate, PerPair,
                       PowerLawSum, _pairs, cp, gms, global_phase, h, rz)
-from .sim import trace_fidelity, unitary_of
+from .constructions import ConstructionSpec
+from .sim import BitReversedIFFT, trace_fidelity, unitary_of
 
 PI = math.pi
 
@@ -44,13 +49,11 @@ def qft_reference(n: int) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def qft_reference_unitary(n: int) -> np.ndarray:
-    """DFT matrix with bit-reversed input indexing (independent oracle)."""
-    dim = 1 << n
-    omega = np.exp(2j * PI / dim)
-    dft = omega ** np.outer(np.arange(dim), np.arange(dim)) / math.sqrt(dim)
-    rev = [int(format(k, f"0{n}b")[::-1], 2) for k in range(dim)]
-    return dft[:, rev]
+def qft_reference_spec(n: int) -> ConstructionSpec:
+    """The textbook transform circuit paired with its action: the
+    normalised inverse FFT of the bit-reversed state."""
+    return ConstructionSpec("qft_reference", {"n": n}, qft_reference(n),
+                            BitReversedIFFT(n))
 
 
 def _gms_laws(profile) -> list:

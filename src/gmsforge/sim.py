@@ -18,6 +18,10 @@ on a wire is fused into one 2x2 matrix, and the pending matrices of
 ``WINDOW`` adjacent wires are applied together as one block pass
 (``kernels.apply_block``), so a full-register pulse on n wires costs about
 2n/WINDOW block passes and one phase pass.
+
+The textbook references a check compares against are given by their
+action on a state (``IndexMap``, ``AllOnesSign``, ``BitReversedIFFT``), not
+by a gate list that would itself have to be simulated.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -191,22 +196,27 @@ def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
     return st
 
 
-def _columns(circuit: Circuit, data: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Run the basis columns |x>|0...0> of the ``data`` wires through the
-    circuit; return the 2^n x 2^d outputs and the row each column started in.
-    """
-    n, d = circuit.n_qubits, len(data)
+def _dense_zeros(n: int, d: int) -> np.ndarray:
+    """A zero 2^n x 2^d array, allocated only under the dense guard."""
     guard = max_dense_qubits()
     if n + d > 2 * guard:
         raise DenseGuardError(
             f"dense guard: 2^{n} x 2^{d} columns need {16 << (n + d)} bytes, "
             f"limit is {16 << (2 * guard)} bytes, the size of a dense unitary "
             f"at the {guard}-qubit guard (set GMSFORGE_MAX_DENSE_QUBITS to raise it)")
+    return np.zeros((1 << n, 1 << d), dtype=np.complex128)
+
+
+def _columns(circuit: Circuit, data: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Run the basis columns |x>|0...0> of the ``data`` wires through the
+    circuit; return the 2^n x 2^d outputs and the row each column started in.
+    """
+    n, d = circuit.n_qubits, len(data)
+    cols = _dense_zeros(n, d)
     x = np.arange(1 << d)
     rows = np.zeros_like(x)
     for pos, q in enumerate(data):
         rows |= (x >> (d - 1 - pos) & 1) * _mask(n, q)
-    cols = np.zeros((1 << n, 1 << d), dtype=np.complex128)
     cols[rows, x] = 1.0
     return _run(circuit, cols), rows
 
@@ -326,6 +336,83 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
     pm = equiv_phase(w, data_unitary, tol)
     failure = None if pm.ok else "mismatch"
     return AncillaMatch(pm.ok, failure, pm.phase, pm.max_deviation, leakage)
+
+
+# ---------------------------------------------------------------------------
+# References that act on a state
+# ---------------------------------------------------------------------------
+#
+# Each reference below is the textbook unitary V on d data wires, given by
+# its action rather than by a gate list.  Calling it maps a (2^d, batch)
+# array of states to their images; ``matrix()`` is V itself, built in one
+# 2^d x 2^d array under the dense guard.  Nothing of size 2^d exists before
+# the first use.
+
+class IndexMap:
+    """V|x> = |dest[x]> for a permutation ``dest`` of the 2^d basis
+    indices, which ``build()`` returns on first use."""
+
+    def __init__(self, d: int, build):
+        self.d = d
+        self._build = build
+
+    @cached_property
+    def dest(self) -> np.ndarray:
+        return self._build()
+
+    def __call__(self, cols: np.ndarray) -> np.ndarray:
+        out = np.empty_like(cols)
+        out[self.dest] = cols
+        return out
+
+    def matrix(self) -> np.ndarray:
+        m = _dense_zeros(self.d, self.d)
+        m[self.dest, np.arange(len(m))] = 1.0
+        return m
+
+
+class AllOnesSign:
+    """V = diag(1, ..., 1, -1): the sign of the all-ones index flips."""
+
+    def __init__(self, d: int):
+        self.d = d
+
+    def __call__(self, cols: np.ndarray) -> np.ndarray:
+        out = cols.copy()
+        out[-1] *= -1
+        return out
+
+    def matrix(self) -> np.ndarray:
+        m = _dense_zeros(self.d, self.d)
+        np.fill_diagonal(m, 1.0)
+        m[-1, -1] = -1.0
+        return m
+
+
+def _bit_reversal(d: int) -> np.ndarray:
+    """The index of every d-bit basis state with its bits reversed."""
+    x = np.arange(1 << d)
+    rev = np.zeros_like(x)
+    for k in range(d):
+        rev |= (x >> k & 1) << (d - 1 - k)
+    return rev
+
+
+class BitReversedIFFT:
+    """V|k> = sum_j exp(2 pi i j rev(k) / 2^d) |j> / sqrt(2^d): the
+    transform with bit-reversed input, as a normalised inverse FFT of the
+    bit-reversed state, O(2^d d) per column."""
+
+    def __init__(self, d: int):
+        self.d = d
+        self.reverse = IndexMap(d, lambda: _bit_reversal(d))
+
+    def __call__(self, cols: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(self.reverse(cols), axis=0, norm="ortho")
+
+    def matrix(self) -> np.ndarray:
+        m = self.reverse.matrix()
+        return np.fft.ifft(m, axis=0, norm="ortho", out=m)
 
 
 def trace_fidelity(u: np.ndarray, v: np.ndarray) -> float:

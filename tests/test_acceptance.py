@@ -29,7 +29,7 @@ def _verdict(num, label, ok, extra=""):
 
 
 def _equiv(spec):
-    return sim.equiv_on_ancilla(spec.generated, sim.unitary_of(spec.reference), TOL).ok
+    return sim.equiv_on_ancilla(spec.generated, spec.act.matrix(), TOL).ok
 
 
 def test_criterion_1_construction_equivalence():
@@ -50,7 +50,7 @@ def test_criterion_1_construction_equivalence():
     ok &= _equiv(cons.ccz_3gms())
     ok &= _equiv(cons.cccz_4gms())
     ok &= _equiv(cons.cccz_3gms())
-    for n in (5, 6, 7):
+    for n in (5, 6, 7, 8, 9):
         ok &= _equiv(cons.toffoli_n(n))
     elapsed = time.perf_counter() - start
     _verdict(1, "construction equivalence", ok and elapsed < 60,

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gmsforge import cli
+from gmsforge import constructions as cons
 from gmsforge.circuit import deserialize, rx, serialize
 from gmsforge.constructions import fanin, fanout, toffoli_n
 
@@ -129,6 +134,50 @@ def test_verify_json_reports_phase_leakage_failure(tmp_path, capsys):
     code, text, c = check(leaky, "toffoli", "--n", "5")
     assert code == 1 and c["failure"] == "leakage" and c["leakage"] > 0.9
     assert text.startswith("FAIL (leakage)")
+
+
+def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
+    t5, f5 = tmp_path / "t5.json", tmp_path / "f5.json"
+    run(capsys, "synth", "toffoli", "--n", "5", "--out", str(t5))
+    run(capsys, "synth", "fanin", "--n", "5", "--out", str(f5))
+    cases = (((t5, "toffoli", "--n", "5"), "ancilla", "oracle", 7 + 5),
+             ((f5, "fanin", "--n", "5"), "dense", "oracle", 5 + 5),
+             ((t5, str(t5)), "dense", "circuit", 7 + 7))
+    for (path, *against), method, how, width in cases:
+        _, plain, _ = run(capsys, "verify", str(path), "--against", *against)
+        code, out, _ = run(capsys, "verify", str(path), "--against", *against, "--json")
+        text, doc = out.splitlines()
+        c = json.loads(doc)["checks"][0]
+        assert code == 0 and plain == text + "\n"
+        assert c["method"] == method and c["reference"] == how
+        assert c["columns_bytes"] == 16 << width
+        assert 0 <= c["reference_s"] and 0 <= c["check_s"]
+
+
+def test_verify_toffoli_simulates_no_reference_circuit(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t5.json"
+    run(capsys, "synth", "toffoli", "--n", "5", "--out", str(path))
+
+    def forbidden(*args):
+        raise AssertionError("a reference circuit was built or simulated")
+
+    monkeypatch.setattr(cons, "toffoli_reference", forbidden)
+    monkeypatch.setattr(cons, "controlled_z_reference", forbidden)
+    monkeypatch.setattr(cli, "unitary_of", forbidden)
+    code, out, _ = run(capsys, "verify", str(path), "--against", "toffoli", "--n", "5")
+    assert code == 0 and out.startswith("PASS")
+
+
+def test_python_m_gmsforge(tmp_path, capsys):
+    path = tmp_path / "t5.json"
+    run(capsys, "synth", "toffoli", "--n", "5", "--out", str(path))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "gmsforge", "verify", str(path),
+                           "--against", "toffoli", "--n", "5"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.startswith("PASS"), proc.stderr
 
 
 def test_verify_guard_exit3(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ PI = math.pi
 
 
 def assert_spec_ok(spec, tol=1e-9):
-    r = sim.equiv_on_ancilla(spec.generated, sim.unitary_of(spec.reference), tol)
+    r = sim.equiv_on_ancilla(spec.generated, spec.act.matrix(), tol)
     assert r.ok, f"{spec.name}: {r.failure} dev={r.max_deviation}"
     return r
 
@@ -152,7 +152,8 @@ def test_tdistill_costs():
     spec = cons.tdistill()
     assert spec.generated.cost().gms_pulses == 10
     assert spec.generated.cost().qubits == 15
-    assert len(spec.reference.gates) == 34
+    # its action is the 34 CNOTs of the fan columns (tests/test_actions.py)
+    assert sum(len(ts) for _, ts in cons.TDISTILL_FANS) == 34
 
 
 def test_tdistill_fans_dense_on_support():
@@ -311,8 +312,7 @@ def test_two_qubit_echo_identity():
 def test_shrink_fanout_still_equivalent():
     spec = cons.fanout(4)
     shrunk = cons.gms_shrink(spec.generated)
-    r = sim.equiv_phase(sim.unitary_of(shrunk),
-                        sim.unitary_of(spec.reference), 1e-9)
+    r = sim.equiv_phase(sim.unitary_of(shrunk), spec.act.matrix(), 1e-9)
     assert r.ok
     assert all(len(g.qubits) == 4 for g in shrunk.gates if g.kind == "GMS")
 
@@ -509,7 +509,65 @@ def test_toffoli9_shrink_round_trip():
     assert back.cost().gms_pulses == 21
 
 
-# -- references are built on first use -------------------------------------------
+def _round_trip(circuit):
+    shrunk = cons.gms_shrink(circuit)
+    return cons.cancel_inverse_gms(cons.merge_rz(cons.spin_echo_cancel(shrunk)))
+
+
+def test_merge_rz_rules():
+    assert cons.merge_rz(Circuit(2, (rz(0, PI), rz(1, 0.5), rz(0, -PI)))).gates \
+        == (rz(1, 0.5),)
+    assert cons.merge_rz(Circuit(1, (rz(0, 0.3), rz(0, 0.4), rz(0, 0.2)))).gates \
+        == (rz(0, 0.3 + 0.4 + 0.2),)
+    # blocked by any other gate on the wire; RZ(2 pi) = -I is kept
+    blocked = Circuit(2, (rz(0, 0.3), h(0), rz(0, -0.3), xx(0, 1, 0.2), rz(1, 0.1)))
+    assert cons.merge_rz(blocked).gates == blocked.gates
+    assert cons.merge_rz(Circuit(1, (rz(0, PI), rz(0, PI)))).gates == (rz(0, 2 * PI),)
+    # only an exact 0.0 is dropped: 0.1 + 0.2 - 0.3 leaves 5.6e-17
+    for angles in ((0.3, -0.2999), (0.1, 0.2, -0.3)):
+        out = cons.merge_rz(Circuit(1, tuple(rz(0, t) for t in angles))).gates
+        assert len(out) == 1 and out[0].theta != 0.0
+
+
+def test_merge_rz_random_preserves():
+    rng = random.Random(314)
+    fired = 0
+    for _ in range(200):
+        n = rng.choice([2, 3, 4, 5])
+        gates = []
+        for g in random_circuit(rng, n, 8).gates:
+            gates.append(g)
+            if rng.random() < 0.5:
+                q = rng.randrange(n)
+                theta = rng.choice([PI, -PI, rng.uniform(-PI, PI)])
+                gates += [rz(q, theta), rz(q, rng.choice([-theta, 0.3]))]
+        circ = Circuit(n, tuple(gates))
+        out = cons.merge_rz(circ)
+        fired += len(out.gates) < len(circ.gates)
+        r = sim.equiv_phase(sim.unitary_of(out), sim.unitary_of(circ), 1e-9)
+        assert r.ok
+    assert fired > 150
+
+
+@pytest.mark.parametrize("make,pulses,single", [
+    (lambda: cons.toffoli_n(9).generated, 21, 121),
+    (lambda: qft_gms(8, PowerLawSum(((0.4, 2.5),))), 14, 113)])
+def test_round_trip_returns_the_circuit(make, pulses, single):
+    original = make()
+    back = _round_trip(original)
+    assert back.cost().gms_pulses == original.cost().gms_pulses == pulses
+    assert back.cost().single_qubit == original.cost().single_qubit == single
+
+
+def test_round_trip_equivalent_toffoli5():
+    original = cons.toffoli_n(5).generated
+    back = _round_trip(original)
+    assert back.cost().gms_pulses == 9
+    r = sim.equiv_phase(sim.unitary_of(back), sim.unitary_of(original), 1e-9)
+    assert r.ok
+
+
+# -- no reference circuit is built by the ledger ---------------------------------
 
 def test_table1_builds_no_reference(monkeypatch):
     def forbidden(*args):
@@ -522,18 +580,24 @@ def test_table1_builds_no_reference(monkeypatch):
 
 
 def test_reference_built_once():
+    # a spec's reference is its action; the index array is built on first
+    # use and kept
     calls = []
 
     def build():
         calls.append(1)
-        return cons.toffoli_reference(3)
+        return cons._toffoli_map(3)
 
-    spec = cons.ConstructionSpec("t", {}, cons.toffoli3_gms().generated, build)
+    spec = cons.ConstructionSpec("t", {}, cons.toffoli3_gms().generated,
+                                 sim.IndexMap(3, build))
     assert calls == []
-    assert spec.reference is spec.reference
+    assert spec.act.dest is spec.act.dest
+    spec.act.matrix()
+    spec.act(np.eye(8))
     assert len(calls) == 1
+    assert_spec_ok(spec)
     tof = cons.toffoli_n(5)
-    assert tof.reference is tof.reference
+    assert tof.act.dest is tof.act.dest
 
 
 def test_cccz_3gms_derivable_from_4gms():

@@ -105,10 +105,19 @@ def test_fan_column_structure():
 
 
 def test_tdistill_cnots_match_fan_layers():
-    cnots = [(g.qubits[0], g.qubits[1]) for g in tdistill().reference.gates]
+    # the CNOT list behind tdistill's action, in the order it applies them
+    cnots = [(c, t) for c, ts in TDISTILL_FANS for t in ts]
     layers = [FanLayer(c, frozenset(t)) for c, t in TDISTILL_FANS]
     assert len(cnots) == 34
-    assert linear_simulate(cnots, 15) == linear_simulate(layers, 15)
+    m = linear_simulate(cnots, 15)
+    assert m == linear_simulate(layers, 15)
+    # tdistill's index map is that linear map (bit q of a GF(2) vector is
+    # wire q, the basis index's bit 14 - q)
+    dest = tdistill().act.dest
+    for x in random.Random(34).sample(range(1 << 15), 200):
+        bits = sum((x >> (14 - q) & 1) << q for q in range(15))
+        image = sum((int(dest[x]) >> (14 - q) & 1) << q for q in range(15))
+        assert image == m.apply(bits)
 
 
 # -- pulse counting ----------------------------------------------------------
