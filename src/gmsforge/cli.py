@@ -8,6 +8,7 @@ guard tripped.  Any other exception is an internal error and propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_synth_params(p)
     _add_shrink_flag(p)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func="cmd_synth")
 
     p = sub.add_parser("verify", help="check a circuit against a reference")
     p.add_argument("file")
@@ -378,18 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-unitary", metavar="CSV")
     p.add_argument("--json", action="store_true")
     _add_synth_params(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("count", help="entangling-pulse tally of a circuit")
     p.add_argument("target", help="construction name or circuit JSON file")
     p.add_argument("--json", action="store_true")
     _add_synth_params(p)
     _add_shrink_flag(p)
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func="cmd_count")
 
     p = sub.add_parser("table1", help="recompute the count ledger")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_table1)
+    p.set_defaults(func="cmd_table1")
 
     p = sub.add_parser("optimize-powerlaw", help="grid-search the fidelity objective")
     p.add_argument("--n", type=int, required=True)
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset", type=int, default=0, choices=[0, 1])
     p.add_argument("--out-dir", default=".")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func="cmd_optimize")
 
     p = sub.add_parser("fidelity-scan", help="one axis of the fidelity objective")
     p.add_argument("--axis", required=True)
@@ -408,19 +409,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--offset", type=int, default=0, choices=[0, 1])
     p.add_argument("--out")
-    p.set_defaults(func=cmd_fidelity_scan)
+    p.set_defaults(func="cmd_fidelity_scan")
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors, matching our contract
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up when the command runs, so a replaced cmd_* is the one run
+        return globals()[args.func](args)
     except (UsageError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,13 +13,18 @@ multi-controlled phases are synthesized exactly from the parity expansion
 x1*...*xm = sum over nonempty subsets S of (-1)^(|S|+1)(xor S) / 2^(m-1),
 realized as CNOT folds plus RZ, with the residual scalar tracked in an
 explicit global-phase gate.  The spin-echo, inverse-pulse and RZ-merge
-rewrites are single left-to-right passes over per-wire gate stacks.
+rewrites are single left-to-right passes over per-wire gate stacks.  The
+shrink rewrite grows one pulse per exclusion level and shares that object
+across all of the level's positions; the spin-echo pass memoises each
+collapse per pulse object and echo wire, so the round trip builds each
+distinct pulse once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -463,6 +468,11 @@ def gms_shrink(circuit: Circuit) -> Circuit:
     halved angles, each exclusion level wrapped in an RZ(pi)/RZ(-pi) echo on
     the reintroduced wire; the echo flips that wire's couplings so they
     cancel while the original ones double back to strength.
+
+    Every pulse of one exclusion level is the same gate, so the pulse is
+    grown once per excluded wire and the fully grown one, a single object,
+    fills all 2**k positions: the sequence for excluded wires l..k is the
+    one for wires l+1..k, RZ(pi) on wire l, that sequence again, RZ(-pi).
     """
     n = circuit.n_qubits
     out: list[Gate] = []
@@ -470,16 +480,12 @@ def gms_shrink(circuit: Circuit) -> Circuit:
         if g.kind != "GMS" or len(g.qubits) == n:
             out.append(g)
             continue
+        missing = [q for q in range(n) if q not in g.qubits]
+        for extra in missing:
+            g = _half_extend(g, extra)
         seq = [g]
-        for extra in (q for q in range(n) if q not in g.qubits):
-            grown_seq: list[Gate] = []
-            for item in seq:
-                if item.kind == "GMS" and extra not in item.qubits:
-                    grown = _half_extend(item, extra)
-                    grown_seq += [grown, rz(extra, PI), grown, rz(extra, -PI)]
-                else:
-                    grown_seq.append(item)
-            seq = grown_seq
+        for extra in reversed(missing):
+            seq = seq + [rz(extra, PI)] + seq + [rz(extra, -PI)]
         out.extend(seq)
     return Circuit(n, tuple(out), circuit.ancillas)
 
@@ -539,9 +545,13 @@ def _echo_collapse(gate: Gate, q: int) -> Gate | None:
                                    if q not in (a, b))))
 
 
-def _echo_match(out: list, stacks: list[list[int]], gate: Gate):
+def _echo_match(out: list, stacks: list[list[int]], gate: Gate, memo: dict):
     """An XX/GMS echoes the same pulse sitting just below an RZ(pi) on one
-    of its wires q when that pulse is also the last gate on its other wires."""
+    of its wires q when that pulse is also the last gate on its other wires.
+
+    ``memo`` maps (id(gate), q) to (gate, collapse): the key is the object,
+    not its value, so pulses that are equal but differ in a zero's sign
+    keep their own collapse, and holding the gate keeps its id unique."""
     if gate.kind not in ("XX", "GMS"):
         return None
     for q in gate.qubits:
@@ -551,7 +561,10 @@ def _echo_match(out: list, stacks: list[list[int]], gate: Gate):
         if (top.kind == "RZ" and abs(top.theta) == PI
                 and all(stacks[w] and stacks[w][-1] == left for w in gate.qubits if w != q)
                 and out[left] == gate):
-            return left, _echo_collapse(gate, q)
+            key = (id(gate), q)
+            if key not in memo:
+                memo[key] = gate, _echo_collapse(gate, q)
+            return left, memo[key][1]
     return None
 
 
@@ -561,8 +574,11 @@ def spin_echo_cancel(circuit: Circuit) -> Circuit:
     The echo wire's couplings vanish; pulses larger than the echoed pair
     collapse, in the left pulse's slot, to a doubled-angle pulse on the
     remaining wires.  One pass to the fixpoint; unitary preserved exactly.
+    Collapses are memoised for the pass, once per pulse object and echo
+    wire, so the shared pulses of a shrunk circuit collapse to shared
+    pulses and the next level's match compares by identity.
     """
-    return _stack_pass(circuit, _echo_match)
+    return _stack_pass(circuit, partial(_echo_match, memo={}))
 
 
 def _inverse_match(out: list, stacks: list[list[int]], gate: Gate):

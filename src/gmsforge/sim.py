@@ -8,8 +8,9 @@ Every dense check runs the basis columns |x>|0...0> of its d data wires
 through the circuit at once, 2^n x 2^d entries (d = n for a unitary).  One
 byte guard covers them all: n + d may not exceed twice the qubit guard, 12
 by default (a dense unitary at the 100 MB scale); override with the
-GMSFORGE_MAX_DENSE_QUBITS environment variable.  The statevector path has
-no such guard and is used for wide-register parity checks.
+GMSFORGE_MAX_DENSE_QUBITS environment variable, a positive integer (any
+other value raises ArgumentError).  The statevector path has no such
+guard and is used for wide-register parity checks.
 
 Every path runs through ``_run`` on the numpy kernels.  A GMS pulse is
 diagonal in the X basis, so it costs one phase pass between Hadamards on
@@ -50,8 +51,19 @@ class DenseGuardError(RuntimeError):
 
 
 def max_dense_qubits() -> int:
+    """The qubit guard: GMSFORGE_MAX_DENSE_QUBITS, a positive integer, or
+    the default when it is unset or blank."""
     raw = os.environ.get("GMSFORGE_MAX_DENSE_QUBITS", "")
-    return int(raw) if raw.isdigit() else DEFAULT_DENSE_GUARD
+    if not raw.strip():
+        return DEFAULT_DENSE_GUARD
+    try:
+        guard = int(raw)
+    except ValueError:
+        guard = 0
+    if guard < 1:
+        raise ArgumentError(
+            f"GMSFORGE_MAX_DENSE_QUBITS must be a positive integer, not {raw!r}")
+    return guard
 
 
 def _mask(n: int, q: int) -> int:

@@ -347,3 +347,38 @@ def test_max_gms_only_output_guard_exit3(capsys):
     code, out, err = run(capsys, "count", "toffoli", "--n", "11", "--max-gms-only")
     assert code == 3 and out == ""
     assert "guard" in err and "92160" in err and str(cli.MAX_SHRINK_PULSES) in err
+
+
+def test_parser_is_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    path = tmp_path / "f4.json"
+    run(capsys, "synth", "fanout", "--n", "4", "--out", str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--against", "fanout", "--n", "4",
+                       "--json")
+    assert code == 0 and json.loads(out.splitlines()[1])["command"] == "verify"
+    code, out, _ = run(capsys, "verify", str(path), "--against", "fanout", "--n", "4")
+    assert code == 0 and out.startswith("PASS") and len(out.splitlines()) == 1
+    code, shrunk, _ = run(capsys, "count", "toffoli", "--n", "5", "--max-gms-only")
+    code, plain, _ = run(capsys, "count", "toffoli", "--n", "5")
+    assert shrunk.startswith("gms_pulses=108 ") and plain.startswith("gms_pulses=9 ")
+    assert built == [1]
+
+
+def test_dispatch_looks_up_the_command_when_it_runs(capsys, monkeypatch):
+    run(capsys, "table1")  # the parser exists before the patch
+    monkeypatch.setattr(cli, "cmd_table1", lambda args: print("patched") or 7)
+    code, out, _ = run(capsys, "table1")
+    assert code == 7 and out == "patched\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "0"])
+def test_bad_dense_guard_variable_exit2(tmp_path, capsys, monkeypatch, value):
+    path = tmp_path / "f3.json"
+    run(capsys, "synth", "fanout", "--n", "3", "--out", str(path))
+    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", value)
+    code, out, err = run(capsys, "verify", str(path), "--against", "fanout", "--n", "3")
+    assert code == 2 and out == ""
+    assert "GMSFORGE_MAX_DENSE_QUBITS" in err and repr(value) in err

@@ -9,8 +9,8 @@ from conftest import (controlled_z_matrix, random_circuit,
                       random_echo_circuit, toffoli_matrix)
 from gmsforge import constructions as cons
 from gmsforge import sim
-from gmsforge.circuit import (Circuit, PerPair, PowerLawSum, Uniform, cnot, gms,
-                              h, rx, ry, rz, xx)
+from gmsforge.circuit import (Circuit, Exponential, PerPair, PowerLawSum, Uniform,
+                              cnot, gms, h, rx, ry, rz, serialize, xx)
 from gmsforge.cli import table1_rows
 from gmsforge.fourier import qft_gms
 
@@ -507,6 +507,127 @@ def test_toffoli9_shrink_round_trip():
     assert shrunk.cost().gms_pulses == 9984
     back = cons.cancel_inverse_gms(cons.spin_echo_cancel(shrunk))
     assert back.cost().gms_pulses == 21
+
+
+def oracle_gms_shrink(circuit):
+    """The per-item shrink: every pulse of a level is grown on its own."""
+    n = circuit.n_qubits
+    out = []
+    for g in circuit.gates:
+        if g.kind != "GMS" or len(g.qubits) == n:
+            out.append(g)
+            continue
+        seq = [g]
+        for extra in (q for q in range(n) if q not in g.qubits):
+            grown_seq = []
+            for item in seq:
+                if item.kind == "GMS" and extra not in item.qubits:
+                    grown = cons._half_extend(item, extra)
+                    grown_seq += [grown, rz(extra, PI), grown, rz(extra, -PI)]
+                else:
+                    grown_seq.append(item)
+            seq = grown_seq
+        out.extend(seq)
+    return Circuit(n, tuple(out), circuit.ancillas)
+
+
+def _random_profile(rng, qubits, kind):
+    if kind == "uniform":
+        return Uniform(rng.uniform(-PI, PI))
+    if kind == "exponential":
+        return Exponential()
+    if kind == "power_law":
+        terms = tuple((rng.choice([-1, 1]) * rng.uniform(0.2, 1.0), rng.uniform(1.0, 4.0))
+                      for _ in range(rng.randint(1, 2)))
+        return PowerLawSum(terms, rng.randint(0, 1))
+    return PerPair(tuple((i, j, rng.choice([0.0, -0.0, rng.uniform(-PI, PI)]))
+                         for i, j in combinations(qubits, 2)))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "per_pair", "exponential", "power_law"])
+def test_gms_shrink_matches_per_item_oracle(kind):
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(3, 7)
+        gates = []
+        for g in random_circuit(rng, n, 6).gates:
+            if g.kind == "GMS":
+                qubits = sorted(rng.sample(range(n), rng.randint(2, n)))
+                g = gms(qubits, _random_profile(rng, qubits, kind))
+            gates.append(g)
+        circ = Circuit(n, tuple(gates), frozenset({n - 1}))
+        assert serialize(cons.gms_shrink(circ)) == serialize(oracle_gms_shrink(circ)), seed
+
+
+@pytest.mark.parametrize("original", [
+    cons.toffoli_n(9).generated,
+    qft_gms(8, PowerLawSum(((0.4, 2.5),), 0)),
+    qft_gms(8, PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 0)),
+    qft_gms(8, PowerLawSum(((0.3, 2.0),), 1))])
+def test_gms_shrink_matches_per_item_oracle_on_constructions(original):
+    assert serialize(cons.gms_shrink(original)) == serialize(oracle_gms_shrink(original))
+
+
+def test_shrink_grows_one_pulse_per_level(monkeypatch):
+    grown = []  # (source, result) of every _half_extend call, in order
+    real = cons._half_extend
+
+    def recording(gate, extra):
+        grown.append((gate, real(gate, extra)))
+        return grown[-1][1]
+
+    monkeypatch.setattr(cons, "_half_extend", recording)
+    original = cons.toffoli_n(10).generated
+    n = original.n_qubits
+    pulses = iter(g for g in cons.gms_shrink(original).gates if g.kind == "GMS")
+    calls = iter(grown)
+    sources = [g for g in original.gates if g.kind == "GMS"]
+    for source in sources:
+        k = n - len(source.qubits)
+        chain = [next(calls) for _ in range(k)]
+        # k pulses, one per exclusion level, each grown from the one before
+        grown_from = [source] + [out for _, out in chain]
+        assert all(src is want for (src, _), want in zip(chain, grown_from))
+        assert len({id(out) for _, out in chain}) == k
+        last = chain[-1][1] if k else source
+        assert all(next(pulses) is last for _ in range(2 ** k))
+    assert next(calls, None) is None and next(pulses, None) is None
+    assert len(grown) == sum(n - len(g.qubits) for g in sources) == 21 * 9
+
+
+def test_echo_collapses_once_per_pulse_and_wire(monkeypatch):
+    calls = []
+    real = cons._echo_collapse
+
+    def counting(gate, q):
+        calls.append((gate, q))
+        return real(gate, q)
+
+    monkeypatch.setattr(cons, "_echo_collapse", counting)
+    original = qft_gms(8, PowerLawSum(((0.4, 2.5),)))
+    shrunk = cons.gms_shrink(original)
+    echoed = cons.spin_echo_cancel(shrunk)
+    assert len({(id(g), q) for g, q in calls}) == len(calls)
+    n = original.n_qubits
+    assert len(calls) == sum(n - len(g.qubits) for g in original.gates if g.kind == "GMS")
+    assert serialize(echoed) == serialize(oracle_spin_echo_cancel(shrunk))
+    back = cons.cancel_inverse_gms(echoed)
+    assert back.cost().gms_pulses == original.cost().gms_pulses
+
+
+def test_echo_memo_keeps_signed_zeros():
+    # equal pulses whose (0, 1) couplings are 0.0 and -0.0 serialize apart,
+    # so a memo keyed by value would hand the second pair the first's collapse
+    def pulse(zero):
+        return gms((0, 1, 2), PerPair(((0, 1, zero), (0, 2, 0.3), (1, 2, 0.5))))
+
+    assert pulse(0.0) == pulse(-0.0)
+    circ = Circuit(3, (pulse(0.0), rz(2, PI), pulse(0.0),
+                       pulse(-0.0), rz(2, -PI), pulse(-0.0)))
+    out = cons.spin_echo_cancel(circ)
+    assert serialize(out) == serialize(oracle_spin_echo_cancel(circ))
+    assert [math.copysign(1.0, g.profile.table[0][2])
+            for g in out.gates if g.kind == "GMS"] == [1.0, -1.0]
 
 
 def _round_trip(circuit):

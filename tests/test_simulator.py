@@ -8,7 +8,8 @@ import pytest
 from conftest import (HADAMARD, I2, PAULI_Z, controlled_z_matrix, kron_all,
                       random_circuit, random_state, toffoli_matrix, xx_matrix)
 from gmsforge import sim
-from gmsforge.circuit import Circuit, Uniform, empty, gms, h, rx, rz, xx
+from gmsforge.circuit import (ArgumentError, Circuit, Uniform, empty, gms, h, rx,
+                              rz, xx)
 from gmsforge.constructions import (TDISTILL_FANS, fanout, tdistill,
                                     toffoli3_gms, toffoli_n)
 from gmsforge.fourier import qft_gms
@@ -216,6 +217,20 @@ def test_dense_guard(monkeypatch):
         sim.unitary_of(empty(13))
     monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", "13")
     sim.unitary_of(empty(13))  # now allowed
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "0"])
+def test_dense_guard_variable_must_be_a_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", value)
+    with pytest.raises(ArgumentError) as info:
+        sim.unitary_of(empty(1))
+    assert "GMSFORGE_MAX_DENSE_QUBITS" in str(info.value) and repr(value) in str(info.value)
+
+
+@pytest.mark.parametrize("value,guard", [(" 12", 12), (" 13\n", 13), ("", 12)])
+def test_dense_guard_variable_parsed_as_an_integer(monkeypatch, value, guard):
+    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", value)
+    assert sim.max_dense_qubits() == guard
 
 
 def test_dense_guard_message_names_bytes(monkeypatch):
