@@ -549,23 +549,36 @@ def _echo_match(out: list, stacks: list[list[int]], gate: Gate, memo: dict):
     """An XX/GMS echoes the same pulse sitting just below an RZ(pi) on one
     of its wires q when that pulse is also the last gate on its other wires.
 
-    ``memo`` maps (id(gate), q) to (gate, collapse): the key is the object,
-    not its value, so pulses that are equal but differ in a zero's sign
-    keep their own collapse, and holding the gate keeps its id unique."""
+    The partner slot is the top of the first wire, or of the second when
+    the first wire's top is an RZ (then the first wire is the only
+    candidate echo wire); the echo wire is the one wire whose top is not
+    that slot.  ``memo`` maps (id(gate), q) to (gate, collapse): the key is
+    the object, not its value, so pulses that are equal but differ in a
+    zero's sign keep their own collapse, and holding the gate keeps its id
+    unique."""
     if gate.kind not in ("XX", "GMS"):
         return None
-    for q in gate.qubits:
-        if len(stacks[q]) < 2:
-            continue
-        top, left = out[stacks[q][-1]], stacks[q][-2]
-        if (top.kind == "RZ" and abs(top.theta) == PI
-                and all(stacks[w] and stacks[w][-1] == left for w in gate.qubits if w != q)
-                and out[left] == gate):
-            key = (id(gate), q)
-            if key not in memo:
-                memo[key] = gate, _echo_collapse(gate, q)
-            return left, memo[key][1]
-    return None
+    a, b = gate.qubits[:2]
+    if not stacks[a]:
+        return None
+    left = stacks[a][-1]
+    if out[left].kind == "RZ":
+        if not stacks[b]:
+            return None
+        left = stacks[b][-1]
+    odd = [w for w in gate.qubits if not stacks[w] or stacks[w][-1] != left]
+    if len(odd) != 1:
+        return None
+    q = odd[0]
+    if len(stacks[q]) < 2 or stacks[q][-2] != left:
+        return None
+    top = out[stacks[q][-1]]
+    if top.kind != "RZ" or abs(top.theta) != PI or out[left] != gate:
+        return None
+    key = (id(gate), q)
+    if key not in memo:
+        memo[key] = gate, _echo_collapse(gate, q)
+    return left, memo[key][1]
 
 
 def spin_echo_cancel(circuit: Circuit) -> Circuit:

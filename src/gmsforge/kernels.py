@@ -8,10 +8,14 @@ mask ``1 << (n - 1)``.
 
 ``sim`` applies a GMS pulse as Hadamards, one ``apply_scale`` with a phase
 table broadcast over a reshaped view of the state, and Hadamards again.  It
-fuses runs of single-qubit gates per wire and applies those of a window of
-adjacent wires as one ``apply_block``: a 2^g x 2^g matrix multiplied into
-the (2^top, 2^g, rest) view chunk by chunk through one scratch buffer of at
-most ``CHUNK`` entries, so the state never gets a second full-size copy.
+fuses runs of single-qubit gates per wire; a pulse wire whose fused matrix,
+Hadamard included, is diagonal up to a 1e-15 rounding residue rides in the
+phase table, so a pulse costs one ``apply_scale`` plus one ``apply_block``
+per window of adjacent wires that still holds a non-diagonal matrix.  The
+matrices of such a window are applied as one ``apply_block``: a 2^g x 2^g
+matrix multiplied into the (2^top, 2^g, rest) view chunk by chunk through
+one scratch buffer of at most ``CHUNK`` entries, so the state never gets a
+second full-size copy.
 Each matrix product has ``COLS`` columns, under the size at which OpenBLAS
 runs a product on several threads: with another process busy on the second
 of two cores, a threaded 16 x 16 x 256 product took 8 ms against 33 us on

@@ -17,8 +17,13 @@ diagonal in the X basis, so it costs one phase pass between Hadamards on
 its wires instead of one XX pass per pair.  Each run of single-qubit gates
 on a wire is fused into one 2x2 matrix, and the pending matrices of
 ``WINDOW`` adjacent wires are applied together as one block pass
-(``kernels.apply_block``), so a full-register pulse on n wires costs about
-2n/WINDOW block passes and one phase pass.
+(``kernels.apply_block``).  A pulse wire whose pending matrix is diagonal
+up to rounding (``ROUNDING``) is folded into the pulse's phase table
+instead of being flushed, so a pulse costs one phase pass plus one block
+pass per window that holds a non-diagonal pending matrix: at most about
+n/WINDOW for a full-register pulse on n wires, none between pulses whose
+wires carry only gates diagonal in the pulse's X basis.  ``_run`` returns
+these passes by kind, and ``equiv_on_ancilla`` reports them.
 
 The textbook references a check compares against are given by their
 action on a state (``IndexMap``, ``AllOnesSign``, ``BitReversedIFFT``), not
@@ -44,6 +49,15 @@ WINDOW = 4
 """Adjacent wires whose pending single-qubit matrices are applied as one
 2^WINDOW x 2^WINDOW block.  On the 15-17-qubit benchmark circuits 3 and 4
 measured alike and 5 was slower."""
+ROUNDING = 1e-15
+"""A pending matrix on a pulse wire is folded into the pulse's phase table
+when |m01| + |m10| is at most this.  H RX H and H H RZ, the frames the
+constructions put around their pulses, come out with off-diagonal residues
+of about 1e-16 instead of exact zeros; the smallest genuine off-diagonal
+entry in the constructions is 0.77.  This is a rounding rule, not an
+equivalence tolerance: dropping the residue moves the state by at most
+1e-15 per fold, the size of the rounding in every other product, and six
+orders of magnitude below the 1e-9 equivalence tolerance."""
 
 
 class DenseGuardError(RuntimeError):
@@ -85,30 +99,42 @@ def _one_qubit_matrix(g) -> np.ndarray:
     return np.array([[c - 1j * s, 0], [0, c + 1j * s]])  # RZ
 
 
-def _pulse_phases(g, n: int, batch: int) -> tuple[tuple, np.ndarray]:
-    """A GMS pulse in the X basis: exp(-i/2 sum_{i<j} chi_ij z_i z_j).
+def _pulse_phases(g, n: int, batch: int, diag: dict) -> tuple[tuple, np.ndarray]:
+    """A GMS pulse in the X basis, exp(-i/2 sum_{i<j} chi_ij z_i z_j), times
+    the diagonal matrices ``diag`` maps some of its wires to.
 
     Returns a view shape for the (dim, batch) state and a phase table that
     broadcasts against it.  z = 1 - 2b over the bits b of the pulse's wires,
     first wire most significant; runs of neighbouring wires share one axis.
-    The 2^k-entry table is rebuilt at every call, as outer products of the
-    pair factors exp(-i chi_ij z_i z_j / 2): O(2^k) multiplications and no
-    transcendental call per entry.
+    The 2^k-entry table is rebuilt at every call from the pair factors
+    exp(-i chi_ij / 2), one vectorised exp of the k x k angle matrix, and
+    filled in place with a few numpy calls per wire: no transcendental call
+    per entry.
     """
     wires = sorted(g.qubits)
     k = len(wires)
     pos = {q: a for a, q in enumerate(wires)}
-    factors = np.ones((k, k, 2), dtype=np.complex128)  # z_i z_j = +1, -1
-    for i, j, chi in g.pair_angles():
-        factors[pos[i], pos[j]] = cmath.exp(-0.5j * chi), cmath.exp(0.5j * chi)
-    phases = np.ones(1, dtype=np.complex128)
-    for m in reversed(range(k)):
-        # prod_{j>m} factor(z_j) over the later wires' bits, for z_m = +1;
-        # z_m = -1 flips every z_j, which reverses the table
-        field = np.ones(1, dtype=np.complex128)
-        for j in reversed(range(m + 1, k)):
-            field = np.multiply.outer(factors[m, j], field).ravel()
-        phases = np.concatenate((phases * field, phases * field[::-1]))
+    chi = np.zeros((k, k))
+    for i, j, c in g.pair_angles():
+        chi[pos[i], pos[j]] = c
+    # pair[i, j, b], the factor exp(-i chi_ij z_i z_j / 2) at z_i z_j = 1 - 2b
+    pair = np.exp(np.multiply.outer(chi + chi.T, [-0.5j, 0.5j]))
+    # field[j] is the factor wire j brings at z_j = +1, its conjugate at
+    # z_j = -1: the product of its couplings to the wires already in the
+    # table.  A diagonal diag(m00, m11) is e u^z_j with u = sqrt(m00 / m11),
+    # of unit modulus, and e = m00 / u: u starts wire j's field, e the table.
+    field = np.ones((k, 1), dtype=np.complex128)
+    phases = np.empty(1 << k, dtype=np.complex128)
+    phases[0] = 1.0
+    for q, m in diag.items():
+        field[pos[q]] = u = cmath.sqrt(m[0, 0] / m[1, 1])
+        phases[0] *= m[0, 0] / u
+    # each wire w, last first, becomes the table's new most significant bit
+    for w in reversed(range(k)):
+        s = 1 << (k - 1 - w)
+        np.multiply(phases[:s], field[w].conj(), out=phases[s:2 * s])
+        phases[:s] *= field[w]
+        field = (field[:w, None] * pair[w, :w, :, None]).reshape(w, 2 * s)
     view, table = [], []
     for q in range(n):
         inside = q in pos
@@ -121,23 +147,31 @@ def _pulse_phases(g, n: int, batch: int) -> tuple[tuple, np.ndarray]:
     return (*view, batch), phases.reshape(*table, 1)
 
 
-def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
-    """Apply every gate of ``circuit`` to the (dim, batch) array in place.
+def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
+    """Apply every gate of ``circuit`` to the (dim, batch) array in place;
+    return the passes over the state by kind (block, 1q, phase, two_qubit).
 
     Single-qubit gates on a wire are multiplied into one pending 2x2 matrix.
     The wires are cut into fixed windows of ``WINDOW`` adjacent wires,
-    counted from the least significant one.  When a multi-qubit gate touches
-    a window, and at the end, every pending matrix of that window is applied
-    at once: their Kronecker product (the identity on idle wires) is one
-    ``apply_block`` pass.  Flushing a wire early is exact, since no later
-    gate has touched it yet.  A window whose one pending matrix is diagonal
-    takes one ``apply_1q`` pass instead.  A GMS pulse becomes Hadamards on
-    its wires (merged into the pending matrices), one diagonal phase pass,
-    and Hadamards left pending; an H meeting a pending H cancels exactly.
+    counted from the least significant one.  When a multi-qubit gate meets a
+    pending matrix on one of its wires, and at the end, every pending matrix
+    of that wire's window is applied at once: their Kronecker product (the
+    identity on idle wires) is one ``apply_block`` pass.  Flushing a wire
+    early is exact, since no later gate has touched it yet.  A window whose
+    one pending matrix is diagonal takes one ``apply_1q`` pass instead.
+
+    A GMS pulse becomes Hadamards on its wires (merged into the pending
+    matrices; an H meeting a pending H cancels exactly), one diagonal phase
+    pass, and Hadamards left pending.  A pulse wire whose pending matrix is
+    then diagonal up to rounding (see ``ROUNDING``) is not flushed: its two
+    diagonal entries are multiplied into the phase table, which commutes
+    with them.  So a pulse costs one phase pass plus one block pass per
+    window that holds a non-diagonal pending matrix.
     """
     be = BACKEND
     n = circuit.n_qubits
     pending: dict[int, np.ndarray] = {}
+    passes = dict.fromkeys(("block", "1q", "phase", "two_qubit"), 0)
 
     def push(q, m):
         prev = pending.get(q)
@@ -160,6 +194,7 @@ def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
             if len(held) == 1 and m[0, 1] == 0 and m[1, 0] == 0:
                 del pending[q]
                 be.apply_1q(st, m[0, 0], m[0, 1], m[1, 0], m[1, 1], _mask(n, q))
+                passes["1q"] += 1
                 continue
             blk = np.ones((1, 1), dtype=np.complex128)
             for q in wires:
@@ -167,6 +202,7 @@ def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
                 size = 2 * len(blk)
                 blk = (blk[:, None, :, None] * m[None, :, None, :]).reshape(size, size)
             be.apply_block(st, blk, top)
+            passes["block"] += 1
 
     def window(q):
         return (n - 1 - q) // WINDOW
@@ -184,11 +220,24 @@ def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
                 pending[q] = pending[q] * ph
             else:
                 be.apply_scale(st, ph)
+                passes["phase"] += 1
             continue
+        diag = {}
         if kind == "GMS":
             for q in g.qubits:
                 push(q, _H)
-        flush({window(q) for q in g.qubits})
+                m = pending.get(q)
+                if m is not None and abs(m[0, 1]) + abs(m[1, 0]) <= ROUNDING:
+                    diag[q] = pending.pop(q)
+        flush({window(q) for q in g.qubits if q in pending})
+        if kind == "GMS":
+            view, phases = _pulse_phases(g, n, st.shape[1], diag)
+            be.apply_scale(st.reshape(view), phases)
+            passes["phase"] += 1
+            for q in g.qubits:
+                pending[q] = _H
+            continue
+        passes["two_qubit"] += 1
         if kind == "CNOT":
             be.apply_cnot(st, _mask(n, g.qubits[0]), _mask(n, g.qubits[1]))
         elif kind == "CP":
@@ -197,15 +246,10 @@ def _run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
         elif kind == "XX":
             c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
             be.apply_xx(st, c + 0j, s + 0j, _mask(n, g.qubits[0]), _mask(n, g.qubits[1]))
-        elif kind == "GMS":
-            view, phases = _pulse_phases(g, n, st.shape[1])
-            be.apply_scale(st.reshape(view), phases)
-            for q in g.qubits:
-                pending[q] = _H
         else:  # pragma: no cover
             raise ValueError(f"unhandled gate kind {kind}")
     flush({window(q) for q in pending})
-    return st
+    return passes
 
 
 def _dense_zeros(n: int, d: int) -> np.ndarray:
@@ -219,9 +263,11 @@ def _dense_zeros(n: int, d: int) -> np.ndarray:
     return np.zeros((1 << n, 1 << d), dtype=np.complex128)
 
 
-def _columns(circuit: Circuit, data: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def _columns(circuit: Circuit, data: Sequence[int]
+             ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Run the basis columns |x>|0...0> of the ``data`` wires through the
-    circuit; return the 2^n x 2^d outputs and the row each column started in.
+    circuit; return the 2^n x 2^d outputs, the row each column started in
+    and the passes over the columns by kind.
     """
     n, d = circuit.n_qubits, len(data)
     cols = _dense_zeros(n, d)
@@ -230,7 +276,7 @@ def _columns(circuit: Circuit, data: Sequence[int]) -> tuple[np.ndarray, np.ndar
     for pos, q in enumerate(data):
         rows |= (x >> (d - 1 - pos) & 1) * _mask(n, q)
     cols[rows, x] = 1.0
-    return _run(circuit, cols), rows
+    return cols, rows, _run(circuit, cols)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -245,7 +291,8 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     if state.shape != (dim,):
         raise ValueError(f"state has shape {state.shape}, expected ({dim},)")
     st = state.reshape(dim, 1).copy()
-    return _run(circuit, st).reshape(dim)
+    _run(circuit, st)
+    return st.reshape(dim)
 
 
 def basis_state(n_qubits: int, index: int) -> np.ndarray:
@@ -315,6 +362,7 @@ class AncillaMatch:
     phase: complex
     max_deviation: float
     leakage: float
+    passes: dict[str, int]  # passes over the columns by kind, from ``_run``
 
 
 def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
@@ -337,17 +385,18 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
         raise ArgumentError(
             f"reference acts on {data_unitary.shape}; the data register has "
             f"dimension {ddim}, the whole register {1 << n}")
-    cols, rows = _columns(circuit, data)
+    cols, rows, passes = _columns(circuit, data)
     w, leakage = cols, 0.0  # a view when every wire is data
     if not full:
         w = cols[rows]
         cols[rows] = 0.0
         leakage = float(np.max(np.abs(cols)))
     if leakage > tol:
-        return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage)
+        return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
+                            passes)
     pm = equiv_phase(w, data_unitary, tol)
     failure = None if pm.ok else "mismatch"
-    return AncillaMatch(pm.ok, failure, pm.phase, pm.max_deviation, leakage)
+    return AncillaMatch(pm.ok, failure, pm.phase, pm.max_deviation, leakage, passes)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,11 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
         assert c["method"] == method and c["reference"] == how
         assert c["columns_bytes"] == 16 << width
         assert 0 <= c["reference_s"] and 0 <= c["check_s"]
+        # the passes _run made over the columns, one phase pass per pulse
+        passes = c["passes"]
+        assert list(passes) == ["block", "1q", "phase", "two_qubit"]
+        assert passes["phase"] == deserialize(path.read_text()).cost().gms_pulses
+        assert passes["block"] > 0 and passes["two_qubit"] == 0
 
 
 def test_verify_toffoli_simulates_no_reference_circuit(tmp_path, capsys, monkeypatch):

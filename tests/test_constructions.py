@@ -1,5 +1,6 @@
 import math
 import random
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -628,6 +629,36 @@ def test_echo_memo_keeps_signed_zeros():
     assert serialize(out) == serialize(oracle_spin_echo_cancel(circ))
     assert [math.copysign(1.0, g.profile.table[0][2])
             for g in out.gates if g.kind == "GMS"] == [1.0, -1.0]
+
+
+def oracle_echo_match(out, stacks, gate, memo):
+    """The matcher that tries every wire of the arriving pulse as the echo
+    wire; at most one can match."""
+    if gate.kind not in ("XX", "GMS"):
+        return None
+    for q in gate.qubits:
+        if len(stacks[q]) < 2:
+            continue
+        top, left = out[stacks[q][-1]], stacks[q][-2]
+        if (top.kind == "RZ" and abs(top.theta) == PI
+                and all(stacks[w] and stacks[w][-1] == left for w in gate.qubits if w != q)
+                and out[left] == gate):
+            key = (id(gate), q)
+            if key not in memo:
+                memo[key] = gate, cons._echo_collapse(gate, q)
+            return left, memo[key][1]
+    return None
+
+
+@pytest.mark.parametrize("original", [
+    qft_gms(8, PowerLawSum(((0.4, 2.5),), 0)), cons.toffoli_n(7).generated],
+    ids=["qft_gms(8)", "toffoli_n(7)"])
+def test_echo_match_reads_one_candidate_wire(original):
+    shrunk = cons.gms_shrink(original)
+    out = cons.spin_echo_cancel(shrunk)
+    want = cons._stack_pass(shrunk, partial(oracle_echo_match, memo={}))
+    assert serialize(out) == serialize(want)
+    assert out.cost().gms_pulses < shrunk.cost().gms_pulses
 
 
 def _round_trip(circuit):

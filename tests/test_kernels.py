@@ -1,15 +1,19 @@
 import cmath
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_state
+from gmsforge import constructions as cons
 from gmsforge import kernels, sim
 from gmsforge.circuit import (Circuit, Exponential, PerPair, PowerLawSum,
                               Uniform, cnot, cp, global_phase, gms, h, rx, ry,
                               rz, xx)
+from gmsforge.fourier import qfa_gms, qft_gms
 
 
 def pairwise_run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
@@ -194,17 +198,170 @@ def test_window_with_one_diagonal_wire(monkeypatch):
     assert np.max(np.abs(got - oracle_state(circ, psi))) < 1e-12
 
 
-def test_lone_pulse_pass_budget(monkeypatch):
-    counts = {"apply_block": 0, "apply_scale": 0, "apply_1q": 0, "apply_xx": 0}
-    for name in counts:
+KERNELS = ("apply_1q", "apply_block", "apply_xx", "apply_cnot", "apply_cp",
+           "apply_scale")
+
+
+def count_kernels(monkeypatch) -> dict[str, int]:
+    """Calls of every kernel on ``BACKEND`` from now on, by name."""
+    counts = dict.fromkeys(KERNELS, 0)
+    for name in KERNELS:
         real = getattr(kernels.BACKEND, name)
 
         def counted(*args, name=name, real=real):
             counts[name] += 1
             return real(*args)
         monkeypatch.setattr(kernels.BACKEND, name, staticmethod(counted))
+    return counts
+
+
+def test_lone_pulse_pass_budget(monkeypatch):
+    counts = count_kernels(monkeypatch)
     n = 13
     sim.apply(Circuit(n, (gms(range(n), Uniform(0.3)),)), sim.basis_state(n, 0))
     assert counts["apply_block"] <= 2 * math.ceil(n / sim.WINDOW)
     assert counts["apply_scale"] == 1
     assert counts["apply_1q"] == 0 and counts["apply_xx"] == 0
+
+
+def test_tracing_kernels_are_on_the_backend():
+    # the benchmark's traced run wraps each of these with getattr on BACKEND
+    path = Path(__file__).resolve().parents[1] / "gmsbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("gmsbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.KERNELS
+    for name in tracing.KERNELS:
+        assert callable(getattr(sim.BACKEND, name)), name
+
+
+# Folds: a pulse wire whose pending matrix, the pulse's Hadamard included,
+# is diagonal up to rounding rides in the pulse's phase table, unflushed.
+
+def folded_wires(monkeypatch) -> list[set]:
+    """The wires folded into each pulse's phase table from now on."""
+    folds = []
+    real = sim._pulse_phases
+
+    def recording(g, n, batch, diag):
+        folds.append(set(diag))
+        return real(g, n, batch, diag)
+    monkeypatch.setattr(sim, "_pulse_phases", recording)
+    return folds
+
+
+def assert_matches_oracle(circ, nrng):
+    assert_states_match(circ, nrng)
+    assert np.max(np.abs(sim.unitary_of(circ) - oracle_unitary(circ))) < 1e-12
+
+
+PROFILES = (Uniform(0.7), Exponential(), PowerLawSum(((0.4, 2.5), (-0.5, 3.4))))
+
+
+def pulses_between(n, runs):
+    """A pulse on every wire, then after each run of gates another pulse."""
+    gates = [gms(range(n), PROFILES[0])]
+    for i, run in enumerate(runs):
+        gates += run
+        gates.append(gms(range(n), PROFILES[(i + 1) % len(PROFILES)]))
+    return Circuit(n, tuple(gates))
+
+
+def test_fold_rx_runs(monkeypatch):
+    # H RX H is diagonal: block passes for the first pulse's Hadamards and
+    # at the end, none between the pulses
+    n = 6
+    circ = pulses_between(n, [[rx(q, 0.3 * q + 0.2) for q in range(n)],
+                              [rx(1, 0.5), rx(1, -1.2), rx(4, 2.0)]])
+    folds = folded_wires(monkeypatch)
+    counts = count_kernels(monkeypatch)
+    sim.apply(circ, sim.basis_state(n, 0))
+    assert folds == [set(), set(range(n)), {1, 4}]
+    assert counts["apply_block"] == 2 * math.ceil(n / sim.WINDOW)
+    monkeypatch.undo()
+    assert_matches_oracle(circ, np.random.default_rng(1))
+
+
+def test_fold_h_rz_h_sandwiches(monkeypatch):
+    # H H RZ leaves a ~1e-16 residue off the diagonal: folded all the same
+    n = 5
+    run = [g for q in range(n) for g in (h(q), rz(q, 0.4 * q - 0.9), h(q))]
+    circ = pulses_between(n, [run, run[:6]])
+    folds = folded_wires(monkeypatch)
+    sim.apply(circ, sim.basis_state(n, 0))
+    assert folds == [set(), set(range(n)), {0, 1}]
+    monkeypatch.undo()
+    assert_matches_oracle(circ, np.random.default_rng(2))
+
+
+def test_fold_carries_a_global_phase(monkeypatch):
+    # the PHASE rides on the first pending matrix, a pulse wire's H, which
+    # the next pulse folds into its table
+    n = 4
+    circ = pulses_between(n, [[global_phase(0.8), rx(0, 0.6)]])
+    folds = folded_wires(monkeypatch)
+    sim.apply(circ, sim.basis_state(n, 0))
+    assert folds == [set(), {0}]
+    monkeypatch.undo()
+    assert_matches_oracle(circ, np.random.default_rng(3))
+
+
+def test_fold_beside_a_flushed_wire(monkeypatch):
+    # wires 2-5 are one window: at the second pulse 3 and 4 fold, 2's H RY H
+    # is flushed as a block on its own and 5's Hadamards cancel; wires 0-1
+    # sit outside the pulse and stay pending until the end
+    n = 6
+    circ = Circuit(n, (gms((2, 3, 4, 5), PROFILES[1]), rx(3, 0.4), rx(4, -0.8),
+                       ry(2, 1.1), ry(0, 0.6), h(1),
+                       gms((5, 3, 4, 2), PROFILES[2]), rx(3, 0.2)))
+    folds = folded_wires(monkeypatch)
+    counts = count_kernels(monkeypatch)
+    sim.apply(circ, sim.basis_state(n, 0))
+    assert folds == [set(), {3, 4}]
+    assert counts["apply_block"] == 4  # one per pulse, two at the end
+    monkeypatch.undo()
+    assert_matches_oracle(circ, np.random.default_rng(4))
+
+
+def test_folded_rz_mutant_fails_the_ancilla_check(monkeypatch):
+    # an RZ(0.1) inside an H RZ H sandwich stays on a folded wire; wire 4 is
+    # an idle ancilla, so the check runs the ancilla path
+    data = 4
+    run = [g for q in range(data) for g in (h(q), rz(q, 0.5 + q), h(q))]
+    good = pulses_between(data, [run])
+    bad = pulses_between(data, [run[:4] + [rz(1, 0.1)] + run[4:]])
+    want = oracle_unitary(good)
+    folds = folded_wires(monkeypatch)
+    for circ, ok in ((good, True), (bad, False)):
+        r = sim.equiv_on_ancilla(Circuit(data + 1, circ.gates, frozenset({data})),
+                                 want, 1e-9)
+        assert r.ok == ok and r.leakage == 0.0
+        assert folds[-1] == set(range(data))
+    assert r.failure == "mismatch" and r.max_deviation > 1e-2
+
+
+# The most block passes one state may take through the benchmark's circuits:
+# without the fold they took 44, 48, 44, 24, 25 and 16, so a change that
+# loses it fails here.
+BLOCK_BUDGET = {
+    "toffoli_n(11)": (lambda: cons.toffoli_n(11).generated, 32),
+    "qft_gms(16)": (lambda: qft_gms(16, Exponential()), 16),
+    "qfa_gms(8)": (lambda: qfa_gms(8, Exponential()), 23),
+    "tdistill": (lambda: cons.tdistill().generated, 17),
+    "toffoli_n(7)": (lambda: cons.toffoli_n(7).generated, 18),
+    "qft_gms(8)": (lambda: qft_gms(8, Exponential()), 8),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_BUDGET)
+def test_block_pass_budget(name, monkeypatch):
+    build, budget = BLOCK_BUDGET[name]
+    circ = build()
+    counts = count_kernels(monkeypatch)
+    st = sim.basis_state(circ.n_qubits, 0).reshape(-1, 1)
+    passes = sim._run(circ, st)
+    assert counts["apply_block"] <= budget
+    assert passes == {"block": counts["apply_block"], "1q": counts["apply_1q"],
+                      "phase": counts["apply_scale"],
+                      "two_qubit": counts["apply_cnot"] + counts["apply_cp"]
+                      + counts["apply_xx"]}
