@@ -225,7 +225,9 @@ class Circuit:
     """Ordered gate sequence over an indexed register.
 
     ``ancillas`` marks qubits expected to enter and leave in |0>; the
-    remaining qubits are the data register.
+    remaining qubits are the data register.  ``sim`` keeps the circuit's
+    compiled plan on it as ``_plan``, which is not a field: equality,
+    hashing and serialization ignore it.
     """
 
     n_qubits: int

@@ -181,6 +181,7 @@ def cmd_verify(args) -> int:
              "leakage": res.leakage, "failure": res.failure,
              "method": "dense" if d == n else "ancilla", "reference": how,
              "columns_bytes": 16 << (n + d), "passes": res.passes,
+             "plan_bytes": res.plan_bytes,
              "reference_s": round(built - read, 6),
              "check_s": round(checked - built, 6)}])))
     return EXIT_OK if res.ok else EXIT_FAIL

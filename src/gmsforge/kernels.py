@@ -10,9 +10,13 @@ mask ``1 << (n - 1)``.
 table broadcast over a reshaped view of the state, and Hadamards again.  It
 fuses runs of single-qubit gates per wire; a pulse wire whose fused matrix,
 Hadamard included, is diagonal up to a 1e-15 rounding residue rides in the
-phase table, so a pulse costs one ``apply_scale`` plus one ``apply_block``
-per window of adjacent wires that still holds a non-diagonal matrix.  The
-matrices of such a window are applied as one ``apply_block``: a 2^g x 2^g
+phase table, and pulses with no other pass between them share one table,
+so a run of adjacent pulses costs one ``apply_scale`` plus one
+``apply_block`` per window of adjacent wires that still holds a
+non-diagonal matrix.  ``sim`` does this fusing, folding and tabling once
+per circuit and keeps the resulting passes with it, so the kernels are
+all a repeated run of a circuit executes.
+The matrices of such a window are applied as one ``apply_block``: a 2^g x 2^g
 matrix multiplied into the (2^top, 2^g, rest) view chunk by chunk through
 one scratch buffer of at most ``CHUNK`` entries, so the state never gets a
 second full-size copy.

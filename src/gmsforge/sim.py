@@ -19,11 +19,19 @@ on a wire is fused into one 2x2 matrix, and the pending matrices of
 ``WINDOW`` adjacent wires are applied together as one block pass
 (``kernels.apply_block``).  A pulse wire whose pending matrix is diagonal
 up to rounding (``ROUNDING``) is folded into the pulse's phase table
-instead of being flushed, so a pulse costs one phase pass plus one block
-pass per window that holds a non-diagonal pending matrix: at most about
-n/WINDOW for a full-register pulse on n wires, none between pulses whose
-wires carry only gates diagonal in the pulse's X basis.  ``_run`` returns
-these passes by kind, and ``equiv_on_ancilla`` reports them.
+instead of being flushed, and pulses whose phase passes come out adjacent
+share one table.  So a run of adjacent pulses costs one phase pass plus
+one block pass per window that holds a non-diagonal pending matrix: at
+most about n/WINDOW for a full-register pulse on n wires, none between
+pulses whose wires carry only gates diagonal in the pulse's X basis.
+
+Each ``Circuit`` is fused, folded and tabled once: ``_compile`` turns it
+into a ``Plan`` of passes on its first run, the plan is kept on the
+circuit (an immutable value) for the circuit's lifetime, and every run
+only executes it.  The plan's tables are the memory this costs, about
+2 MiB each for ``qft_gms(16)`` and ``phase_polynomial_identity(17)``.
+``_run`` returns the passes by kind, and ``equiv_on_ancilla`` reports them
+with the plan's bytes.
 
 The textbook references a check compares against are given by their
 action on a state (``IndexMap``, ``AllOnesSign``, ``BitReversedIFFT``), not
@@ -99,24 +107,28 @@ def _one_qubit_matrix(g) -> np.ndarray:
     return np.array([[c - 1j * s, 0], [0, c + 1j * s]])  # RZ
 
 
-def _pulse_phases(g, n: int, batch: int, diag: dict) -> tuple[tuple, np.ndarray]:
-    """A GMS pulse in the X basis, exp(-i/2 sum_{i<j} chi_ij z_i z_j), times
-    the diagonal matrices ``diag`` maps some of its wires to.
+def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarray]:
+    """A run of GMS pulses in the X basis, the product of their
+    exp(-i/2 sum_{i<j} chi_ij z_i z_j), times the diagonal matrices ``diag``
+    maps some of their wires to.  Diagonal factors commute, so the run is
+    one table over the union of the pulses' wires, built from the summed
+    pair angles.
 
-    Returns a view shape for the (dim, batch) state and a phase table that
-    broadcasts against it.  z = 1 - 2b over the bits b of the pulse's wires,
-    first wire most significant; runs of neighbouring wires share one axis.
-    The 2^k-entry table is rebuilt at every call from the pair factors
-    exp(-i chi_ij / 2), one vectorised exp of the k x k angle matrix, and
-    filled in place with a few numpy calls per wire: no transcendental call
-    per entry.
+    Returns a view shape for a (dim, batch) state, less its batch axis, and
+    a phase table that broadcasts against the view with the batch appended.
+    z = 1 - 2b over the bits b of the union's wires, first wire most
+    significant; runs of neighbouring wires share one axis.  The 2^k-entry
+    table is built from the pair factors exp(-i chi_ij / 2), one vectorised
+    exp of the k x k angle matrix, and filled in place with a few numpy
+    calls per wire: no transcendental call per entry.
     """
-    wires = sorted(g.qubits)
+    wires = sorted({q for g in pulses for q in g.qubits})
     k = len(wires)
     pos = {q: a for a, q in enumerate(wires)}
     chi = np.zeros((k, k))
-    for i, j, c in g.pair_angles():
-        chi[pos[i], pos[j]] = c
+    for g in pulses:
+        for i, j, c in g.pair_angles():
+            chi[pos[i], pos[j]] += c
     # pair[i, j, b], the factor exp(-i chi_ij z_i z_j / 2) at z_i z_j = 1 - 2b
     pair = np.exp(np.multiply.outer(chi + chi.T, [-0.5j, 0.5j]))
     # field[j] is the factor wire j brings at z_j = +1, its conjugate at
@@ -144,12 +156,27 @@ def _pulse_phases(g, n: int, batch: int, diag: dict) -> tuple[tuple, np.ndarray]
         else:
             view.append(2)
             table.append(1 + inside)
-    return (*view, batch), phases.reshape(*table, 1)
+    return tuple(view), phases.reshape(*table, 1)
 
 
-def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
-    """Apply every gate of ``circuit`` to the (dim, batch) array in place;
-    return the passes over the state by kind (block, 1q, phase, two_qubit).
+@dataclass(frozen=True)
+class Plan:
+    """A circuit compiled for ``_run``.
+
+    ``steps`` are the passes over the state in order, each a kernel name on
+    ``BACKEND``, the view the kernel takes of a (dim, batch) state (a shape
+    less its batch axis, or None for the state as it is) and the kernel's
+    arguments.  ``passes`` counts them by kind, and ``nbytes`` is what the
+    plan's phase tables and blocks hold.
+    """
+
+    steps: tuple[tuple[str, tuple | None, tuple], ...]
+    passes: dict[str, int]
+    nbytes: int
+
+
+def _compile(circuit: Circuit) -> Plan:
+    """Fuse, fold and table ``circuit`` into the passes ``_run`` makes.
 
     Single-qubit gates on a wire are multiplied into one pending 2x2 matrix.
     The wires are cut into fixed windows of ``WINDOW`` adjacent wires,
@@ -165,13 +192,29 @@ def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
     pass, and Hadamards left pending.  A pulse wire whose pending matrix is
     then diagonal up to rounding (see ``ROUNDING``) is not flushed: its two
     diagonal entries are multiplied into the phase table, which commutes
-    with them.  So a pulse costs one phase pass plus one block pass per
+    with them.  Pulses whose phase passes would come out adjacent, with no
+    other pass between them, share one table (``_pulse_phases``) and one
+    pass.  So a run of pulses costs one phase pass plus one block pass per
     window that holds a non-diagonal pending matrix.
     """
-    be = BACKEND
     n = circuit.n_qubits
     pending: dict[int, np.ndarray] = {}
+    steps = []
     passes = dict.fromkeys(("block", "1q", "phase", "two_qubit"), 0)
+    run, folded = [], {}  # the open run of pulses and their folded factors
+
+    def close_run():
+        if run:
+            view, phases = _pulse_phases(run, n, folded)
+            steps.append(("apply_scale", view, (phases,)))
+            passes["phase"] += 1
+            run.clear()
+            folded.clear()
+
+    def emit(kind, name, *args):
+        close_run()
+        steps.append((name, None, args))
+        passes[kind] += 1
 
     def push(q, m):
         prev = pending.get(q)
@@ -193,16 +236,14 @@ def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
             m = pending[q]
             if len(held) == 1 and m[0, 1] == 0 and m[1, 0] == 0:
                 del pending[q]
-                be.apply_1q(st, m[0, 0], m[0, 1], m[1, 0], m[1, 1], _mask(n, q))
-                passes["1q"] += 1
+                emit("1q", "apply_1q", m[0, 0], m[0, 1], m[1, 0], m[1, 1], _mask(n, q))
                 continue
             blk = np.ones((1, 1), dtype=np.complex128)
             for q in wires:
                 m = pending.pop(q, _I)
                 size = 2 * len(blk)
                 blk = (blk[:, None, :, None] * m[None, :, None, :]).reshape(size, size)
-            be.apply_block(st, blk, top)
-            passes["block"] += 1
+            emit("block", "apply_block", blk, top)
 
     def window(q):
         return (n - 1 - q) // WINDOW
@@ -219,8 +260,7 @@ def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
                 q = next(iter(pending))
                 pending[q] = pending[q] * ph
             else:
-                be.apply_scale(st, ph)
-                passes["phase"] += 1
+                emit("phase", "apply_scale", ph)
             continue
         diag = {}
         if kind == "GMS":
@@ -231,25 +271,49 @@ def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
                     diag[q] = pending.pop(q)
         flush({window(q) for q in g.qubits if q in pending})
         if kind == "GMS":
-            view, phases = _pulse_phases(g, n, st.shape[1], diag)
-            be.apply_scale(st.reshape(view), phases)
-            passes["phase"] += 1
+            run.append(g)
+            for q, m in diag.items():
+                folded[q] = m @ folded.get(q, _I)
             for q in g.qubits:
                 pending[q] = _H
             continue
-        passes["two_qubit"] += 1
+        a, b = (_mask(n, q) for q in g.qubits)
         if kind == "CNOT":
-            be.apply_cnot(st, _mask(n, g.qubits[0]), _mask(n, g.qubits[1]))
+            emit("two_qubit", "apply_cnot", a, b)
         elif kind == "CP":
-            be.apply_cp(st, _mask(n, g.qubits[0]), _mask(n, g.qubits[1]),
-                        cmath.exp(1j * g.theta))
+            emit("two_qubit", "apply_cp", a, b, cmath.exp(1j * g.theta))
         elif kind == "XX":
             c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
-            be.apply_xx(st, c + 0j, s + 0j, _mask(n, g.qubits[0]), _mask(n, g.qubits[1]))
+            emit("two_qubit", "apply_xx", c + 0j, s + 0j, a, b)
         else:  # pragma: no cover
             raise ValueError(f"unhandled gate kind {kind}")
     flush({window(q) for q in pending})
-    return passes
+    close_run()
+    arrays = [a for _, _, args in steps for a in args if isinstance(a, np.ndarray)]
+    for a in arrays:
+        a.flags.writeable = False  # shared by every run of the plan
+    return Plan(tuple(steps), passes, sum(a.nbytes for a in arrays))
+
+
+def _plan(circuit: Circuit) -> Plan:
+    """The circuit's plan, compiled on first use and kept on the circuit,
+    an immutable value, so it lives exactly as long as the circuit."""
+    plan = getattr(circuit, "_plan", None)
+    if plan is None:
+        plan = _compile(circuit)
+        object.__setattr__(circuit, "_plan", plan)
+    return plan
+
+
+def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
+    """Apply every gate of ``circuit`` to the (dim, batch) array in place,
+    through the circuit's plan; return the passes over the state by kind
+    (block, 1q, phase, two_qubit), a copy the caller may keep.  The kernels
+    are looked up on ``BACKEND`` at every pass."""
+    plan, batch = _plan(circuit), st.shape[1]
+    for name, view, args in plan.steps:
+        getattr(BACKEND, name)(st if view is None else st.reshape(*view, batch), *args)
+    return dict(plan.passes)
 
 
 def _dense_zeros(n: int, d: int) -> np.ndarray:
@@ -363,6 +427,7 @@ class AncillaMatch:
     max_deviation: float
     leakage: float
     passes: dict[str, int]  # passes over the columns by kind, from ``_run``
+    plan_bytes: int  # held in the circuit's plan, ``Plan.nbytes``
 
 
 def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
@@ -386,6 +451,7 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
             f"reference acts on {data_unitary.shape}; the data register has "
             f"dimension {ddim}, the whole register {1 << n}")
     cols, rows, passes = _columns(circuit, data)
+    plan_bytes = _plan(circuit).nbytes
     w, leakage = cols, 0.0  # a view when every wire is data
     if not full:
         w = cols[rows]
@@ -393,10 +459,11 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
         leakage = float(np.max(np.abs(cols)))
     if leakage > tol:
         return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
-                            passes)
+                            passes, plan_bytes)
     pm = equiv_phase(w, data_unitary, tol)
     failure = None if pm.ok else "mismatch"
-    return AncillaMatch(pm.ok, failure, pm.phase, pm.max_deviation, leakage, passes)
+    return AncillaMatch(pm.ok, failure, pm.phase, pm.max_deviation, leakage,
+                        passes, plan_bytes)
 
 
 # ---------------------------------------------------------------------------
@@ -480,4 +547,4 @@ def trace_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|tr(U^dag V)| / dim, in [0, 1]."""
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    return abs(np.trace(u.conj().T @ v)) / u.shape[0]
+    return abs(np.vdot(u, v)) / u.shape[0]

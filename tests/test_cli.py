@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gmsforge import cli
+from gmsforge import cli, sim
 from gmsforge import constructions as cons
 from gmsforge.circuit import deserialize, rx, serialize
 from gmsforge.constructions import fanin, fanout, toffoli_n
@@ -140,10 +141,12 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
     t5, f5 = tmp_path / "t5.json", tmp_path / "f5.json"
     run(capsys, "synth", "toffoli", "--n", "5", "--out", str(t5))
     run(capsys, "synth", "fanin", "--n", "5", "--out", str(f5))
-    cases = (((t5, "toffoli", "--n", "5"), "ancilla", "oracle", 7 + 5),
-             ((f5, "fanin", "--n", "5"), "dense", "oracle", 5 + 5),
-             ((t5, str(t5)), "dense", "circuit", 7 + 7))
-    for (path, *against), method, how, width in cases:
+    # fanin-5's two pulses meet the state with no pass between them and
+    # share one phase pass; each of toffoli-5's nine pulses takes its own
+    cases = (((t5, "toffoli", "--n", "5"), "ancilla", "oracle", 7 + 5, 9),
+             ((f5, "fanin", "--n", "5"), "dense", "oracle", 5 + 5, 1),
+             ((t5, str(t5)), "dense", "circuit", 7 + 7, 9))
+    for (path, *against), method, how, width, phase in cases:
         _, plain, _ = run(capsys, "verify", str(path), "--against", *against)
         code, out, _ = run(capsys, "verify", str(path), "--against", *against, "--json")
         text, doc = out.splitlines()
@@ -152,11 +155,15 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
         assert c["method"] == method and c["reference"] == how
         assert c["columns_bytes"] == 16 << width
         assert 0 <= c["reference_s"] and 0 <= c["check_s"]
-        # the passes _run made over the columns, one phase pass per pulse
+        # the passes _run made over the columns, one phase pass per run of
+        # adjacent pulses, and the bytes of the plan's tables and blocks
         passes = c["passes"]
         assert list(passes) == ["block", "1q", "phase", "two_qubit"]
-        assert passes["phase"] == deserialize(path.read_text()).cost().gms_pulses
+        assert passes["phase"] == phase
         assert passes["block"] > 0 and passes["two_qubit"] == 0
+        steps = sim._plan(deserialize(path.read_text())).steps
+        assert c["plan_bytes"] == sum(a.nbytes for _, _, args in steps for a in args
+                                      if isinstance(a, np.ndarray)) > 0
 
 
 def test_verify_toffoli_simulates_no_reference_circuit(tmp_path, capsys, monkeypatch):

@@ -215,6 +215,13 @@ def count_kernels(monkeypatch) -> dict[str, int]:
     return counts
 
 
+def assert_kernels_match_passes(counts, passes):
+    assert passes == {"block": counts["apply_block"], "1q": counts["apply_1q"],
+                      "phase": counts["apply_scale"],
+                      "two_qubit": counts["apply_cnot"] + counts["apply_cp"]
+                      + counts["apply_xx"]}
+
+
 def test_lone_pulse_pass_budget(monkeypatch):
     counts = count_kernels(monkeypatch)
     n = 13
@@ -224,12 +231,18 @@ def test_lone_pulse_pass_budget(monkeypatch):
     assert counts["apply_1q"] == 0 and counts["apply_xx"] == 0
 
 
+def load_bench(name):
+    """A module of the benchmark, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "gmsbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"gmsbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_tracing_kernels_are_on_the_backend():
     # the benchmark's traced run wraps each of these with getattr on BACKEND
-    path = Path(__file__).resolve().parents[1] / "gmsbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("gmsbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench("tracing")
     assert tracing.KERNELS
     for name in tracing.KERNELS:
         assert callable(getattr(sim.BACKEND, name)), name
@@ -239,13 +252,13 @@ def test_tracing_kernels_are_on_the_backend():
 # is diagonal up to rounding rides in the pulse's phase table, unflushed.
 
 def folded_wires(monkeypatch) -> list[set]:
-    """The wires folded into each pulse's phase table from now on."""
+    """The wires folded into each phase table built from now on."""
     folds = []
     real = sim._pulse_phases
 
-    def recording(g, n, batch, diag):
+    def recording(pulses, n, diag):
         folds.append(set(diag))
-        return real(g, n, batch, diag)
+        return real(pulses, n, diag)
     monkeypatch.setattr(sim, "_pulse_phases", recording)
     return folds
 
@@ -269,39 +282,40 @@ def pulses_between(n, runs):
 
 def test_fold_rx_runs(monkeypatch):
     # H RX H is diagonal: block passes for the first pulse's Hadamards and
-    # at the end, none between the pulses
+    # at the end, none between the pulses, so the three share one table
     n = 6
     circ = pulses_between(n, [[rx(q, 0.3 * q + 0.2) for q in range(n)],
                               [rx(1, 0.5), rx(1, -1.2), rx(4, 2.0)]])
     folds = folded_wires(monkeypatch)
     counts = count_kernels(monkeypatch)
     sim.apply(circ, sim.basis_state(n, 0))
-    assert folds == [set(), set(range(n)), {1, 4}]
+    assert folds == [set(range(n))]
     assert counts["apply_block"] == 2 * math.ceil(n / sim.WINDOW)
     monkeypatch.undo()
     assert_matches_oracle(circ, np.random.default_rng(1))
 
 
 def test_fold_h_rz_h_sandwiches(monkeypatch):
-    # H H RZ leaves a ~1e-16 residue off the diagonal: folded all the same
+    # H H RZ leaves a ~1e-16 residue off the diagonal: folded all the same,
+    # and with no pass between them the three pulses share one table
     n = 5
     run = [g for q in range(n) for g in (h(q), rz(q, 0.4 * q - 0.9), h(q))]
     circ = pulses_between(n, [run, run[:6]])
     folds = folded_wires(monkeypatch)
     sim.apply(circ, sim.basis_state(n, 0))
-    assert folds == [set(), set(range(n)), {0, 1}]
+    assert folds == [set(range(n))]
     monkeypatch.undo()
     assert_matches_oracle(circ, np.random.default_rng(2))
 
 
 def test_fold_carries_a_global_phase(monkeypatch):
     # the PHASE rides on the first pending matrix, a pulse wire's H, which
-    # the next pulse folds into its table
+    # the next pulse folds into the table it shares with the first
     n = 4
     circ = pulses_between(n, [[global_phase(0.8), rx(0, 0.6)]])
     folds = folded_wires(monkeypatch)
     sim.apply(circ, sim.basis_state(n, 0))
-    assert folds == [set(), {0}]
+    assert folds == [{0}]
     monkeypatch.undo()
     assert_matches_oracle(circ, np.random.default_rng(3))
 
@@ -353,6 +367,13 @@ BLOCK_BUDGET = {
 }
 
 
+# The phase passes one state takes through the same circuits: with one
+# table per pulse they took 27, 30, 44, 10, 15 and 14, so a change that stops
+# adjacent pulses from sharing a table fails here.
+PHASE_BUDGET = {"toffoli_n(11)": 27, "qft_gms(16)": 15, "qfa_gms(8)": 20,
+                "tdistill": 5, "toffoli_n(7)": 15, "qft_gms(8)": 7}
+
+
 @pytest.mark.parametrize("name", BLOCK_BUDGET)
 def test_block_pass_budget(name, monkeypatch):
     build, budget = BLOCK_BUDGET[name]
@@ -361,7 +382,145 @@ def test_block_pass_budget(name, monkeypatch):
     st = sim.basis_state(circ.n_qubits, 0).reshape(-1, 1)
     passes = sim._run(circ, st)
     assert counts["apply_block"] <= budget
-    assert passes == {"block": counts["apply_block"], "1q": counts["apply_1q"],
-                      "phase": counts["apply_scale"],
-                      "two_qubit": counts["apply_cnot"] + counts["apply_cp"]
-                      + counts["apply_xx"]}
+    assert counts["apply_scale"] == PHASE_BUDGET[name]
+    assert_kernels_match_passes(counts, passes)
+
+
+# Merges: pulses whose phase passes come out adjacent, with no other pass
+# between them, share one table over the union of their wires.  After a
+# full-register pulse every wire holds a pending H, which the next pulse's H
+# cancels, so pulses on any wire sets follow it with no pass between.
+
+def assert_phase_passes(circ, want, monkeypatch):
+    counts = count_kernels(monkeypatch)
+    sim.apply(circ, sim.basis_state(circ.n_qubits, 0))
+    assert counts["apply_scale"] == want
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("sets", [
+    [(1, 2, 3, 4, 5), (2, 3, 4), (3, 4)],
+    [(0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 6)],
+    [(0, 1), (2, 3, 4), (5, 6)],
+], ids=["nested", "overlapping", "disjoint"])
+def test_merged_pulses_match_oracle(sets, monkeypatch):
+    n = 7
+    gates = [gms(range(n), PROFILES[0])]
+    gates += [gms(w, PROFILES[i % 3]) for i, w in enumerate(sets, 1)]
+    circ = Circuit(n, tuple(gates))
+    assert_phase_passes(circ, 1, monkeypatch)
+    assert_matches_oracle(circ, np.random.default_rng(len(sets[0])))
+
+
+def test_merged_run_takes_folds_and_a_phase(monkeypatch):
+    # a folded H RZ H sandwich and a PHASE between pulses stay in the run;
+    # the PHASE rides on wire 0's pending H, which the third pulse folds
+    n = 6
+    circ = Circuit(n, (gms(range(n), PROFILES[1]), h(2), rz(2, 0.7), h(2),
+                       global_phase(0.4), gms((1, 2, 3), PROFILES[2]),
+                       rx(4, -0.9), gms((4, 5, 0), PROFILES[0])))
+    folds = folded_wires(monkeypatch)
+    assert_phase_passes(circ, 1, monkeypatch)
+    assert folds == [{0, 2, 4}]
+    assert_matches_oracle(circ, np.random.default_rng(6))
+
+
+@pytest.mark.parametrize("between", [[cnot(1, 4)], [ry(2, 0.5)]],
+                         ids=["cnot", "flushed_window"])
+def test_pass_between_pulses_breaks_the_run(between, monkeypatch):
+    # a CNOT pass, or the block pass of a window holding H RY H, between two
+    # pulses: each pulse keeps a table of its own
+    n = 6
+    circ = pulses_between(n, [between])
+    assert_phase_passes(circ, 2, monkeypatch)
+    assert_matches_oracle(circ, np.random.default_rng(7))
+
+
+def test_rz_mutant_inside_a_merged_run_fails(monkeypatch):
+    # the RZ(0.1) sits in an H RZ H sandwich on a folded wire, so the
+    # mutant's three pulses still share one table
+    n = 5
+    sandwich = [h(3), rz(3, 0.5), h(3)]
+    good = Circuit(n, (gms(range(n), PROFILES[0]), *sandwich,
+                       gms((1, 3, 4), PROFILES[1]), gms((0, 2), PROFILES[2])))
+    gates = list(good.gates)
+    gates.insert(3, rz(3, 0.1))
+    bad = Circuit(n, tuple(gates))
+    assert_phase_passes(bad, 1, monkeypatch)
+    want = oracle_unitary(good)
+    assert sim.equiv_on_ancilla(good, want, 1e-9).ok
+    r = sim.equiv_on_ancilla(bad, want, 1e-9)
+    assert not r.ok and r.failure == "mismatch" and r.max_deviation > 1e-2
+
+
+# The plan: each Circuit is compiled once, on its first run, and the plan is
+# kept on the circuit.
+
+def calls_of(monkeypatch, name) -> list:
+    """The calls of ``sim.<name>`` from now on."""
+    calls = []
+    real = getattr(sim, name)
+    monkeypatch.setattr(sim, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_second_run_reuses_the_plan(monkeypatch):
+    circ = qft_gms(8, Exponential())
+    psi = random_state(np.random.default_rng(9), circ.n_qubits)
+    first = sim.apply(circ, psi)
+    compiles = calls_of(monkeypatch, "_compile")
+    tables = calls_of(monkeypatch, "_pulse_phases")
+    again = sim.apply(circ, psi)
+    assert compiles == [] and tables == []
+    fresh = sim.apply(qft_gms(8, Exponential()), psi)
+    assert len(compiles) == 1 and len(tables) == 7
+    assert np.array_equal(again, fresh) and np.array_equal(again, first)
+
+
+def test_cached_run_passes_through_the_backend(monkeypatch):
+    circ = qfa_gms(4, Exponential())
+    st = sim.basis_state(circ.n_qubits, 3).reshape(-1, 1)
+    cold = sim._run(circ, st.copy())
+    counts = count_kernels(monkeypatch)
+    passes = sim._run(circ, st)
+    assert passes == cold
+    assert_kernels_match_passes(counts, passes)
+
+
+def test_returned_passes_are_a_copy():
+    spec = cons.toffoli_n(5)
+    circ, ref = spec.generated, spec.act.matrix()
+    st = sim.basis_state(circ.n_qubits, 0).reshape(-1, 1)
+    want = dict(sim._run(circ, st))
+    sim._run(circ, st)["phase"] += 100
+    sim.equiv_on_ancilla(circ, ref, 1e-9).passes.clear()
+    assert sim._run(circ, st) == want
+    assert sim.equiv_on_ancilla(circ, ref, 1e-9).passes == want
+
+
+def test_stimulus_circuits_cold_and_cached():
+    # the benchmark's stimulus_wide circuits against its numpy-only oracles:
+    # a stale or wrong plan fails here before the benchmark's check
+    oracles = load_bench("oracles")
+    rng = np.random.default_rng(10)
+    theta = 0.9
+    tof = cons.toffoli_n(11).generated
+    cases = (
+        (tof, 11, lambda s: oracles.embed_zero_ancillas(
+            oracles.permute(s, oracles.toffoli_dest(11)), tof.n_qubits - 11)),
+        (qft_gms(16, Exponential()), 16, oracles.dft_bitreversed),
+        (qfa_gms(8, Exponential()), 16,
+         lambda s: oracles.permute(s, oracles.adder_dest(8))),
+        (cons.phase_polynomial_identity(17, theta), 17,
+         lambda s: oracles.hamming_phase(17, theta) * s),
+        (cons.tdistill().generated, 15,
+         lambda s: oracles.permute(s, oracles.tdistill_dest())),
+    )
+    for circ, width, oracle in cases:
+        data = oracles.random_state(rng, width)
+        psi = oracles.embed_zero_ancillas(data, circ.n_qubits - width)
+        want = oracle(data)
+        cold = sim.apply(circ, psi)
+        cached = sim.apply(circ, psi)
+        assert np.array_equal(cold, cached)
+        assert oracles.phase_deviation(cached, want) < 1e-9

@@ -12,7 +12,7 @@ from gmsforge.circuit import (ArgumentError, Circuit, Uniform, empty, gms, h, rx
                               rz, xx)
 from gmsforge.constructions import (TDISTILL_FANS, fanout, tdistill,
                                     toffoli3_gms, toffoli_n)
-from gmsforge.fourier import qft_gms
+from gmsforge.fourier import direct_fidelity, qft_gms
 from gmsforge.circuit import Exponential, PowerLawSum
 from gmsforge.gf2 import FanLayer, linear_simulate
 
@@ -209,6 +209,28 @@ def test_trace_fidelity_powerlaw_qft6():
     approx = sim.unitary_of(qft_gms(6, PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 0)))
     f = sim.trace_fidelity(exact, approx)
     assert 0.9 < f <= 1.0
+
+
+def trace_formula(u, v):
+    """Oracle: |tr(U^dag V)| / dim read off the full product."""
+    return abs(np.trace(u.conj().T @ v)) / u.shape[0]
+
+
+def random_unitary(rng, d):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return np.linalg.qr(z)[0]
+
+
+def test_trace_fidelity_matches_the_trace_formula():
+    rng = np.random.default_rng(17)
+    for d in (2, 8, 64):
+        u, v = random_unitary(rng, d), random_unitary(rng, d)
+        for a, b in ((u, v), (u, u * np.exp(0.3j)), (u, u @ v)):
+            assert abs(sim.trace_fidelity(a, b) - trace_formula(a, b)) < 1e-12
+    params = PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 0)
+    exact = sim.unitary_of(qft_gms(6, Exponential()))
+    approx = sim.unitary_of(qft_gms(6, params))
+    assert abs(direct_fidelity(6, params) - trace_formula(exact, approx)) < 1e-12
 
 
 def test_dense_guard(monkeypatch):
