@@ -30,10 +30,6 @@ Toffoli-11 would emit 92160; at 13 qubits each emitted pulse held about
 0.5 kB of gates and wrote about 0.5 kB of JSON."""
 
 
-class UsageError(Exception):
-    pass
-
-
 class OutputGuardError(RuntimeError):
     """A rewrite would emit more gates than its guard allows."""
 
@@ -43,32 +39,31 @@ def _profile_from_args(args):
         return Exponential()
     if args.profile == "power-law":
         if not args.terms:
-            raise UsageError("power-law profile needs --terms b:p[,b:p...]")
+            raise ArgumentError("power-law profile needs --terms b:p[,b:p...]")
         try:
             terms = tuple((float(b), float(p)) for b, p in
                           (chunk.split(":") for chunk in args.terms.split(",")))
         except ValueError:
-            raise UsageError(
+            raise ArgumentError(
                 f"--terms must read b:p[,b:p...], not {args.terms!r}") from None
         return PowerLawSum(terms, args.offset)
-    raise UsageError(f"unknown profile {args.profile!r}")
+    raise ArgumentError(f"unknown profile {args.profile!r}")
 
 
 def _need(args, name):
     val = getattr(args, name)
     if val is None:
-        raise UsageError(f"construction requires --{name.replace('_', '-')}")
+        raise ArgumentError(f"construction requires --{name.replace('_', '-')}")
     return val
 
 
 def _synth_linear(args):
     if not args.matrix:
-        raise UsageError("synth linear needs --matrix FILE (JSON rows of 0/1)")
+        raise ArgumentError("synth linear needs --matrix FILE (JSON rows of 0/1)")
     try:
-        rows = json.loads(Path(args.matrix).read_text())
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--matrix {args.matrix}: {exc}")
-    m = gf2.Gf2Matrix.from_rows(rows)
+        m = gf2.Gf2Matrix.from_rows(json.loads(Path(args.matrix).read_text()))
+    except (json.JSONDecodeError, ArgumentError) as exc:
+        raise ArgumentError(f"--matrix {args.matrix}: {exc}") from None
     layers, perm = gf2.synthesize_linear(m)
     gates = []
     for layer in layers:
@@ -128,8 +123,8 @@ def _resolve(target: str, args, build) -> Circuit | cons.ConstructionSpec:
     if target in SYNTH:
         return build(target, args)
     if not Path(target).exists():
-        raise UsageError(f"{target!r} is neither a file nor one of: "
-                         + " ".join(sorted(SYNTH)))
+        raise ArgumentError(f"{target!r} is neither a file nor one of: "
+                            + " ".join(sorted(SYNTH)))
     return deserialize(Path(target).read_text())
 
 
@@ -314,13 +309,13 @@ def cmd_fidelity_scan(args) -> int:
     try:
         vals = [float(x) for x in args.params.split(",")]
     except ValueError:
-        raise UsageError("--params must be comma-separated floats b1,..,p1,..")
+        raise ArgumentError("--params must be comma-separated floats b1,..,p1,..")
     if len(vals) % 2 != 0:
-        raise UsageError("--params needs an even count: b1,..,bm,p1,..,pm")
+        raise ArgumentError("--params needs an even count: b1,..,bm,p1,..,pm")
     m = len(vals) // 2
     params = PowerLawSum(tuple((vals[i], vals[m + i]) for i in range(m)), args.offset)
     if args.axis not in [f"b{i+1}" for i in range(m)] + [f"p{i+1}" for i in range(m)]:
-        raise UsageError(f"--axis must be one of b1..b{m}, p1..p{m}")
+        raise ArgumentError(f"--axis must be one of b1..b{m}, p1..p{m}")
     scan = fourier.scan_axis(args.n, params, args.axis, args.step)
     if args.out:
         _write_scan(Path(args.out), scan)
@@ -428,7 +423,7 @@ def main(argv=None) -> int:
     try:
         # looked up when the command runs, so a replaced cmd_* is the one run
         return globals()[args.func](args)
-    except (UsageError, ArgumentError) as exc:
+    except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SchemaError as exc:

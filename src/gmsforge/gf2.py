@@ -42,13 +42,19 @@ class Gf2Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Gf2Matrix":
+        """The square matrix with these rows of 0/1 entries; malformed rows,
+        as read from JSON, raise ArgumentError naming the field path."""
+        if not isinstance(rows, (list, tuple)):
+            raise ArgumentError(f"expected a list of rows, not {type(rows).__name__}")
         n = len(rows)
-        packed = []
-        for row in rows:
-            if len(row) != n:
-                raise ArgumentError("matrix must be square")
-            packed.append(sum((1 << j) for j, v in enumerate(row) if v & 1))
-        return cls(n, tuple(packed))
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)) or len(row) != n:
+                raise ArgumentError(f"[{i}]: expected a row of {n} entries, "
+                                    "the matrix must be square")
+            for j, v in enumerate(row):
+                if type(v) is not int or v not in (0, 1):
+                    raise ArgumentError(f"[{i}][{j}]: expected 0 or 1, not {v!r}")
+        return cls(n, tuple(sum(v << j for j, v in enumerate(row)) for row in rows))
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1

@@ -1,43 +1,45 @@
 """Statevector update kernels: one numpy engine on reshape views.
 
-Six primitives cover the whole gate set; each mutates a C-contiguous
-(dim, batch) complex128 array in place so a unitary build is just the
-statevector path with batch = dim.  Bit masks address qubits by basis-index
-significance: qubit 0 of an n-qubit register is the most significant bit,
-mask ``1 << (n - 1)``.
+Each kernel mutates a C-contiguous (dim, batch) complex128 array in place,
+so a unitary build is just the statevector path with batch = dim.  Bit
+masks address qubits by basis-index significance: qubit 0 of an n-qubit
+register is the most significant bit, mask ``1 << (n - 1)``.
 
-``sim`` applies a GMS pulse as Hadamards, one ``apply_scale`` with a phase
-table broadcast over a reshaped view of the state, and Hadamards again.  It
-fuses runs of single-qubit gates per wire; a pulse wire whose fused matrix,
-Hadamard included, is diagonal up to a 1e-15 rounding residue rides in the
-phase table, and pulses with no other pass between them share one table,
-so a run of adjacent pulses costs one ``apply_scale`` plus one
-``apply_block`` per window of adjacent wires that still holds a
-non-diagonal matrix.  ``sim`` does this fusing, folding and tabling once
-per circuit and keeps the resulting passes with it, so the kernels are
-all a repeated run of a circuit executes.
-The matrices of such a window are applied as one ``apply_block``: a 2^g x 2^g
-matrix multiplied into the (2^top, 2^g, rest) view chunk by chunk through
-one scratch buffer of at most ``CHUNK`` entries, so the state never gets a
-second full-size copy.
-Each matrix product has ``COLS`` columns, under the size at which OpenBLAS
-runs a product on several threads: with another process busy on the second
-of two cores, a threaded 16 x 16 x 256 product took 8 ms against 33 us on
-one thread.
+The engine runs three of them.  ``sim`` compiles every gate but CNOT into
+single-qubit frames and diagonal phase tables: runs of single-qubit gates
+are fused per wire, and the matrices of a window of adjacent wires are
+applied as one ``apply_block``; a GMS pulse, XX, CP and every diagonal
+matrix left pending are folded into a table, and tables with no other pass
+between them are one ``apply_scale`` with the table broadcast over a
+reshaped view of the state; a CNOT is one ``apply_cnot``.  ``sim`` does
+this fusing, folding and tabling once per circuit and keeps the resulting
+passes with it, so the kernels are all a repeated run of a circuit
+executes.  ``apply_block`` multiplies a 2^g x 2^g matrix into the
+(2^top, 2^g, rest) view chunk by chunk through one scratch buffer of at
+most ``CHUNK`` entries, so the state never gets a second full-size copy.
+Each matrix product has at most ``COLS`` columns, under the size at which
+OpenBLAS runs a product on several threads: with another process busy on
+the second of two cores, a threaded 16 x 16 x 256 product took 8 ms
+against 33 us on one thread.
 
-``apply_1q`` serves a window whose one pending matrix is diagonal, and
-``apply_xx`` the two-qubit XX gate only.  ``sim`` looks every kernel up on
-``BACKEND`` at each call, so the kernels can be wrapped from outside.
+``apply_1q``, ``apply_xx`` and ``apply_cp`` apply one gate each and no
+compiled circuit calls them.  They stay as the independent oracle the
+tests check the engine against (every gate on its own, a GMS as one XX
+per pair), and because the benchmark's trace wraps each of them by name.
+``sim`` looks every kernel up on ``BACKEND`` at each call, so the kernels
+can be wrapped from outside.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 CHUNK = 1 << 14
 """Entries of the one scratch buffer ``apply_block`` writes through."""
 COLS = 128
-"""Columns of each matrix product in ``apply_block`` (16 x 16 x 128
+"""Most columns of each matrix product in ``apply_block`` (16 x 16 x 128
 multiply-adds; OpenBLAS threaded products from 16 x 16 x 256 on)."""
 
 
@@ -47,10 +49,6 @@ class NumpyBackend:
         hi = st.shape[0] // (2 * mask)
         v = st.reshape(hi, 2, -1)
         a, b = v[:, 0], v[:, 1]
-        if m01 == 0 and m10 == 0:
-            a *= m00
-            b *= m11
-            return
         t = m10 * a  # the only half-size temporary besides m01 * b
         a *= m00
         a += m01 * b
@@ -68,8 +66,8 @@ class NumpyBackend:
         if rest == 1:  # bottom window of one state: rows of 2^g times blk^T
             cols = min(hi, COLS)
             stack = v.reshape(1, hi // cols, cols, size)
-        else:
-            cols = min(rest, COLS)
+        else:  # a batch that is not a power of two takes narrower products
+            cols = rest if rest <= COLS else math.gcd(rest, COLS)
             stack = v.reshape(hi, size, rest // cols, cols).transpose(0, 2, 1, 3)
         a, b = stack.shape[:2]
         per = CHUNK // (size * cols)  # matrices per call
@@ -79,11 +77,12 @@ class NumpyBackend:
         for i in range(0, a, t):
             for j in range(0, b, s):
                 x = stack[i:i + t, j:j + s]
+                out = tmp[:len(x), :x.shape[1]]  # the last slices may be short
                 if rest == 1:
-                    np.matmul(x, blk.T, out=tmp)
+                    np.matmul(x, blk.T, out=out)
                 else:
-                    np.matmul(blk, x, out=tmp)
-                x[...] = tmp
+                    np.matmul(blk, x, out=out)
+                x[...] = out
 
     @staticmethod
     def apply_xx(st, cos_half, sin_half, m1, m2):

@@ -12,18 +12,21 @@ GMSFORGE_MAX_DENSE_QUBITS environment variable, a positive integer (any
 other value raises ArgumentError).  The statevector path has no such
 guard and is used for wide-register parity checks.
 
-Every path runs through ``_run`` on the numpy kernels.  A GMS pulse is
-diagonal in the X basis, so it costs one phase pass between Hadamards on
-its wires instead of one XX pass per pair.  Each run of single-qubit gates
-on a wire is fused into one 2x2 matrix, and the pending matrices of
-``WINDOW`` adjacent wires are applied together as one block pass
-(``kernels.apply_block``).  A pulse wire whose pending matrix is diagonal
-up to rounding (``ROUNDING``) is folded into the pulse's phase table
-instead of being flushed, and pulses whose phase passes come out adjacent
-share one table.  So a run of adjacent pulses costs one phase pass plus
-one block pass per window that holds a non-diagonal pending matrix: at
-most about n/WINDOW for a full-register pulse on n wires, none between
-pulses whose wires carry only gates diagonal in the pulse's X basis.
+Every path runs through ``_run`` on the numpy kernels, three of them.
+Every multi-qubit gate but CNOT is one diagonal phase table between
+single-qubit frames: a GMS pulse is diagonal in the X basis, so it costs
+one phase pass between Hadamards on its wires instead of one XX pass per
+pair; XX is the two-wire pulse and CP a table with no frame.  Each run of
+single-qubit gates on a wire is fused into one 2x2 matrix, and the pending
+matrices of ``WINDOW`` adjacent wires are applied together as one block
+pass (``kernels.apply_block``).  A pending matrix that is diagonal up to
+rounding (``ROUNDING``) on a gate's wire, before a CNOT or at the end is
+folded into a phase table instead of being flushed, and tables that come
+out adjacent are one table.  So a run of adjacent pulses costs one phase
+pass plus one block pass per window that holds a non-diagonal pending
+matrix: at most about n/WINDOW for a full-register pulse on n wires, none
+between pulses whose wires carry only gates diagonal in the pulse's X
+basis.  A CNOT is one ``apply_cnot`` pass.
 
 Each ``Circuit`` is fused, folded and tabled once: ``_compile`` turns it
 into a ``Plan`` of passes on its first run, the plan is kept on the
@@ -49,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import ArgumentError, Circuit
+from .circuit import ArgumentError, Circuit, Uniform, gms
 from .kernels import BACKEND, CHUNK
 
 DEFAULT_DENSE_GUARD = 12
@@ -110,8 +113,8 @@ def _one_qubit_matrix(g) -> np.ndarray:
 def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarray]:
     """A run of GMS pulses in the X basis, the product of their
     exp(-i/2 sum_{i<j} chi_ij z_i z_j), times the diagonal matrices ``diag``
-    maps some of their wires to.  Diagonal factors commute, so the run is
-    one table over the union of the pulses' wires, built from the summed
+    maps wires to.  Diagonal factors commute, so the run is one table over
+    the union of the pulses' wires and ``diag``'s, built from the summed
     pair angles.
 
     Returns a view shape for a (dim, batch) state, less its batch axis, and
@@ -122,7 +125,7 @@ def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarr
     exp of the k x k angle matrix, and filled in place with a few numpy
     calls per wire: no transcendental call per entry.
     """
-    wires = sorted({q for g in pulses for q in g.qubits})
+    wires = sorted({q for g in pulses for q in g.qubits}.union(diag))
     k = len(wires)
     pos = {q: a for a, q in enumerate(wires)}
     chi = np.zeros((k, k))
@@ -181,30 +184,33 @@ def _compile(circuit: Circuit) -> Plan:
     Single-qubit gates on a wire are multiplied into one pending 2x2 matrix.
     The wires are cut into fixed windows of ``WINDOW`` adjacent wires,
     counted from the least significant one.  When a multi-qubit gate meets a
-    pending matrix on one of its wires, and at the end, every pending matrix
-    of that wire's window is applied at once: their Kronecker product (the
-    identity on idle wires) is one ``apply_block`` pass.  Flushing a wire
-    early is exact, since no later gate has touched it yet.  A window whose
-    one pending matrix is diagonal takes one ``apply_1q`` pass instead.
+    non-diagonal pending matrix on one of its wires, and at the end, every
+    pending matrix of that wire's window is applied at once: their
+    Kronecker product (the identity on idle wires) is one ``apply_block``
+    pass.  Flushing a wire early is exact, since no later gate has touched
+    it yet.
 
-    A GMS pulse becomes Hadamards on its wires (merged into the pending
-    matrices; an H meeting a pending H cancels exactly), one diagonal phase
-    pass, and Hadamards left pending.  A pulse wire whose pending matrix is
-    then diagonal up to rounding (see ``ROUNDING``) is not flushed: its two
-    diagonal entries are multiplied into the phase table, which commutes
-    with them.  Pulses whose phase passes would come out adjacent, with no
-    other pass between them, share one table (``_pulse_phases``) and one
-    pass.  So a run of pulses costs one phase pass plus one block pass per
-    window that holds a non-diagonal pending matrix.
+    Every multi-qubit gate but CNOT joins the open diagonal table.  A GMS
+    pulse, and XX(theta) as the two-wire ``Uniform(theta)`` pulse, is
+    Hadamards on its wires (merged into the pending matrices; an H meeting a
+    pending H cancels exactly), its pair angles in the table and Hadamards
+    left pending.  CP(theta) has no frame: pair angle -theta/2 and the
+    diagonal factors RZ(theta/2) and diag(1, e^{i theta/2}) of its wires.
+    A pending matrix that is diagonal up to rounding (see ``ROUNDING``) on
+    a gate's wire, before a CNOT's ``apply_cnot`` pass or at the end is not
+    flushed but multiplied into the table, which commutes with it.  The
+    table is one pass (``_pulse_phases``) when another pass or the end
+    closes it.  So a run of pulses costs one phase pass plus one block pass
+    per window that holds a non-diagonal pending matrix.
     """
     n = circuit.n_qubits
     pending: dict[int, np.ndarray] = {}
     steps = []
-    passes = dict.fromkeys(("block", "1q", "phase", "two_qubit"), 0)
-    run, folded = [], {}  # the open run of pulses and their folded factors
+    passes = dict.fromkeys(("block", "phase", "cnot"), 0)
+    run, folded = [], {}  # the open table: its pulses and folded factors
 
     def close_run():
-        if run:
+        if run or folded:
             view, phases = _pulse_phases(run, n, folded)
             steps.append(("apply_scale", view, (phases,)))
             passes["phase"] += 1
@@ -225,69 +231,54 @@ def _compile(circuit: Circuit) -> Plan:
         else:
             pending[q] = m @ prev
 
-    def flush(windows):
-        for w in windows:
+    def diagonals(wires) -> dict:  # popped from the pending matrices
+        return {q: pending.pop(q) for q in wires if q in pending
+                and abs(pending[q][0, 1]) + abs(pending[q][1, 0]) <= ROUNDING}
+
+    def join(diag):
+        for q, m in diag.items():
+            folded[q] = m @ folded.get(q, _I)
+
+    def flush(wires):
+        for w in {(n - 1 - q) // WINDOW for q in wires if q in pending}:
             top = max(0, n - WINDOW * (w + 1))
-            wires = range(top, n - WINDOW * w)
-            held = [q for q in wires if q in pending]
-            if not held:
-                continue
-            q = held[0]
-            m = pending[q]
-            if len(held) == 1 and m[0, 1] == 0 and m[1, 0] == 0:
-                del pending[q]
-                emit("1q", "apply_1q", m[0, 0], m[0, 1], m[1, 0], m[1, 1], _mask(n, q))
-                continue
             blk = np.ones((1, 1), dtype=np.complex128)
-            for q in wires:
+            for q in range(top, n - WINDOW * w):
                 m = pending.pop(q, _I)
                 size = 2 * len(blk)
                 blk = (blk[:, None, :, None] * m[None, :, None, :]).reshape(size, size)
             emit("block", "apply_block", blk, top)
 
-    def window(q):
-        return (n - 1 - q) // WINDOW
-
     for g in circuit.gates:
-        kind = g.kind
+        kind, wires = g.kind, g.qubits
         if kind in ("H", "RX", "RY", "RZ"):
-            push(g.qubits[0], _one_qubit_matrix(g))
-            continue
-        if kind == "PHASE":
-            # a global phase commutes with every gate: ride on a pending matrix
-            ph = cmath.exp(1j * g.theta)
-            if pending:
-                q = next(iter(pending))
-                pending[q] = pending[q] * ph
+            push(wires[0], _one_qubit_matrix(g))
+        elif kind == "PHASE":
+            # a global phase commutes with every gate: ride on a pending
+            # matrix, or on wire 0 as a multiple of the identity
+            q = next(iter(pending), 0)
+            pending[q] = pending.get(q, _I) * cmath.exp(1j * g.theta)
+        elif kind == "CNOT":
+            join(diagonals(wires))
+            flush(wires)
+            emit("cnot", "apply_cnot", *(_mask(n, q) for q in wires))
+        else:
+            if kind != "CP":  # the frame: Hadamards on the gate's wires
+                for q in wires:
+                    push(q, _H)
+            diag = diagonals(wires)
+            flush(wires)
+            join(diag)
+            if kind == "CP":
+                t = 0.25j * g.theta
+                run.append(gms(wires, Uniform(-g.theta / 2)))
+                join({wires[0]: np.diag([cmath.exp(-t), cmath.exp(t)]),
+                      wires[1]: np.diag([1, cmath.exp(2 * t)])})
             else:
-                emit("phase", "apply_scale", ph)
-            continue
-        diag = {}
-        if kind == "GMS":
-            for q in g.qubits:
-                push(q, _H)
-                m = pending.get(q)
-                if m is not None and abs(m[0, 1]) + abs(m[1, 0]) <= ROUNDING:
-                    diag[q] = pending.pop(q)
-        flush({window(q) for q in g.qubits if q in pending})
-        if kind == "GMS":
-            run.append(g)
-            for q, m in diag.items():
-                folded[q] = m @ folded.get(q, _I)
-            for q in g.qubits:
-                pending[q] = _H
-            continue
-        a, b = (_mask(n, q) for q in g.qubits)
-        if kind == "CNOT":
-            emit("two_qubit", "apply_cnot", a, b)
-        elif kind == "CP":
-            emit("two_qubit", "apply_cp", a, b, cmath.exp(1j * g.theta))
-        elif kind == "XX":
-            c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
-            emit("two_qubit", "apply_xx", c + 0j, s + 0j, a, b)
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled gate kind {kind}")
-    flush({window(q) for q in pending})
+                run.append(g if kind == "GMS" else gms(wires, Uniform(g.theta)))
+                pending.update(dict.fromkeys(wires, _H))
+    join(diagonals(list(pending)))
+    flush(list(pending))
     close_run()
     arrays = [a for _, _, args in steps for a in args if isinstance(a, np.ndarray)]
     for a in arrays:
@@ -308,7 +299,7 @@ def _plan(circuit: Circuit) -> Plan:
 def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
     """Apply every gate of ``circuit`` to the (dim, batch) array in place,
     through the circuit's plan; return the passes over the state by kind
-    (block, 1q, phase, two_qubit), a copy the caller may keep.  The kernels
+    (block, phase, cnot), a copy the caller may keep.  The kernels
     are looked up on ``BACKEND`` at every pass."""
     plan, batch = _plan(circuit), st.shape[1]
     for name, view, args in plan.steps:

@@ -158,9 +158,9 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
         # the passes _run made over the columns, one phase pass per run of
         # adjacent pulses, and the bytes of the plan's tables and blocks
         passes = c["passes"]
-        assert list(passes) == ["block", "1q", "phase", "two_qubit"]
+        assert list(passes) == ["block", "phase", "cnot"]
         assert passes["phase"] == phase
-        assert passes["block"] > 0 and passes["two_qubit"] == 0
+        assert passes["block"] > 0 and passes["cnot"] == 0
         steps = sim._plan(deserialize(path.read_text())).steps
         assert c["plan_bytes"] == sum(a.nbytes for _, _, args in steps for a in args
                                       if isinstance(a, np.ndarray)) > 0
@@ -349,9 +349,12 @@ def test_bad_construction_arguments_exit2(tmp_path, capsys):
                        "power-law", "--terms", "0.4:x")
     assert code == 2 and "--terms" in err
     bad = tmp_path / "m.json"
-    bad.write_text("[[1,1],[0,")
-    code, _, err = run(capsys, "synth", "linear", "--matrix", str(bad))
-    assert code == 2 and "--matrix" in err
+    for text, path in (("[[1,1],[0,", "line 1"), ('{"a": 1}', "list of rows"),
+                       ('[[1,0],[0,"x"]]', "[1][1]: expected 0 or 1"),
+                       ("[[1,0],[1]]", "[1]: expected a row of 2 entries")):
+        bad.write_text(text)
+        code, out, err = run(capsys, "synth", "linear", "--matrix", str(bad))
+        assert code == 2 and out == "" and "--matrix" in err and path in err
 
 
 def test_max_gms_only_output_guard_exit3(capsys):
