@@ -22,7 +22,8 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from itertools import combinations
+from typing import Iterable, Union
 
 
 class SchemaError(ValueError):
@@ -148,7 +149,7 @@ class Gate:
             if self.profile is None:
                 raise ValueError("GMS requires a coupling profile")
             if isinstance(self.profile, PerPair):
-                want = {(min(a, b), max(a, b)) for a, b in _pairs(self.qubits)}
+                want = set(combinations(sorted(self.qubits), 2))
                 have = {(i, j) for i, j, _ in self.profile.table}
                 if want != have:
                     raise ValueError("per-pair table must cover exactly the participating pairs")
@@ -157,7 +158,7 @@ class Gate:
         """XX decomposition of a GMS gate: (i, j, chi) for every pair, i < j."""
         if self.kind != "GMS":
             raise ValueError("pair_angles is defined for GMS gates only")
-        return [(i, j, self.profile.angle(i, j)) for i, j in _pairs(self.qubits)]
+        return [(i, j, self.profile.angle(i, j)) for i, j in combinations(sorted(self.qubits), 2)]
 
     def inverse(self) -> "Gate":
         if self.kind in ("H", "CNOT"):
@@ -169,13 +170,6 @@ class Gate:
             return Gate("GMS", self.qubits, profile=Uniform(-self.profile.theta))
         return Gate("GMS", self.qubits,
                     profile=PerPair(tuple((i, j, -chi) for i, j, chi in self.pair_angles())))
-
-
-def _pairs(qubits: Iterable[int]) -> Iterator[tuple[int, int]]:
-    qs = sorted(qubits)
-    for a in range(len(qs)):
-        for b in range(a + 1, len(qs)):
-            yield qs[a], qs[b]
 
 
 def h(q: int) -> Gate:

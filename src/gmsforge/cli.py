@@ -212,9 +212,10 @@ def table1_rows() -> list[dict]:
     count model that reproduces the transform column does not generate
     them (documented in fourier)."""
     rows = []
+    tof = {n: cons.toffoli_n(n).generated.cost() for n in (4, *range(6, 13))}
 
     def tof_row(n, q_bound, eg):
-        c = cons.toffoli_n(n).generated.cost()
+        c = tof[n]
         ok = c.gms_pulses == eg and c.qubits <= q_bound
         rows.append({"name": f"Toffoli-{n}", "want": f"<={q_bound}q {eg}eg",
                      "got": f"{c.qubits}q {c.gms_pulses}eg", "outcome": _pf(ok)})
@@ -249,7 +250,7 @@ def table1_rows() -> list[dict]:
 
     for n in range(6, 13):
         want = 6 * ((n + 1) // 2) - 9
-        got = cons.toffoli_n(n).generated.cost().gms_pulses
+        got = tof[n].gms_pulses
         rows.append({"name": f"Toffoli-n formula n={n}", "want": str(want),
                      "got": str(got), "outcome": _pf(got == want)})
     return rows

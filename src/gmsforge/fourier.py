@@ -25,15 +25,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .circuit import (ArgumentError, Circuit, Exponential, Gate, PerPair,
-                      PowerLawSum, _pairs, cp, gms, global_phase, h, rz)
+                      PowerLawSum, cp, gms, global_phase, h, rz)
 from .constructions import ConstructionSpec
-from .sim import BitReversedIFFT, trace_fidelity, unitary_of
+from .sim import BitReversedIFFT, DenseGuardError, trace_fidelity, unitary_of
 
 PI = math.pi
+MAX_LATTICE_ENTRIES = 1 << 25  # 256 MiB of float64: a dense unitary at 12 qubits
 
 
 def qft_reference(n: int) -> Circuit:
@@ -85,7 +87,7 @@ def _phase_star(hub: int, targets: list[int], shift: int, laws: list) -> list[Ga
     gates = [h(q) for q in support]
     for law in laws:
         full = tuple((a, b, -law(abs(slots[a] - slots[b]) - shift) / 2)
-                     for a, b in _pairs(support))
+                     for a, b in combinations(support, 2))
         if len(targets) >= 2:
             gates.append(gms(support, PerPair(full)))
             sub = tuple((a, b, -chi) for a, b, chi in full if hub not in (a, b))
@@ -161,8 +163,6 @@ def fidelity_formula(n: int, params: PowerLawSum) -> float:
 class FidelityScan:
     axis: str  # "b1", "p2", ...
     grid: tuple[tuple[float, float], ...]  # (value, fidelity)
-    fixed: dict
-    n: int
 
     def peak(self) -> float:
         return max(self.grid, key=lambda vf: vf[1])[0]
@@ -177,13 +177,14 @@ class OptimizeResult:
 
 
 def _grid(lo: float, hi: float, step: float, skip_zero: bool) -> list[float]:
+    if not (step > 0 and math.isfinite(step)):
+        raise ArgumentError(f"grid step must be positive and finite, not {step!r}")
     ks = range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
     return [round(k * step, 10) for k in ks if not (skip_zero and k == 0)]
 
 
 def _axes(params: PowerLawSum) -> list[str]:
-    m = len(params.terms)
-    return [f"b{i+1}" for i in range(m)] + [f"p{i+1}" for i in range(m)]
+    return [f"{c}{i+1}" for c in "bp" for i in range(len(params.terms))]
 
 
 def _with_axis(params: PowerLawSum, axis: str, value: float) -> PowerLawSum:
@@ -199,15 +200,40 @@ def scan_axis(n: int, params: PowerLawSum, axis: str, step: float = 0.1,
     """Fidelity along one parameter axis, all others held fixed."""
     lo, hi = b_box if axis[0] == "b" else p_box
     values = _grid(lo, hi, step, skip_zero=axis[0] == "b")
-    grid = tuple((v, fidelity_formula(n, _with_axis(params, axis, v)))
-                 for v in values)
-    fixed = {a: _axis_value(params, a) for a in _axes(params) if a != axis}
-    return FidelityScan(axis, grid, fixed, n)
+    return FidelityScan(axis, tuple((v, fidelity_formula(n, _with_axis(params, axis, v)))
+                                    for v in values))
 
 
-def _axis_value(params: PowerLawSum, axis: str) -> float:
-    idx = int(axis[1:]) - 1
-    return params.terms[idx][0 if axis[0] == "b" else 1]
+def _lattice(n: int, bs: list, ps: list, offset: int, m: int) -> np.ndarray:
+    """The exponent -ln(fidelity)/pi^2 at every m-tuple of the K = |bs| |ps|
+    (b, p) combos, b-major, as a K^m array.  With t_i(j) = 1/(b_i (j+offset)^p_i)
+    and weights w(j) = 3(n-j)/64 it is the quadratic form
+        c0 - 2 sum_s A[i_s] + sum_s B[i_s] + 2 sum_{s<u} C[i_s, i_u]
+    with A = t @ (w 2^-j), B = (t t) @ w and C = (t w) @ t^T, so no entry has
+    a j axis.  B is added one axis at a time, which fixes the bits of
+    near-ties.  Refused before allocation, with ``DenseGuardError``, when the
+    lattice or t would exceed ``MAX_LATTICE_ENTRIES`` entries."""
+    k = len(bs) * len(ps)
+    entries = max(k**m, k * n)
+    if entries > MAX_LATTICE_ENTRIES:
+        raise DenseGuardError(
+            f"lattice guard: {k}^{m} points at n={n} need {entries} entries "
+            f"({8 * entries} bytes), limit is {MAX_LATTICE_ENTRIES} entries")
+    js = np.arange(1, n + 1)
+    base, w = 2.0 ** -js, 3.0 * (n - js) / 64.0
+    t = (1.0 / (np.array(bs)[:, None, None] * (js + offset) ** np.array(ps)[:, None])).reshape(k, n)
+
+    def on(arr, *axes):  # arr spread over the given lattice axes
+        return arr.reshape([k if i in axes else 1 for i in range(m)])
+
+    a, b = t @ (w * base), (t * t) @ w
+    expo = w @ base**2 - 2 * sum(on(a, s) for s in range(m))
+    for s in range(m):
+        expo += on(b, s)
+    if m > 1:
+        c = (t * w) @ t.T
+        expo += 2 * sum(on(c, s, u) for s, u in combinations(range(m), 2))
+    return expo
 
 
 def optimize_powerlaw(n: int, m: int, grid_step: float = 0.1,
@@ -216,78 +242,37 @@ def optimize_powerlaw(n: int, m: int, grid_step: float = 0.1,
                       offset: int = 0) -> OptimizeResult:
     """Maximize the fidelity formula over the parameter box.
 
-    Exhaustive grid search for m <= 2 (vectorized; ties resolved by first
-    occurrence in lexicographic (b1, .., p_m) order), coordinate descent
-    from a coarse-grid seed for m = 3.  Deterministic throughout.
+    For m <= 2, the argmin of the exponent lattice over the whole grid, terms
+    ascending by (b, p), as the exponent is symmetric in them.  For m = 3,
+    coordinate descent from the 16 best points of the lattice over every
+    other grid value.  ``evaluations`` counts lattice entries and steps.
     """
     if m not in (1, 2, 3):
         raise ArgumentError("m must be 1, 2 or 3")
-    bs = np.array(_grid(b_box[0], b_box[1], grid_step, skip_zero=True))
-    ps = np.array(_grid(p_box[0], p_box[1], grid_step, skip_zero=False))
-    if bs.size == 0 or ps.size == 0:
+    bs = _grid(b_box[0], b_box[1], grid_step, skip_zero=True)
+    ps = _grid(p_box[0], p_box[1], grid_step, skip_zero=False)
+    if not bs or not ps:
         raise ArgumentError("empty search grid")
+    gb, gp = (bs[::2], ps[::2]) if m == 3 else (bs, ps)
+    expo = _lattice(n, gb, gp, offset, m)
 
-    js = np.arange(1, n + 1)
-    base = 2.0 ** -js
-    weight = 3.0 * (n - js) / 64.0
-    # per-term contribution, shape (B, P, n)
-    term = 1.0 / (bs[:, None, None] * (js + offset)[None, None, :] ** ps[None, :, None])
+    def terms(flat) -> tuple:
+        return tuple((gb[i // len(gp)], gp[i % len(gp)])
+                     for i in np.unravel_index(flat, expo.shape))
 
-    if m == 1:
-        expo = np.einsum("bpj,j->bp", (base - term) ** 2, weight)
-        flat = int(np.argmin(expo.reshape(bs.size, ps.size)))
-        bi, pi_ = divmod(flat, ps.size)
-        best = PowerLawSum(((bs[bi], ps[pi_]),), offset)
-        evals = bs.size * ps.size
-    elif m == 2:
-        s = term[:, None, :, None, :] + term[None, :, None, :, :]
-        expo = np.einsum("abpqj,j->abpq", (base - s) ** 2, weight)
-        flat = int(np.argmin(expo))
-        b1, rem = divmod(flat, bs.size * ps.size * ps.size)
-        b2, rem = divmod(rem, ps.size * ps.size)
-        p1, p2 = divmod(rem, ps.size)
-        best = PowerLawSum(((bs[b1], ps[p1]), (bs[b2], ps[p2])), offset)
-        evals = (bs.size * ps.size) ** 2
+    if m == 3:
+        seeds = [PowerLawSum(terms(f), offset) for f in np.argsort(expo, axis=None)[:16]]
+        best, steps = _descend(n, seeds, bs, ps)
     else:
-        best, evals = _descend(n, grid_step, b_box, p_box, offset, bs, ps)
-
+        best, steps = PowerLawSum(tuple(sorted(terms(np.argmin(expo)))), offset), 0
     scans = tuple(scan_axis(n, best, axis, grid_step, b_box, p_box)
                   for axis in _axes(best))
-    return OptimizeResult(best, fidelity_formula(n, best), scans, evals)
+    return OptimizeResult(best, fidelity_formula(n, best), scans, expo.size + steps)
 
 
-def _descend(n, grid_step, b_box, p_box, offset, bs, ps, n_seeds=16):
-    # The exponent decomposes over term pairs, so the whole coarse lattice
-    # (every other grid value per axis) costs one K^3 broadcast:
-    #   expo(i1,i2,i3) = c0 - 2*sum A[i] + sum B[i] + 2*sum_{i<j} C[i,j]
-    # with i indexing coarse (b, p) combos.
-    coarse_b, coarse_p = bs[::2], ps[::2]
-    js = np.arange(1, n + 1)
-    base = 2.0 ** -js
-    w = 3.0 * (n - js) / 64.0
-    t = 1.0 / (coarse_b[:, None, None]
-               * (js + offset)[None, None, :] ** coarse_p[None, :, None])
-    t = t.reshape(-1, n)
-    avec = t @ (w * base)
-    bvec = (t * t) @ w
-    cmat = (t * w) @ t.T
-    expo = (w @ base**2
-            - 2 * (avec[:, None, None] + avec[None, :, None] + avec[None, None, :])
-            + bvec[:, None, None] + bvec[None, :, None] + bvec[None, None, :]
-            + 2 * (cmat[:, :, None] + cmat[:, None, :] + cmat[None, :, :]))
-    evals = expo.size
-
-    def combo(i):
-        bi, pi_ = divmod(int(i), coarse_p.size)
-        return float(coarse_b[bi]), float(coarse_p[pi_])
-
-    seeds = []
-    for flat in np.argsort(expo, axis=None)[:n_seeds]:
-        i1, rem = divmod(int(flat), t.shape[0] ** 2)
-        i2, i3 = divmod(rem, t.shape[0])
-        seeds.append(PowerLawSum((combo(i1), combo(i2), combo(i3)), offset))
-
-    best, best_f = None, -1.0
+def _descend(n: int, seeds: list, bs: list, ps: list) -> tuple[PowerLawSum, int]:
+    """Coordinate descent over the full grid from each seed: (best, steps)."""
+    best, best_f, steps = None, -1.0, 0
     for seed in seeds:
         cand, cand_f = seed, fidelity_formula(n, seed)
         improved = True
@@ -295,22 +280,22 @@ def _descend(n, grid_step, b_box, p_box, offset, bs, ps, n_seeds=16):
             improved = False
             for axis in _axes(cand):
                 for v in (bs if axis[0] == "b" else ps):
-                    trial = _with_axis(cand, axis, float(v))
+                    trial = _with_axis(cand, axis, v)
                     f = fidelity_formula(n, trial)
-                    evals += 1
+                    steps += 1
                     if f > cand_f:
                         cand, cand_f = trial, f
                         improved = True
         if cand_f > best_f:
             best, best_f = cand, cand_f
-    return best, evals
+    return best, steps
 
 
 def direct_fidelity(n: int, params: PowerLawSum) -> float:
     """Full-simulation cross-check: trace fidelity between the exact
     exponential-profile transform and its power-law approximation."""
     if n > 10:
-        raise ValueError("direct fidelity is guarded at 10 qubits")
+        raise ArgumentError("direct fidelity is guarded at 10 qubits")
     exact = unitary_of(qft_gms(n, Exponential()))
     approx = unitary_of(qft_gms(n, params))
     return trace_fidelity(exact, approx)

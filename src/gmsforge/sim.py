@@ -72,7 +72,9 @@ orders of magnitude below the 1e-9 equivalence tolerance."""
 
 
 class DenseGuardError(RuntimeError):
-    """Dense unitary request above the configured qubit guard."""
+    """A request for a dense array above its guard: a unitary or column
+    block above the configured qubit guard, or a fidelity-exponent lattice
+    above ``fourier.MAX_LATTICE_ENTRIES``."""
 
 
 def max_dense_qubits() -> int:

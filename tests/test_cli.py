@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmsforge import cli, sim
+from gmsforge import cli, fourier, sim
 from gmsforge import constructions as cons
 from gmsforge.circuit import deserialize, rx, serialize
 from gmsforge.constructions import fanin, fanout, toffoli_n
@@ -355,6 +355,12 @@ def test_bad_construction_arguments_exit2(tmp_path, capsys):
         bad.write_text(text)
         code, out, err = run(capsys, "synth", "linear", "--matrix", str(bad))
         assert code == 2 and out == "" and "--matrix" in err and path in err
+    scan = ["fidelity-scan", "--axis", "p1", "--n", "10", "--params", "0.4,-0.5,2.5,3.4"]
+    for step in ("0", "nan", "-0.1", "inf"):
+        for argv in (["optimize-powerlaw", "--n", "10", "--m", "2",
+                      "--out-dir", str(tmp_path / "o")], scan):
+            code, out, err = run(capsys, *argv, "--step", step)
+            assert code == 2 and out == "" and "step" in err
 
 
 def test_max_gms_only_output_guard_exit3(capsys):
@@ -362,6 +368,15 @@ def test_max_gms_only_output_guard_exit3(capsys):
     code, out, err = run(capsys, "count", "toffoli", "--n", "11", "--max-gms-only")
     assert code == 3 and out == ""
     assert "guard" in err and "92160" in err and str(cli.MAX_SHRINK_PULSES) in err
+
+
+def test_optimize_lattice_guard_exit3(tmp_path, capsys):
+    # 7560^2 lattice entries; the guard trips before any is allocated
+    code, out, err = run(capsys, "optimize-powerlaw", "--n", "10", "--m", "2",
+                         "--step", "0.02", "--out-dir", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "lattice guard" in err and "57153600" in err
+    assert str(fourier.MAX_LATTICE_ENTRIES) in err
 
 
 def test_parser_is_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +178,56 @@ def test_optimizer_m3_runs():
     assert res.fidelity > 0.9
     assert len(res.params.terms) == 3
     assert all(abs(b) <= 0.6 and 1.5 <= p <= 4.0 for b, p in res.params.terms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [3, 6, 10, 14])
+@pytest.mark.parametrize("offset", [0, 1])
+def test_lattice_matches_fidelity_formula(m, n, offset):
+    # |b| >= 0.4 and p >= 2.5 keep every fidelity above underflow at m = 3
+    bs, ps = [-0.6, -0.4, 0.4, 0.6], [2.5, 3.0, 3.5]
+    combos = [(b, p) for b in bs for p in ps]
+    expo = fourier._lattice(n, bs, ps, offset, m)
+    assert expo.shape == (len(combos),) * m
+    rng = np.random.default_rng(1000 * m + 10 * n + offset)
+    for flat in rng.choice(expo.size, size=min(expo.size, 200), replace=False):
+        idx = np.unravel_index(flat, expo.shape)
+        params = PowerLawSum(tuple(combos[i] for i in idx), offset)
+        want = -math.log(fourier.fidelity_formula(n, params)) / PI**2
+        assert abs(expo[idx] - want) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_optimizer_matches_brute_force(m):
+    n, step = 6, 0.2
+    bs = fourier._grid(-0.6, 0.6, step, skip_zero=True)
+    ps = fourier._grid(1.5, 4.0, step, skip_zero=False)
+    points = itertools.product([(b, p) for b in bs for p in ps], repeat=m)
+    best = max(points, key=lambda t: fourier.fidelity_formula(n, PowerLawSum(t, 0)))
+    res = fourier.optimize_powerlaw(n, m, grid_step=step)
+    assert res.params.terms == tuple(sorted(best))
+    assert res.evaluations == (len(bs) * len(ps)) ** m
+
+
+@pytest.mark.parametrize("n, m, terms, evaluations", [
+    (10, 1, ((0.6, 2.6),), 312),
+    (10, 2, ((-0.5, 3.4), (0.4, 2.5)), 97344),
+    (6, 3, ((0.5, 3.6), (0.3, 2.5), (-0.2, 3.3)), 476832),
+])
+def test_optimizer_pinned_results(n, m, terms, evaluations):
+    res = fourier.optimize_powerlaw(n, m)
+    assert res.params.terms == terms and res.evaluations == evaluations
+
+
+def test_optimizer_m2_memory():
+    # the lattice holds K^2 = 97344 entries, never K^2 x n
+    tracemalloc.start()
+    try:
+        fourier.optimize_powerlaw(10, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 # -- count models -----------------------------------------------------------------
