@@ -1,6 +1,9 @@
 """Command-line front end: synthesis, verification, counting, the count
 ledger, and the power-law optimizer.
 
+``synth``, ``count`` and ``verify --against`` pass a construction's builder
+the given flags named after its parameters: its signature alone states them.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard tripped.  Any other exception is an internal error and propagates.
 """
@@ -9,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -37,33 +40,23 @@ class OutputGuardError(RuntimeError):
 def _profile_from_args(args):
     if args.profile == "exponential":
         return Exponential()
-    if args.profile == "power-law":
-        if not args.terms:
-            raise ArgumentError("power-law profile needs --terms b:p[,b:p...]")
-        try:
-            terms = tuple((float(b), float(p)) for b, p in
-                          (chunk.split(":") for chunk in args.terms.split(",")))
-        except ValueError:
-            raise ArgumentError(
-                f"--terms must read b:p[,b:p...], not {args.terms!r}") from None
-        return PowerLawSum(terms, args.offset)
-    raise ArgumentError(f"unknown profile {args.profile!r}")
-
-
-def _need(args, name):
-    val = getattr(args, name)
-    if val is None:
-        raise ArgumentError(f"construction requires --{name.replace('_', '-')}")
-    return val
-
-
-def _synth_linear(args):
-    if not args.matrix:
-        raise ArgumentError("synth linear needs --matrix FILE (JSON rows of 0/1)")
+    if not args.terms:
+        raise ArgumentError("power-law profile needs --terms b:p[,b:p...]")
     try:
-        m = gf2.Gf2Matrix.from_rows(json.loads(Path(args.matrix).read_text()))
+        terms = tuple((float(b), float(p)) for b, p in
+                      (chunk.split(":") for chunk in args.terms.split(",")))
+    except ValueError:
+        raise ArgumentError(
+            f"--terms must read b:p[,b:p...], not {args.terms!r}") from None
+    return PowerLawSum(terms, args.offset)
+
+
+def _synth_linear(matrix: str) -> Circuit:
+    """Fan circuit of the GF(2) matrix whose 0/1 rows the JSON file holds."""
+    try:
+        m = gf2.Gf2Matrix.from_rows(json.loads(Path(matrix).read_text()))
     except (json.JSONDecodeError, ArgumentError) as exc:
-        raise ArgumentError(f"--matrix {args.matrix}: {exc}") from None
+        raise ArgumentError(f"--matrix {matrix}: {exc}") from None
     layers, perm = gf2.synthesize_linear(m)
     gates = []
     for layer in layers:
@@ -75,34 +68,58 @@ def _synth_linear(args):
     return Circuit(m.n, tuple(gates))
 
 
-# name -> (builder(args) -> Circuit | ConstructionSpec)
+# name -> (module, builder name); the builder is looked up when it runs, so
+# a replaced module function is the one called
 SYNTH = {
-    "fanout": lambda a: cons.fanout(_need(a, "n"), a.control or 0),
-    "fanin": lambda a: cons.fanin(_need(a, "n"), a.target or 0),
-    "star": lambda a: cons.star_coupling(_need(a, "n"), a.hub or 0,
-                                         a.chi if a.chi is not None else math.pi / 2),
-    "parity-prefix": lambda a: cons.parity_measure_prefix(_need(a, "n"), a.target or 0),
-    "cnot-xx": lambda a: cons.cnot_via_xx(a.control or 0, a.target or 1, a.n),
-    "cnot-4gms": lambda a: cons.cnot_via_4gms(_need(a, "n"), a.control or 0,
-                                              a.target if a.target is not None else 1),
-    "tdistill": lambda a: cons.tdistill(),
-    "phase-poly": lambda a: cons.phase_polynomial_identity(_need(a, "n"), _need(a, "theta")),
-    "ccz-3gms": lambda a: cons.ccz_3gms(),
-    "cccz-4gms": lambda a: cons.cccz_4gms(),
-    "cccz-3gms": lambda a: cons.cccz_3gms(),
-    "toffoli3": lambda a: cons.toffoli3_gms(),
-    "toffoli4-7gms": lambda a: cons.toffoli4_7gms(),
-    "toffoli": lambda a: cons.toffoli_n(_need(a, "n")),
-    "qft-ref": lambda a: fourier.qft_reference_spec(_need(a, "n")),
-    "qft-gms": lambda a: fourier.qft_gms(_need(a, "n"), _profile_from_args(a)),
-    "qfa-gms": lambda a: fourier.qfa_gms(_need(a, "n"), _profile_from_args(a)),
-    "gms-dagger": lambda a: cons.gms_dagger_rewrite(_need(a, "n"), _need(a, "chi")),
-    "linear": _synth_linear,
+    "fanout": (cons, "fanout"),
+    "fanin": (cons, "fanin"),
+    "star": (cons, "star_coupling"),
+    "parity-prefix": (cons, "parity_measure_prefix"),
+    "cnot-xx": (cons, "cnot_via_xx"),
+    "cnot-4gms": (cons, "cnot_via_4gms"),
+    "tdistill": (cons, "tdistill"),
+    "phase-poly": (cons, "phase_polynomial_identity"),
+    "ccz-3gms": (cons, "ccz_3gms"),
+    "cccz-4gms": (cons, "cccz_4gms"),
+    "cccz-3gms": (cons, "cccz_3gms"),
+    "toffoli3": (cons, "toffoli3_gms"),
+    "toffoli4-7gms": (cons, "toffoli4_7gms"),
+    "toffoli": (cons, "toffoli_n"),
+    "qft-ref": (fourier, "qft_reference_spec"),
+    "qft-gms": (fourier, "qft_gms"),
+    "qfa-gms": (fourier, "qfa_gms"),
+    "gms-dagger": (cons, "gms_dagger_rewrite"),
+    "linear": (sys.modules[__name__], "_synth_linear"),
 }
 
 
-def _build(name, args) -> Circuit:
-    built = SYNTH[name](args)
+def _resolve(target: str, args) -> Circuit | cons.ConstructionSpec:
+    """A construction name always means the construction: its builder gets
+    the given flags named after its parameters, with ``profile`` built from
+    --profile, --terms and --offset.  Any other string is a circuit JSON
+    path."""
+    if target not in SYNTH:
+        if not Path(target).exists():
+            raise ArgumentError(f"{target!r} is neither a file nor one of: "
+                                + " ".join(sorted(SYNTH)))
+        return deserialize(Path(target).read_text())
+    module, attr = SYNTH[target]
+    build = getattr(module, attr)
+    kwargs = {}
+    for param in inspect.signature(build).parameters.values():
+        if param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+            continue  # a stand-in builder's *args, **kwargs name no flag
+        value = (_profile_from_args(args) if param.name == "profile"
+                 else getattr(args, param.name))
+        if value is not None:
+            kwargs[param.name] = value
+        elif param.default is param.empty:
+            raise ArgumentError(f"{target} requires --{param.name}")
+    return build(**kwargs)
+
+
+def _emitted(built, args) -> Circuit:
+    """The circuit ``synth`` and ``count`` report, shrunk by --max-gms-only."""
     circ = built.generated if isinstance(built, cons.ConstructionSpec) else built
     if args.max_gms_only:
         # a pulse missing k wires becomes 2^k full-register pulses
@@ -117,23 +134,8 @@ def _build(name, args) -> Circuit:
     return circ
 
 
-def _resolve(target: str, args, build) -> Circuit | cons.ConstructionSpec:
-    """A construction name always means the construction, built by
-    ``build(name, args)``; any other string is a circuit JSON path."""
-    if target in SYNTH:
-        return build(target, args)
-    if not Path(target).exists():
-        raise ArgumentError(f"{target!r} is neither a file nor one of: "
-                            + " ".join(sorted(SYNTH)))
-    return deserialize(Path(target).read_text())
-
-
 def cmd_synth(args) -> int:
-    if args.name not in SYNTH:
-        print(f"unknown construction {args.name!r}; valid names: "
-              + " ".join(sorted(SYNTH)), file=sys.stderr)
-        return EXIT_USAGE
-    text = serialize(_build(args.name, args))
+    text = serialize(_emitted(_resolve(args.name, args), args))
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
@@ -141,21 +143,14 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _reference_matrix(target: str, args) -> tuple[np.ndarray, str]:
-    """The dense data-register unitary to check against, and how it was
-    built: a construction's action applied to the data basis ("oracle"),
-    or the simulated unitary of a plain circuit or file ("circuit")."""
-    ref = _resolve(target, args, lambda name, a: SYNTH[name](a))
-    if isinstance(ref, cons.ConstructionSpec):
-        return ref.act.matrix(), "oracle"
-    return unitary_of(ref), "circuit"
-
-
 def cmd_verify(args) -> int:
     start = time.perf_counter()
     circuit = deserialize(Path(args.file).read_text())
     read = time.perf_counter()
-    matrix, how = _reference_matrix(args.against, args)
+    ref = _resolve(args.against, args)
+    # a construction's action on the data basis, or a simulated circuit or file
+    matrix, how = ((ref.act.matrix(), "oracle") if isinstance(ref, cons.ConstructionSpec)
+                   else (unitary_of(ref), "circuit"))
     built = time.perf_counter()
     res = equiv_on_ancilla(circuit, matrix, args.tol)
     checked = time.perf_counter()
@@ -191,7 +186,7 @@ def _dump_unitary(u: np.ndarray, path: str) -> None:
 
 
 def cmd_count(args) -> int:
-    circuit = _resolve(args.target, args, _build)
+    circuit = _emitted(_resolve(args.source, args), args)
     report = circuit.cost()
     if args.json:
         print(json.dumps(report.as_dict()))
@@ -290,7 +285,7 @@ def cmd_optimize(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for scan in res.scans:
-        _write_scan(outdir / f"scan_{scan.axis}.csv", scan)
+        (outdir / f"scan_{scan.axis}.csv").write_text(_scan_csv(scan))
         print(f"wrote {outdir / f'scan_{scan.axis}.csv'}")
     if args.json:
         print(json.dumps(_manifest("optimize-powerlaw", vars(args), start, [
@@ -300,10 +295,8 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _write_scan(path: Path, scan) -> None:
-    lines = ["value,fidelity"]
-    lines += [f"{v:.10g},{f:.12g}" for v, f in scan.grid]
-    path.write_text("\n".join(lines) + "\n")
+def _scan_csv(scan) -> str:
+    return "".join(["value,fidelity\n"] + [f"{v:.10g},{f:.12g}\n" for v, f in scan.grid])
 
 
 def cmd_fidelity_scan(args) -> int:
@@ -319,11 +312,9 @@ def cmd_fidelity_scan(args) -> int:
         raise ArgumentError(f"--axis must be one of b1..b{m}, p1..p{m}")
     scan = fourier.scan_axis(args.n, params, args.axis, args.step)
     if args.out:
-        _write_scan(Path(args.out), scan)
+        Path(args.out).write_text(_scan_csv(scan))
     else:
-        print("value,fidelity")
-        for v, f in scan.grid:
-            print(f"{v:.10g},{f:.12g}")
+        print(_scan_csv(scan), end="")
     return EXIT_OK
 
 
@@ -363,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="emit a construction as circuit JSON")
-    p.add_argument("name")
+    p.add_argument("name", choices=SYNTH)
     _add_synth_params(p)
     _add_shrink_flag(p)
     p.add_argument("--out")
@@ -379,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func="cmd_verify")
 
     p = sub.add_parser("count", help="entangling-pulse tally of a circuit")
-    p.add_argument("target", help="construction name or circuit JSON file")
+    p.add_argument("source", metavar="target",
+                   help="construction name or circuit JSON file")
     p.add_argument("--json", action="store_true")
     _add_synth_params(p)
     _add_shrink_flag(p)

@@ -42,10 +42,9 @@ class ConstructionSpec:
     """A generated circuit paired with the action of the unitary it must
     implement: ``act(cols)`` maps a (2^d, batch) array of data-register
     states to their images and ``act.matrix()`` is the dense unitary.  The
-    action computes nothing of size 2^d until it is first used."""
+    action computes nothing of size 2^d until it is first used.  The
+    builder's signature holds the construction's parameters."""
 
-    name: str
-    parameters: dict
     generated: Circuit
     act: Callable = field(compare=False, repr=False)
 
@@ -65,6 +64,19 @@ def _toffoli_map(n: int) -> np.ndarray:
     x = np.arange(1 << n)
     x[[-2, -1]] = x[[-1, -2]]
     return x
+
+
+def _check_register(n: int, least: int = 1, **wires: int) -> None:
+    """Refuse a register of fewer than ``least`` qubits, and wire parameters
+    outside it or on one wire, naming their flags and its width."""
+    if n < least:
+        raise ArgumentError(f"need n >= {least}")
+    for flag, wire in wires.items():
+        if not 0 <= wire < n:
+            raise ArgumentError(f"--{flag} must be a wire of the {n}-qubit "
+                                f"register (0..{n - 1}), not {wire}")
+    if len(set(wires.values())) < len(wires):
+        raise ArgumentError(f"--{' and --'.join(wires)} must be different wires")
 
 
 def _cnots_action(d: int, cnots: Sequence[tuple[int, int]]) -> IndexMap:
@@ -159,13 +171,10 @@ def _fan_gates(control: int, targets: Sequence[int]) -> list[Gate]:
     return gates
 
 
-def star_coupling(n: int, hub: int, chi: float) -> Circuit:
+def star_coupling(n: int, hub: int = 0, chi: float = PI / 2) -> Circuit:
     """Two uniform pulses leaving only the hub's couplings active:
     full-register GMS(chi) then GMS(-chi) on the hub's complement."""
-    if n < 3:
-        raise ArgumentError("need n >= 3")
-    if not 0 <= hub < n:
-        raise ArgumentError("hub out of range")
+    _check_register(n, 3, hub=hub)
     return Circuit(n, tuple(_star_gates(range(n), hub, chi)))
 
 
@@ -179,25 +188,19 @@ def _star_gates(qubits: Iterable[int], hub: int, chi: float) -> list[Gate]:
 
 
 def fanout(n: int, control: int = 0) -> ConstructionSpec:
-    if n < 2:
-        raise ArgumentError("need n >= 2")
-    if not 0 <= control < n:
-        raise ArgumentError("control out of range")
+    _check_register(n, 2, control=control)
     targets = [q for q in range(n) if q != control]
     generated = Circuit(n, tuple(_fan_gates(control, targets)))
-    return ConstructionSpec("fanout", {"n": n, "control": control}, generated,
-                            _cnots_action(n, [(control, t) for t in targets]))
+    return ConstructionSpec(generated, _cnots_action(n, [(control, t) for t in targets]))
 
 
 def fanin(n: int, target: int = 0) -> ConstructionSpec:
     """Shared-target CNOT set: Hadamard conjugation of the fan-out."""
-    if n < 2:
-        raise ArgumentError("need n >= 2")
+    _check_register(n, 2, target=target)
     controls = [q for q in range(n) if q != target]
     layer = [h(q) for q in range(n)]
     generated = Circuit(n, tuple(layer + _fan_gates(target, controls) + layer))
-    return ConstructionSpec("fanin", {"n": n, "target": target}, generated,
-                            _cnots_action(n, [(c, target) for c in controls]))
+    return ConstructionSpec(generated, _cnots_action(n, [(c, target) for c in controls]))
 
 
 def parity_measure_prefix(n: int, target: int = 0) -> Circuit:
@@ -207,8 +210,7 @@ def parity_measure_prefix(n: int, target: int = 0) -> Circuit:
     target dressings act entirely on other wires, so the measured wire's
     Z statistics match the full fan-in on every basis input.
     """
-    if n < 3:
-        raise ArgumentError("need n >= 3")
+    _check_register(n, 3, target=target)
     gates = [h(q) for q in range(n)]
     gates += [ry(target, PI / 2),
               gms(range(n), Uniform(PI / 2)),
@@ -221,36 +223,29 @@ def parity_measure_prefix(n: int, target: int = 0) -> Circuit:
 def cnot_via_xx(control: int = 0, target: int = 1, n: int | None = None) -> ConstructionSpec:
     if n is None:
         n = max(control, target) + 1
+    _check_register(n, control=control, target=target)
     generated = Circuit(n, tuple(_cnot_xx_gates(control, target)))
-    return ConstructionSpec("cnot_via_xx", {"control": control, "target": target},
-                            generated, _cnots_action(n, [(control, target)]))
+    return ConstructionSpec(generated, _cnots_action(n, [(control, target)]))
 
 
 def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec:
     """CNOT from full-register pulses only: two star isolations leave a
     single XX(pi/2) between control and target, then standard dressing."""
-    if n < 3:
-        raise ArgumentError("need n >= 3")
-    if control == target or not (0 <= control < n and 0 <= target < n):
-        raise ArgumentError("bad control/target")
+    _check_register(n, 3, control=control, target=target)
     keep = [q for q in range(n) if q != target]
     gates = [ry(control, PI / 2)]
     gates += _star_gates(range(n), control, PI / 2)
     gates += _star_gates(keep, control, -PI / 2)
     gates += [rx(control, -PI / 2), rx(target, -PI / 2), ry(control, -PI / 2)]
     generated = Circuit(n, tuple(gates))
-    return ConstructionSpec("cnot_via_4gms", {"n": n, "control": control,
-                                              "target": target},
-                            generated, _cnots_action(n, [(control, target)]))
+    return ConstructionSpec(generated, _cnots_action(n, [(control, target)]))
 
 
 # ---------------------------------------------------------------------------
 # [[15,1,3]] Reed-Muller encoder (T-state distillation circuit)
 # ---------------------------------------------------------------------------
 
-# Wire labels of the standard encoder drawing, top to bottom; the five fan
-# columns are given as (control position, target positions).
-TDISTILL_LABELS = (1, 2, 4, 8, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)
+# The five fan columns of the encoder as (control wire, target wires).
 TDISTILL_FANS = (
     (0, (6, 7, 9, 10, 11, 12, 14)),
     (1, (5, 7, 8, 10, 11, 13, 14)),
@@ -266,8 +261,7 @@ def tdistill() -> ConstructionSpec:
     for control, targets in TDISTILL_FANS:
         gates += _fan_gates(control, targets)
     cnots = [(c, t) for c, ts in TDISTILL_FANS for t in ts]
-    return ConstructionSpec("tdistill", {}, Circuit(15, tuple(gates)),
-                            _cnots_action(15, cnots))
+    return ConstructionSpec(Circuit(15, tuple(gates)), _cnots_action(15, cnots))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +295,7 @@ def ccz_3gms() -> ConstructionSpec:
              gms((a, b, c, anc), Uniform(-PI / 2)),
              ry(a, -PI / 2), ry(b, -PI / 2), h(c)]
     generated = Circuit(4, tuple(gates), frozenset({anc}))
-    return ConstructionSpec("ccz_3gms", {}, generated, AllOnesSign(3))
+    return ConstructionSpec(generated, AllOnesSign(3))
 
 
 def cccz_4gms() -> ConstructionSpec:
@@ -318,7 +312,7 @@ def cccz_4gms() -> ConstructionSpec:
              gms(allq, Uniform(-PI / 2)),
              ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
     generated = Circuit(5, tuple(gates), frozenset({anc}))
-    return ConstructionSpec("cccz_4gms", {}, generated, AllOnesSign(4))
+    return ConstructionSpec(generated, AllOnesSign(4))
 
 
 def cccz_3gms() -> ConstructionSpec:
@@ -335,7 +329,7 @@ def cccz_3gms() -> ConstructionSpec:
              gms(allq, Uniform(-PI / 2)),
              ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
     generated = Circuit(5, tuple(gates), frozenset({anc}))
-    return ConstructionSpec("cccz_3gms", {}, generated, AllOnesSign(4))
+    return ConstructionSpec(generated, AllOnesSign(4))
 
 
 def toffoli3_gms() -> ConstructionSpec:
@@ -349,8 +343,7 @@ def toffoli3_gms() -> ConstructionSpec:
              gms((0, 1, 2), Uniform(PI / 2)),
              rx(0, PI / 2), rx(1, PI / 2), rx(2, PI / 2),
              ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2)]
-    return ConstructionSpec("toffoli3_gms", {}, Circuit(3, tuple(gates)),
-                            _toffoli_action(3))
+    return ConstructionSpec(Circuit(3, tuple(gates)), _toffoli_action(3))
 
 
 def toffoli4_7gms() -> ConstructionSpec:
@@ -374,8 +367,7 @@ def toffoli4_7gms() -> ConstructionSpec:
              gms(allq, Uniform(-PI / 8)),
              ry(3, PI / 2),
              ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2), ry(3, -PI / 2)]
-    return ConstructionSpec("toffoli4_7gms", {}, Circuit(4, tuple(gates)),
-                            _toffoli_action(4))
+    return ConstructionSpec(Circuit(4, tuple(gates)), _toffoli_action(4))
 
 
 def _toffoli4_unit(x: int, y: int, z: int, target: int, helper: int) -> list[Gate]:
@@ -434,7 +426,7 @@ def toffoli_n(n: int) -> ConstructionSpec:
         else:
             gates += _toffoli3_unit(unit[1], unit[2], unit[3])
     generated = Circuit(total, tuple(gates), frozenset(range(n, total)))
-    return ConstructionSpec("toffoli_n", {"n": n}, generated, _toffoli_action(n))
+    return ConstructionSpec(generated, _toffoli_action(n))
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,7 @@ def qft_reference(n: int) -> Circuit:
 def qft_reference_spec(n: int) -> ConstructionSpec:
     """The textbook transform circuit paired with its action: the
     normalised inverse FFT of the bit-reversed state."""
-    return ConstructionSpec("qft_reference", {"n": n}, qft_reference(n),
-                            BitReversedIFFT(n))
+    return ConstructionSpec(qft_reference(n), BitReversedIFFT(n))
 
 
 def _gms_laws(profile) -> list:
@@ -176,11 +175,24 @@ class OptimizeResult:
     evaluations: int = 0
 
 
-def _grid(lo: float, hi: float, step: float, skip_zero: bool) -> list[float]:
+def _multiples(lo: float, hi: float, step: float) -> range:
+    """The k with k * step in [lo, hi]: a grid axis, sized before it exists."""
     if not (step > 0 and math.isfinite(step)):
         raise ArgumentError(f"grid step must be positive and finite, not {step!r}")
-    ks = range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
-    return [round(k * step, 10) for k in ks if not (skip_zero and k == 0)]
+    return range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
+
+
+def _grid(lo: float, hi: float, step: float, skip_zero: bool) -> list[float]:
+    return [round(k * step, 10) for k in _multiples(lo, hi, step)
+            if not (skip_zero and k == 0)]
+
+
+def _guard(points: str, n: int, entries: int) -> None:
+    """Refuse work on more than ``MAX_LATTICE_ENTRIES`` entries."""
+    if entries > MAX_LATTICE_ENTRIES:
+        raise DenseGuardError(
+            f"lattice guard: {points} at n={n} need {entries} entries "
+            f"({8 * entries} bytes), limit is {MAX_LATTICE_ENTRIES} entries")
 
 
 def _axes(params: PowerLawSum) -> list[str]:
@@ -197,8 +209,11 @@ def _with_axis(params: PowerLawSum, axis: str, value: float) -> PowerLawSum:
 def scan_axis(n: int, params: PowerLawSum, axis: str, step: float = 0.1,
               b_box: tuple[float, float] = (-0.6, 0.6),
               p_box: tuple[float, float] = (1.5, 4.0)) -> FidelityScan:
-    """Fidelity along one parameter axis, all others held fixed."""
+    """Fidelity along one parameter axis, all others held fixed; guarded
+    on its points times the formula's n terms."""
     lo, hi = b_box if axis[0] == "b" else p_box
+    points = len(_multiples(lo, hi, step))
+    _guard(f"{points} scan points", n, points * n)
     values = _grid(lo, hi, step, skip_zero=axis[0] == "b")
     return FidelityScan(axis, tuple((v, fidelity_formula(n, _with_axis(params, axis, v)))
                                     for v in values))
@@ -211,14 +226,8 @@ def _lattice(n: int, bs: list, ps: list, offset: int, m: int) -> np.ndarray:
         c0 - 2 sum_s A[i_s] + sum_s B[i_s] + 2 sum_{s<u} C[i_s, i_u]
     with A = t @ (w 2^-j), B = (t t) @ w and C = (t w) @ t^T, so no entry has
     a j axis.  B is added one axis at a time, which fixes the bits of
-    near-ties.  Refused before allocation, with ``DenseGuardError``, when the
-    lattice or t would exceed ``MAX_LATTICE_ENTRIES`` entries."""
+    near-ties.  Its caller guards its size."""
     k = len(bs) * len(ps)
-    entries = max(k**m, k * n)
-    if entries > MAX_LATTICE_ENTRIES:
-        raise DenseGuardError(
-            f"lattice guard: {k}^{m} points at n={n} need {entries} entries "
-            f"({8 * entries} bytes), limit is {MAX_LATTICE_ENTRIES} entries")
     js = np.arange(1, n + 1)
     base, w = 2.0 ** -js, 3.0 * (n - js) / 64.0
     t = (1.0 / (np.array(bs)[:, None, None] * (js + offset) ** np.array(ps)[:, None])).reshape(k, n)
@@ -246,13 +255,19 @@ def optimize_powerlaw(n: int, m: int, grid_step: float = 0.1,
     ascending by (b, p), as the exponent is symmetric in them.  For m = 3,
     coordinate descent from the 16 best points of the lattice over every
     other grid value.  ``evaluations`` counts lattice entries and steps.
+    The lattice and t (K x n) are guarded before any grid list exists.
     """
     if m not in (1, 2, 3):
         raise ArgumentError("m must be 1, 2 or 3")
+    kb, kp = _multiples(*b_box, grid_step), _multiples(*p_box, grid_step)
+    nb, np_ = len(kb) - (0 in kb), len(kp)
+    if not nb or not np_:
+        raise ArgumentError("empty search grid")
+    # the m = 3 lattice takes every other grid value (gb, gp below)
+    k = (nb + 1) // 2 * ((np_ + 1) // 2) if m == 3 else nb * np_
+    _guard(f"{k}^{m} points", n, max(k**m, k * n))
     bs = _grid(b_box[0], b_box[1], grid_step, skip_zero=True)
     ps = _grid(p_box[0], p_box[1], grid_step, skip_zero=False)
-    if not bs or not ps:
-        raise ArgumentError("empty search grid")
     gb, gp = (bs[::2], ps[::2]) if m == 3 else (bs, ps)
     expo = _lattice(n, gb, gp, offset, m)
 

@@ -1,8 +1,11 @@
+import argparse
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 
 from gmsforge import cli, fourier, sim
 from gmsforge import constructions as cons
-from gmsforge.circuit import deserialize, rx, serialize
+from gmsforge.circuit import Exponential, deserialize, rx, serialize
 from gmsforge.constructions import fanin, fanout, toffoli_n
 
 
@@ -412,3 +415,106 @@ def test_bad_dense_guard_variable_exit2(tmp_path, capsys, monkeypatch, value):
     code, out, err = run(capsys, "verify", str(path), "--against", "fanout", "--n", "3")
     assert code == 2 and out == ""
     assert "GMSFORGE_MAX_DENSE_QUBITS" in err and repr(value) in err
+
+
+# -- every construction through its builder's signature ---------------------------
+
+# each construction's required flags, at a small width
+MINIMAL = {"fanout": {"n": 4}, "fanin": {"n": 4}, "star": {"n": 4},
+           "parity-prefix": {"n": 4}, "cnot-xx": {}, "cnot-4gms": {"n": 4},
+           "tdistill": {}, "phase-poly": {"n": 4, "theta": 0.3}, "ccz-3gms": {},
+           "cccz-4gms": {}, "cccz-3gms": {}, "toffoli3": {}, "toffoli4-7gms": {},
+           "toffoli": {"n": 6}, "qft-ref": {"n": 4}, "qft-gms": {"n": 4},
+           "qfa-gms": {"n": 3}, "gms-dagger": {"n": 4, "chi": 0.7},
+           "linear": {"matrix": None}}
+
+
+@pytest.mark.parametrize("name", sorted(cli.SYNTH))
+def test_synth_and_count_every_construction(name, tmp_path, capsys):
+    kwargs = dict(MINIMAL[name])
+    if "matrix" in kwargs:
+        kwargs["matrix"] = str(tmp_path / "m.json")
+        Path(kwargs["matrix"]).write_text("[[1,1,0],[0,1,1],[0,0,1]]")
+    flags = [s for k, v in kwargs.items() for s in (f"--{k}", str(v))]
+    build = getattr(*cli.SYNTH[name])
+    if "profile" in inspect.signature(build).parameters:
+        kwargs["profile"] = Exponential()
+    built = build(**kwargs)
+    want = getattr(built, "generated", built)
+    code, out, _ = run(capsys, "synth", name, *flags)
+    assert code == 0 and deserialize(out).gates == want.gates
+    code, out, _ = run(capsys, "count", name, *flags, "--json")
+    assert code == 0 and json.loads(out) == want.cost().as_dict()
+
+
+def test_missing_required_flag_is_named(capsys):
+    for name, flag in (("toffoli", "--n"), ("phase-poly", "--theta"),
+                       ("linear", "--matrix")):
+        argv = ["--n", "4"] if flag != "--n" else []
+        code, out, err = run(capsys, "synth", name, *argv)
+        assert code == 2 and out == "" and flag in err
+
+
+# (construction, wire flag, the other wire flag it needs to stay distinct)
+WIRE_FLAGS = [("fanout", "control", []), ("fanin", "target", []),
+              ("star", "hub", []), ("parity-prefix", "target", []),
+              ("cnot-xx", "control", ["--target", "1"]),
+              ("cnot-xx", "target", ["--control", "1"]),
+              ("cnot-4gms", "control", ["--target", "1"]),
+              ("cnot-4gms", "target", ["--control", "1"])]
+
+
+@pytest.mark.parametrize("name,flag,other", WIRE_FLAGS)
+def test_wire_flags_are_checked(name, flag, other, capsys):
+    n = 4
+    for wire in (0, n - 1):
+        for command in ("synth", "count"):
+            code, _, _ = run(capsys, command, name, "--n", str(n), f"--{flag}",
+                             str(wire), *other)
+            assert code == 0, (command, wire)
+    for wire in (n, -1):
+        for command in ("synth", "count"):
+            code, out, err = run(capsys, command, name, "--n", str(n), f"--{flag}",
+                                 str(wire), *other)
+            assert code == 2 and out == ""
+            assert f"--{flag}" in err and f"{n}-qubit" in err
+
+
+def test_cnot_xx_wires(capsys):
+    code, out, _ = run(capsys, "synth", "cnot-xx", "--control", "1", "--target", "0")
+    # wire 0 is the high bit: |q0 q1> -> |q0 ^ q1, q1>
+    want = np.eye(4)[:, [0, 3, 2, 1]]
+    assert code == 0 and sim.equiv_phase(sim.unitary_of(deserialize(out)), want).ok
+    code, out, err = run(capsys, "synth", "cnot-xx", "--control", "0", "--target", "0")
+    assert code == 2 and out == "" and "--control" in err and "--target" in err
+    code, out, err = run(capsys, "synth", "cnot-xx", "--control", "2", "--target", "0",
+                         "--n", "2")
+    assert code == 2 and out == "" and "--control" in err
+
+
+def test_tiny_grid_step_refused_before_any_list(tmp_path, capsys):
+    for argv in (["optimize-powerlaw", "--n", "10", "--m", "2",
+                  "--out-dir", str(tmp_path)],
+                 ["fidelity-scan", "--axis", "p1", "--n", "10",
+                  "--params", "0.4,-0.5,2.5,3.4"]):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv, "--step", "1e-9")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == "" and "lattice guard" in err
+        assert str(fourier.MAX_LATTICE_ENTRIES) in err
+        assert peak < 4 << 20
+
+
+def test_every_builder_parameter_is_a_flag():
+    # a new builder parameter must not become unreachable from the command line
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command in ("synth", "count", "verify"):
+        flags = {a.dest for a in subparsers.choices[command]._actions
+                 if a.option_strings}
+        for name, (module, attr) in cli.SYNTH.items():
+            params = inspect.signature(getattr(module, attr)).parameters
+            assert set(params) - {"profile"} <= flags, (command, name)

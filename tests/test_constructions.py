@@ -20,7 +20,7 @@ PI = math.pi
 
 def assert_spec_ok(spec, tol=1e-9):
     r = sim.equiv_on_ancilla(spec.generated, spec.act.matrix(), tol)
-    assert r.ok, f"{spec.name}: {r.failure} dev={r.max_deviation}"
+    assert r.ok, f"{r.failure} dev={r.max_deviation}"
     return r
 
 
@@ -740,7 +740,7 @@ def test_reference_built_once():
         calls.append(1)
         return cons._toffoli_map(3)
 
-    spec = cons.ConstructionSpec("t", {}, cons.toffoli3_gms().generated,
+    spec = cons.ConstructionSpec(cons.toffoli3_gms().generated,
                                  sim.IndexMap(3, build))
     assert calls == []
     assert spec.act.dest is spec.act.dest
