@@ -229,8 +229,11 @@ def cnot_via_xx(control: int = 0, target: int = 1, n: int | None = None) -> Cons
 
 
 def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec:
-    """CNOT from full-register pulses only: two star isolations leave a
-    single XX(pi/2) between control and target, then standard dressing."""
+    """CNOT from four global pulses: two star isolations around the
+    control, one on the whole register and one on the register less the
+    target, leave a single XX(pi/2) between control and target, then
+    standard dressing.  Each isolation is a pulse on its wires and one on
+    its leaves, so the pulses span n, n - 1, n - 1 and n - 2 wires."""
     _check_register(n, 3, control=control, target=target)
     keep = [q for q in range(n) if q != target]
     gates = [ry(control, PI / 2)]

@@ -28,11 +28,26 @@ matrix: at most about n/WINDOW for a full-register pulse on n wires, none
 between pulses whose wires carry only gates diagonal in the pulse's X
 basis.  A CNOT is one ``apply_cnot`` pass.
 
+Each of those passes over one state is one long product.  A phase table
+also spans the last ``WINDOW`` wires whenever it then holds at most
+``kernels.CHUNK`` entries, so the state's innermost axis under it is at
+least 2^WINDOW entries long.  A window flushed while the open table spans
+its wires, or can widen to them within ``CHUNK`` entries, is made real:
+each pending matrix is split as diag(p1, p2) @ [[c, -s], [s, c]] @
+diag(1, psi) (``_zyz``), the right diagonal joins the closing table, the
+left one stays pending for the next table and the block holds only the
+real rotations.  The bottom window's block starts at its first wire with
+a pending matrix.  ``kernels.apply_block`` runs a block in one of three
+forms: one state's bottom wires as float rows times the block's real
+form, a real block on the float view, or a complex block on the complex
+view.
+
 Each ``Circuit`` is fused, folded and tabled once: ``_compile`` turns it
 into a ``Plan`` of passes on its first run, the plan is kept on the
 circuit (an immutable value) for the circuit's lifetime, and every run
 only executes it.  The plan's tables are the memory this costs, about
-2 MiB each for ``qft_gms(16)`` and ``phase_polynomial_identity(17)``.
+2.5 MiB for ``qft_gms(16)`` and 2 MiB for
+``phase_polynomial_identity(17)``.
 ``_run`` returns the passes by kind, and ``equiv_on_ancilla`` reports them
 with the plan's bytes.
 
@@ -48,7 +63,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,35 +112,101 @@ def _mask(n: int, q: int) -> int:
     return 1 << (n - 1 - q)
 
 
-_H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / math.sqrt(2.0)
-_I = np.eye(2, dtype=np.complex128)
+# A single-qubit matrix [[m00, m01], [m10, m11]] is the tuple (m00, m01,
+# m10, m11) of Python numbers: fusing a run of gates costs a few scalar
+# products per gate instead of a numpy array each.
+_R = 1 / math.sqrt(2.0)
+_H = (_R, _R, _R, -_R)
+_I = (1.0, 0.0, 0.0, 1.0)
+_X = (0.0, 1.0, 1.0, 0.0)
 
 
-def _one_qubit_matrix(g) -> np.ndarray:
+def _mul(m: tuple, p: tuple) -> tuple:
+    """The matrix product m @ p."""
+    a, b, c, d = m
+    e, f, g, h = p
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _one_qubit_matrix(g) -> tuple:
     if g.kind == "H":
         return _H
     c, s = math.cos(g.theta / 2), math.sin(g.theta / 2)
     if g.kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]])
+        return (c, -1j * s, -1j * s, c)
     if g.kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    return np.array([[c - 1j * s, 0], [0, c + 1j * s]])  # RZ
+        return (c, -s, s, c)
+    return (c - 1j * s, 0.0, 0.0, c + 1j * s)  # RZ
+
+
+def _table_wires(wires, n: int) -> set[int]:
+    """The wires a phase table over ``wires`` spans: the last ``WINDOW``
+    wires too when the table then holds at most ``CHUNK`` entries, so that
+    the state's innermost axis under the table is at least 2^WINDOW long
+    instead of one or two entries."""
+    padded = set(wires).union(range(max(0, n - WINDOW), n))
+    return padded if 1 << len(padded) <= CHUNK else set(wires)
+
+
+@lru_cache(maxsize=4096)
+def _layout(core: tuple, n: int) -> tuple[tuple, tuple, tuple]:
+    """For a table over the sorted ``core`` wires: the axes that spread it
+    over ``_table_wires(core, n)`` (1 on an added wire), a view shape for a
+    (dim, batch) state less its batch axis, and the table's shape against
+    that view less the batch.  Runs of neighbouring wires share one axis."""
+    wires = _table_wires(core, n)
+    view, table = [], []
+    for q in range(n):
+        inside = q in wires
+        if q and inside == (q - 1 in wires):
+            view[-1] *= 2
+            table[-1] *= 1 + inside
+        else:
+            view.append(2)
+            table.append(1 + inside)
+    axes = tuple(2 if q in core else 1 for q in sorted(wires))
+    return axes, tuple(view), tuple(table)
+
+
+def _table_view(core: list[int], phases: np.ndarray, n: int
+                ) -> tuple[tuple, np.ndarray]:
+    """The table over the sorted ``core`` wires, spread over
+    ``_table_wires(core, n)``: a view shape for a (dim, batch) state and
+    the table reshaped to broadcast against the view with the batch
+    appended (``_layout``)."""
+    axes, view, table = _layout(tuple(core), n)
+    if 1 in axes:
+        full = np.empty((2,) * len(axes), dtype=np.complex128)
+        full[...] = phases.reshape(axes)
+        phases = full
+    return view, phases.reshape(*table, 1)
+
+
+def _diagonal_table(n: int, diag: dict) -> tuple[tuple, np.ndarray]:
+    """The table of the diagonal matrices ``diag`` maps wires to, with no
+    pulse: the Kronecker product of their diagonals, in ``_pulse_phases``'s
+    view and layout."""
+    core = sorted(diag)
+    phases = np.ones(1, dtype=np.complex128)
+    for q in core:
+        phases = np.multiply.outer(phases, diag[q][::3]).reshape(-1)
+    return _table_view(core, phases, n)
 
 
 def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarray]:
     """A run of GMS pulses in the X basis, the product of their
     exp(-i/2 sum_{i<j} chi_ij z_i z_j), times the diagonal matrices ``diag``
     maps wires to.  Diagonal factors commute, so the run is one table over
-    the union of the pulses' wires and ``diag``'s, built from the summed
+    the union of the pulses' wires and ``diag``'s, and the bottom window
+    when that is small enough (``_table_wires``), built from the summed
     pair angles.
 
-    Returns a view shape for a (dim, batch) state, less its batch axis, and
-    a phase table that broadcasts against the view with the batch appended.
-    z = 1 - 2b over the bits b of the union's wires, first wire most
-    significant; runs of neighbouring wires share one axis.  The 2^k-entry
-    table is built from the pair factors exp(-i chi_ij / 2), one vectorised
-    exp of the k x k angle matrix, and filled in place with a few numpy
-    calls per wire: no transcendental call per entry.
+    Returns a view shape and a phase table that broadcasts against it
+    (``_table_view``).  z = 1 - 2b over the bits b of the table's wires,
+    first wire most significant.  The 2^k-entry table is built from the
+    pair factors exp(-i chi_ij / 2), one vectorised exp of the k x k angle
+    matrix, and filled in place with a few numpy calls per wire: no
+    transcendental call per entry.
     """
     wires = sorted({q for g in pulses for q in g.qubits}.union(diag))
     k = len(wires)
@@ -142,26 +223,32 @@ def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarr
     # of unit modulus, and e = m00 / u: u starts wire j's field, e the table.
     field = np.ones((k, 1), dtype=np.complex128)
     phases = np.empty(1 << k, dtype=np.complex128)
-    phases[0] = 1.0
-    for q, m in diag.items():
-        field[pos[q]] = u = cmath.sqrt(m[0, 0] / m[1, 1])
-        phases[0] *= m[0, 0] / u
+    e = 1.0
+    for q, (a, _, _, b) in diag.items():
+        field[pos[q]] = u = cmath.sqrt(a / b)
+        e *= a / u
+    phases[0] = e
     # each wire w, last first, becomes the table's new most significant bit
     for w in reversed(range(k)):
         s = 1 << (k - 1 - w)
         np.multiply(phases[:s], field[w].conj(), out=phases[s:2 * s])
         phases[:s] *= field[w]
         field = (field[:w, None] * pair[w, :w, :, None]).reshape(w, 2 * s)
-    view, table = [], []
-    for q in range(n):
-        inside = q in pos
-        if q and inside == (q - 1 in pos):
-            view[-1] *= 2
-            table[-1] *= 1 + inside
-        else:
-            view.append(2)
-            table.append(1 + inside)
-    return tuple(view), phases.reshape(*table, 1)
+    return _table_view(wires, phases, n)
+
+
+def _zyz(m: tuple) -> tuple[tuple, tuple, complex]:
+    """Split a 2x2 unitary m, up to a global phase, as m = diag(p1, p2) @
+    [[c, -s], [s, c]] @ diag(1, psi): c = |m00|, s = |m10|, p1 = m00 / c,
+    p2 = m10 / s, psi = m11 / (c p2).  Returns (p1, p2), the real middle
+    factor and psi.  When c is at most ``ROUNDING`` the split is
+    diag(m01, m10) @ X @ I."""
+    m00, m01, m10, m11 = m
+    c, s = abs(m00), abs(m10)
+    if c <= ROUNDING:
+        return (m01, m10), _X, 1.0
+    p2 = m10 / s if s else 1.0
+    return (m00 / c, p2), (c, -s, s, c), m11 / (c * p2)
 
 
 @dataclass(frozen=True)
@@ -199,25 +286,42 @@ def _compile(circuit: Circuit) -> Plan:
     left pending.  CP(theta) has no frame: pair angle -theta/2 and the
     diagonal factors RZ(theta/2) and diag(1, e^{i theta/2}) of its wires.
     A pending matrix that is diagonal up to rounding (see ``ROUNDING``) on
-    a gate's wire, before a CNOT's ``apply_cnot`` pass or at the end is not
-    flushed but multiplied into the table, which commutes with it.  The
-    table is one pass (``_pulse_phases``) when another pass or the end
-    closes it.  So a run of pulses costs one phase pass plus one block pass
-    per window that holds a non-diagonal pending matrix.
+    a gate's wire or before a CNOT's ``apply_cnot`` pass is not flushed but
+    multiplied into the table, which commutes with it; so is one on any
+    wire the open table spans when a window is flushed.  At the end a
+    diagonal one rides in its window's block when the window has one and
+    the last table does not span the wire, and joins the last table
+    otherwise.  The table is one pass (``_pulse_phases``, or
+    ``_diagonal_table`` with no pulse) when another pass or the end closes
+    it.  So a run of pulses costs one phase pass plus one block pass per
+    window that holds a non-diagonal pending matrix.
+
+    A window flushed for a pulse, XX or CP while the open table spans its
+    pending wires, or can widen to them within ``CHUNK`` entries, becomes a
+    real block: each pending matrix is split (``_zyz``) into a right
+    diagonal, which joins the closing table, a real rotation, which goes
+    into the block, and a left diagonal, which stays pending and which the
+    gate's own table folds when the wire is one of the gate's.  Before a
+    CNOT or at the end no table follows the block, so nothing is split
+    there.  The bottom window's block starts at its first pending wire,
+    which on one state makes it a narrower product.
     """
     n = circuit.n_qubits
-    pending: dict[int, np.ndarray] = {}
+    pending: dict[int, tuple] = {}
     steps = []
     passes = dict.fromkeys(("block", "phase", "cnot"), 0)
     run, folded = [], {}  # the open table: its pulses and folded factors
+    span = set()  # the wires of the open table's pulses and factors
 
     def close_run():
-        if run or folded:
-            view, phases = _pulse_phases(run, n, folded)
+        if span:
+            view, phases = (_pulse_phases(run, n, folded) if run
+                            else _diagonal_table(n, folded))
             steps.append(("apply_scale", view, (phases,)))
             passes["phase"] += 1
             run.clear()
             folded.clear()
+            span.clear()
 
     def emit(kind, name, *args):
         close_run()
@@ -231,25 +335,58 @@ def _compile(circuit: Circuit) -> Plan:
         elif prev is _H and m is _H:
             del pending[q]
         else:
-            pending[q] = m @ prev
+            pending[q] = _mul(m, prev)
+
+    def diagonal(q) -> bool:
+        m = pending[q]
+        return abs(m[1]) + abs(m[2]) <= ROUNDING
 
     def diagonals(wires) -> dict:  # popped from the pending matrices
-        return {q: pending.pop(q) for q in wires if q in pending
-                and abs(pending[q][0, 1]) + abs(pending[q][1, 0]) <= ROUNDING}
+        return {q: pending.pop(q) for q in wires if q in pending and diagonal(q)}
 
     def join(diag):
         for q, m in diag.items():
-            folded[q] = m @ folded.get(q, _I)
+            prev = folded.get(q)
+            folded[q] = m if prev is None else _mul(m, prev)
+        span.update(diag)
 
-    def flush(wires):
+    def flush(wires, split=False):
+        # every block is built before the first one closes the open table,
+        # so the right diagonals of all of them can join it; the left ones
+        # are pending only after the blocks
+        if not any(q in pending for q in wires):
+            return
+        table = _table_wires(span, n) if span else set()
+        join(diagonals(table))
+        blocks, lefts, rights = [], {}, {}
         for w in {(n - 1 - q) // WINDOW for q in wires if q in pending}:
-            top = max(0, n - WINDOW * (w + 1))
-            blk = np.ones((1, 1), dtype=np.complex128)
-            for q in range(top, n - WINDOW * w):
-                m = pending.pop(q, _I)
+            hi = n - WINDOW * w
+            factors = {q: pending.pop(q) for q in range(max(0, hi - WINDOW), hi)
+                       if q in pending}
+            # a table may widen to the window while it stays within CHUNK
+            wider = table.union(factors)
+            if split and span and (wider == table or 1 << len(wider) <= CHUNK):
+                table = wider
+                for q, m in factors.items():
+                    (p1, p2), factors[q], psi = _zyz(m)
+                    if psi != 1:
+                        rights[q] = (1.0, 0.0, 0.0, psi)
+                    if p1 != 1 or p2 != 1:
+                        lefts[q] = (p1, 0.0, 0.0, p2)
+            # the bottom window's block starts at its first factor
+            top = min(factors) if w == 0 else max(0, hi - WINDOW)
+            mats = np.array([factors.get(q, _I) for q in range(top, hi)])
+            blk = mats[0].reshape(2, 2)
+            for m in mats[1:].reshape(-1, 2, 2):
                 size = 2 * len(blk)
                 blk = (blk[:, None, :, None] * m[None, :, None, :]).reshape(size, size)
-            emit("block", "apply_block", blk, top)
+            if blk.dtype.kind == "c" and not blk.imag.any():
+                blk = blk.real.copy()
+            blocks.append((blk, top))
+        join(rights)
+        for args in blocks:
+            emit("block", "apply_block", *args)
+        pending.update(lefts)
 
     for g in circuit.gates:
         kind, wires = g.kind, g.qubits
@@ -259,7 +396,8 @@ def _compile(circuit: Circuit) -> Plan:
             # a global phase commutes with every gate: ride on a pending
             # matrix, or on wire 0 as a multiple of the identity
             q = next(iter(pending), 0)
-            pending[q] = pending.get(q, _I) * cmath.exp(1j * g.theta)
+            phase = cmath.exp(1j * g.theta)
+            pending[q] = tuple(x * phase for x in pending.get(q, _I))
         elif kind == "CNOT":
             join(diagonals(wires))
             flush(wires)
@@ -269,17 +407,22 @@ def _compile(circuit: Circuit) -> Plan:
                 for q in wires:
                     push(q, _H)
             diag = diagonals(wires)
-            flush(wires)
+            flush(wires, split=True)
+            diag.update(diagonals(wires))  # the left diagonals of a split
             join(diag)
             if kind == "CP":
                 t = 0.25j * g.theta
                 run.append(gms(wires, Uniform(-g.theta / 2)))
-                join({wires[0]: np.diag([cmath.exp(-t), cmath.exp(t)]),
-                      wires[1]: np.diag([1, cmath.exp(2 * t)])})
+                join({wires[0]: (cmath.exp(-t), 0.0, 0.0, cmath.exp(t)),
+                      wires[1]: (1.0, 0.0, 0.0, cmath.exp(2 * t))})
             else:
                 run.append(g if kind == "GMS" else gms(wires, Uniform(g.theta)))
                 pending.update(dict.fromkeys(wires, _H))
-    join(diagonals(list(pending)))
+            span.update(wires)
+    # at the end a diagonal matrix rides in its window's block when the
+    # window has one and the last table does not span the wire
+    blocked = {(n - 1 - q) // WINDOW for q in pending if not diagonal(q)}
+    join(diagonals([q for q in pending if (n - 1 - q) // WINDOW not in blocked]))
     flush(list(pending))
     close_run()
     arrays = [a for _, _, args in steps for a in args if isinstance(a, np.ndarray)]

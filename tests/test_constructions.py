@@ -147,6 +147,13 @@ def test_cnot_via_4gms():
     assert cons.cnot_via_4gms(4, 0, 1).generated.cost().gms_pulses == 4
 
 
+@pytest.mark.parametrize("n, sizes", [(4, {2: 1, 3: 2, 4: 1}),
+                                      (6, {4: 1, 5: 2, 6: 1})])
+def test_cnot_via_4gms_pulse_sizes(n, sizes):
+    # only the first pulse spans the register: n, n - 1, n - 1, n - 2 wires
+    assert cons.cnot_via_4gms(n).generated.cost().gms_by_size == sizes
+
+
 # -- Reed-Muller encoder -----------------------------------------------------------
 
 def test_tdistill_costs():

@@ -40,8 +40,7 @@ def pairwise_run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
         elif g.kind == "PHASE":
             be.apply_scale(st, cmath.exp(1j * g.theta))
         else:
-            m = sim._one_qubit_matrix(g)
-            be.apply_1q(st, m[0, 0], m[0, 1], m[1, 0], m[1, 1], mask(g.qubits[0]))
+            be.apply_1q(st, *sim._one_qubit_matrix(g), mask(g.qubits[0]))
     return st
 
 
@@ -197,6 +196,81 @@ def test_batch_that_is_not_a_power_of_two(n, batch):
     assert np.max(np.abs(st - want)) < 1e-12
 
 
+# The three forms of a block pass: rows of at most ROW entries (one state's
+# bottom wires) times the real form, and real or complex slab products.
+
+def block_of(gates):
+    """The Kronecker product of one single-qubit gate per wire, in order."""
+    blk = np.ones((1, 1))
+    for g in gates:
+        blk = np.kron(blk, np.reshape(sim._one_qubit_matrix(g), (2, 2)))
+    return blk
+
+
+@pytest.mark.parametrize("n", range(5, 17))
+def test_block_forms_match_oracle(n):
+    nrng = np.random.default_rng(n)
+    forms = set()
+    for batch in (1, 3, 128):
+        if batch << n > 1 << 16:
+            continue
+        st = nrng.normal(size=(1 << n, batch)) + 1j * nrng.normal(size=(1 << n, batch))
+        for g, last in ((1, True), (2, True), (4, True), (1, False), (4, False)):
+            top = n - g if last else max(0, n - g - 3)
+            for real in (True, False):
+                wires = range(top, top + g)
+                gates = [ry(q, 0.4 * q + 0.3) if real or (q - top) % 2
+                         else rx(q, 0.3 * q - 0.2) for q in wires]
+                blk = block_of(gates)
+                assert (blk.dtype.kind == "f") == real
+                rest = batch << (n - top - g)
+                forms.add("rows" if (1 << g) * rest <= kernels.ROW else
+                          "real slab" if real else "complex slab")
+                want = pairwise_run(Circuit(n, tuple(gates)), st.copy())
+                got = st.copy()
+                kernels.BACKEND.apply_block(got, blk, top)
+                assert np.max(np.abs(got - want)) < 1e-12, (batch, g, last, real)
+    assert forms == {"rows", "real slab", "complex slab"}
+
+
+def test_zyz_split():
+    # m = diag(p1, p2) @ [[c, -s], [s, c]] @ diag(1, psi), the middle real
+    def product(m):
+        (p1, p2), rot, psi = sim._zyz(m)
+        assert all(isinstance(x, float) for x in rot)
+        return np.diag([p1, p2]) @ np.reshape(rot, (2, 2)) @ np.diag([1, psi])
+
+    rng = np.random.default_rng(11)
+    mats = []
+    for theta, phi, chi, alpha in rng.uniform(-math.pi, math.pi, size=(200, 4)):
+        a, b = math.cos(theta) * cmath.exp(1j * phi), math.sin(theta) * cmath.exp(1j * chi)
+        mats.append(cmath.exp(1j * alpha) * np.array([[a, -b.conjugate()],
+                                                      [b, a.conjugate()]]))
+    mats.append(np.array([[0, 1j], [np.exp(0.3j), 0]]))  # anti-diagonal
+    t = 1e-16
+    mats.append(np.array([[np.sqrt(1 - t * t), -t], [t, np.sqrt(1 - t * t)]])
+                @ np.diag([np.exp(0.7j), np.exp(-0.2j)]))  # |m10| ~ 1e-16
+    m = np.reshape(sim._H, (2, 2)) @ np.reshape(sim._one_qubit_matrix(rx(0, 0.4)), (2, 2))
+    mats.append(m * np.exp(0.8j))  # a PHASE riding on H RX
+    for m in mats:
+        assert np.max(np.abs(product(tuple(m.ravel())) - m)) < 1e-15
+
+
+def test_diagonal_table_is_the_kronecker_product():
+    # a table with no pulse is the product of its diagonals, in the general
+    # builder's view and layout
+    rng = random.Random(5)
+    for n in (3, 6, 9, 12, 16):
+        for _ in range(4):
+            diag = {q: (cmath.exp(1j * rng.uniform(-3, 3)), 0, 0,
+                        cmath.exp(1j * rng.uniform(-3, 3)))
+                    for q in rng.sample(range(n), rng.randint(1, min(n, 6)))}
+            view, table = sim._diagonal_table(n, diag)
+            want_view, want = sim._pulse_phases((), n, diag)
+            assert view == want_view and table.shape == want.shape
+            assert np.max(np.abs(table - want)) < 1e-15
+
+
 def test_window_edges_and_early_flush():
     # wires 4/5 and 8/9 sit on either side of a window edge in a 10-qubit
     # register; each gate touches one window and flushes its neighbours early
@@ -344,9 +418,11 @@ def test_fold_carries_a_global_phase(monkeypatch):
 
 
 def test_fold_beside_a_flushed_wire(monkeypatch):
-    # wires 2-5 are one window: at the second pulse 3 and 4 fold, 2's H RY H
-    # is flushed as a block on its own and 5's Hadamards cancel; wires 0-1
-    # sit outside the pulse and stay pending until the end
+    # wires 2-5 are one window: at the second pulse 3 and 4 fold and 5's
+    # Hadamards cancel, while 2's H RY H is split: its right diagonal joins
+    # the first table, its real rotation is the window's block and its left
+    # diagonal joins the second table; wires 0-1 sit outside the pulse and
+    # stay pending until the end
     n = 6
     circ = Circuit(n, (gms((2, 3, 4, 5), PROFILES[1]), rx(3, 0.4), rx(4, -0.8),
                        ry(2, 1.1), ry(0, 0.6), h(1),
@@ -354,7 +430,7 @@ def test_fold_beside_a_flushed_wire(monkeypatch):
     folds = folded_wires(monkeypatch)
     counts = count_kernels(monkeypatch)
     sim.apply(circ, sim.basis_state(n, 0))
-    assert folds == [set(), {3, 4}]
+    assert folds == [{2}, {2, 3, 4}]
     assert counts["apply_block"] == 4  # one per pulse, two at the end
     monkeypatch.undo()
     assert_matches_oracle(circ, np.random.default_rng(4))
@@ -409,6 +485,33 @@ def test_block_pass_budget(name, monkeypatch):
     assert counts["apply_block"] <= budget
     assert counts["apply_scale"] == PHASE_BUDGET[name]
     assert_kernels_match_passes(counts, passes)
+
+
+# The bytes the plan of each stimulus_wide circuit may hold.  Before phase
+# tables took in the bottom window, blocks were split and the end join kept
+# to the last table's wires, they held 138368, 2163072, 2199104, 2097152
+# and 114688 bytes, so a change that widens tables fails here and not only
+# in the benchmark's peak memory.
+PLAN_BYTES = {"toffoli_n(11)": 72384, "qft_gms(16)": 2616992, "qfa_gms(8)": 1143776,
+              "phase_polynomial_identity(17)": 2097152, "tdistill": 274944}
+BUILDS = {name: build for name, (build, _) in BLOCK_BUDGET.items()}
+BUILDS["phase_polynomial_identity(17)"] = lambda: cons.phase_polynomial_identity(17, 0.9)
+
+
+@pytest.mark.parametrize("name", PLAN_BYTES)
+def test_plan_bytes_budget(name):
+    assert sim._plan(BUILDS[name]()).nbytes <= PLAN_BYTES[name]
+
+
+def test_end_join_keeps_to_the_last_table():
+    # a diagonal left at the end joins the last table only on a wire it
+    # already spans or in a window with no block, and otherwise rides in its
+    # window's block; the last tables of these two held 512 and 65536
+    # entries when every leftover joined
+    for name, entries in (("toffoli_n(11)", 128), ("qfa_gms(8)", 256)):
+        tables = [args[0] for kind, _, args in sim._plan(BUILDS[name]()).steps
+                  if kind == "apply_scale"]
+        assert tables[-1].size == entries, name
 
 
 # Merges: pulses whose phase passes come out adjacent, with no other pass
