@@ -49,6 +49,10 @@ class Uniform:
 
     theta: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.theta):
+            raise ArgumentError(f"coupling angle must be finite, not {self.theta!r}")
+
     def angle(self, i: int, j: int) -> float:
         return self.theta
 
@@ -64,6 +68,8 @@ class PerPair:
         keys = [(i, j) for i, j, _ in canon]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate pair in coupling table")
+        if not all(math.isfinite(chi) for _, _, chi in canon):
+            raise ArgumentError("coupling angles must be finite")
         object.__setattr__(self, "table", canon)
 
     def angle(self, i: int, j: int) -> float:
@@ -94,6 +100,8 @@ class PowerLawSum:
         if self.offset not in (0, 1):
             raise ArgumentError("offset must be 0 or 1")
         terms = tuple((float(b), float(p)) for b, p in self.terms)
+        if not all(math.isfinite(x) for term in terms for x in term):
+            raise ArgumentError("power-law terms must be finite")
         if any(b == 0.0 for b, _ in terms):
             raise ArgumentError("power-law coefficient b must be nonzero")
         object.__setattr__(self, "terms", terms)

@@ -14,6 +14,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -48,7 +49,15 @@ def _profile_from_args(args):
     except ValueError:
         raise ArgumentError(
             f"--terms must read b:p[,b:p...], not {args.terms!r}") from None
-    return PowerLawSum(terms, args.offset)
+    return _power_law(terms, args.offset, "--terms")
+
+
+def _power_law(terms, offset: int, flag: str) -> PowerLawSum:
+    """The profile of ``terms``; a refusal names the flag they came from."""
+    try:
+        return PowerLawSum(terms, offset)
+    except ArgumentError as exc:
+        raise ArgumentError(f"{flag}: {exc}") from None
 
 
 def _synth_linear(matrix: str) -> Circuit:
@@ -111,6 +120,8 @@ def _resolve(target: str, args) -> Circuit | cons.ConstructionSpec:
             continue  # a stand-in builder's *args, **kwargs name no flag
         value = (_profile_from_args(args) if param.name == "profile"
                  else getattr(args, param.name))
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ArgumentError(f"--{param.name} must be finite, not {value}")
         if value is not None:
             kwargs[param.name] = value
         elif param.default is param.empty:
@@ -145,6 +156,8 @@ def cmd_synth(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
+    if not 0 < args.tol < math.inf:
+        raise ArgumentError(f"--tol must be finite and above 0, not {args.tol}")
     circuit = deserialize(Path(args.file).read_text())
     read = time.perf_counter()
     ref = _resolve(args.against, args)
@@ -307,7 +320,7 @@ def cmd_fidelity_scan(args) -> int:
     if len(vals) % 2 != 0:
         raise ArgumentError("--params needs an even count: b1,..,bm,p1,..,pm")
     m = len(vals) // 2
-    params = PowerLawSum(tuple((vals[i], vals[m + i]) for i in range(m)), args.offset)
+    params = _power_law(tuple(zip(vals[:m], vals[m:])), args.offset, "--params")
     if args.axis not in [f"b{i+1}" for i in range(m)] + [f"p{i+1}" for i in range(m)]:
         raise ArgumentError(f"--axis must be one of b1..b{m}, p1..p{m}")
     scan = fourier.scan_axis(args.n, params, args.axis, args.step)

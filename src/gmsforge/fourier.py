@@ -322,36 +322,33 @@ def direct_fidelity(n: int, params: PowerLawSum) -> float:
 #
 # The banded model is a reconstruction of the published per-size counts:
 # an approximate transform truncates each controlled-phase cascade layer to
-# its `band` nearest couplings, costing min(layer, band) local gates, and a
-# mixed local/global realization replaces any multi-gate layer with one
-# pulse pair, costing min(2, min(layer, band)).  The band-4 local column
+# its 4 nearest couplings, costing min(layer, 4) local gates, and a mixed
+# local/global realization replaces any multi-gate layer with one pulse
+# pair, costing min(2, min(layer, 4)) = min(layer, 2).  The local column
 # and the mixed column reproduce the published transform rows exactly; the
 # published local adder counts do NOT follow from this model and are
 # excluded from the ledger checks (see cli.table1).
 
-AQFT_MODES = ("local_banded", "mixed_gms")
+LAYER_CAP = {"local_banded": 4, "mixed_gms": 2}  # the most gates a layer costs
 
 
-def aqft_count(n: int, mode: str, band: int = 4) -> int:
+def aqft_count(n: int, mode: str) -> int:
     """Entangling-gate count of the approximate transform under the banded
     model; layers have 1..n-1 controlled phases."""
     if n < 2:
         raise ArgumentError("need n >= 2")
-    return _banded(range(1, n), mode, band)
+    return _banded(range(1, n), mode)
 
 
-def aqfa_count(n: int, mode: str, band: int = 4) -> int:
+def aqfa_count(n: int, mode: str) -> int:
     """Approximate adder: transform + n control columns (lengths n..1) +
     inverse transform, same per-layer rule."""
     if n < 2:
         raise ArgumentError("need n >= 2")
-    return (2 * _banded(range(1, n), mode, band)
-            + _banded(range(1, n + 1), mode, band))
+    return 2 * _banded(range(1, n), mode) + _banded(range(1, n + 1), mode)
 
 
-def _banded(layer_lengths, mode: str, band: int) -> int:
-    if mode == "local_banded":
-        return sum(min(length, band) for length in layer_lengths)
-    if mode == "mixed_gms":
-        return sum(min(2, min(length, band)) for length in layer_lengths)
-    raise ArgumentError(f"mode must be one of {AQFT_MODES}")
+def _banded(layer_lengths, mode: str) -> int:
+    if mode not in LAYER_CAP:
+        raise ArgumentError(f"mode must be one of {tuple(LAYER_CAP)}")
+    return sum(min(length, LAYER_CAP[mode]) for length in layer_lengths)

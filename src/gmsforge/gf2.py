@@ -47,6 +47,8 @@ class Gf2Matrix:
         if not isinstance(rows, (list, tuple)):
             raise ArgumentError(f"expected a list of rows, not {type(rows).__name__}")
         n = len(rows)
+        if not n:
+            raise ArgumentError("expected at least one row")
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)) or len(row) != n:
                 raise ArgumentError(f"[{i}]: expected a row of {n} entries, "

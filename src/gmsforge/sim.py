@@ -168,45 +168,22 @@ def _layout(core: tuple, n: int) -> tuple[tuple, tuple, tuple]:
     return axes, tuple(view), tuple(table)
 
 
-def _table_view(core: list[int], phases: np.ndarray, n: int
-                ) -> tuple[tuple, np.ndarray]:
-    """The table over the sorted ``core`` wires, spread over
-    ``_table_wires(core, n)``: a view shape for a (dim, batch) state and
-    the table reshaped to broadcast against the view with the batch
-    appended (``_layout``)."""
-    axes, view, table = _layout(tuple(core), n)
-    if 1 in axes:
-        full = np.empty((2,) * len(axes), dtype=np.complex128)
-        full[...] = phases.reshape(axes)
-        phases = full
-    return view, phases.reshape(*table, 1)
-
-
-def _diagonal_table(n: int, diag: dict) -> tuple[tuple, np.ndarray]:
-    """The table of the diagonal matrices ``diag`` maps wires to, with no
-    pulse: the Kronecker product of their diagonals, in ``_pulse_phases``'s
-    view and layout."""
-    core = sorted(diag)
-    phases = np.ones(1, dtype=np.complex128)
-    for q in core:
-        phases = np.multiply.outer(phases, diag[q][::3]).reshape(-1)
-    return _table_view(core, phases, n)
-
-
 def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarray]:
     """A run of GMS pulses in the X basis, the product of their
     exp(-i/2 sum_{i<j} chi_ij z_i z_j), times the diagonal matrices ``diag``
     maps wires to.  Diagonal factors commute, so the run is one table over
     the union of the pulses' wires and ``diag``'s, and the bottom window
     when that is small enough (``_table_wires``), built from the summed
-    pair angles.
+    pair angles; with no pulse every chi is 0, and the table is the
+    Kronecker product of the diagonals.
 
-    Returns a view shape and a phase table that broadcasts against it
-    (``_table_view``).  z = 1 - 2b over the bits b of the table's wires,
-    first wire most significant.  The 2^k-entry table is built from the
-    pair factors exp(-i chi_ij / 2), one vectorised exp of the k x k angle
-    matrix, and filled in place with a few numpy calls per wire: no
-    transcendental call per entry.
+    Returns a view shape for a (dim, batch) state and the table, repeated
+    over the wires ``_table_wires`` adds, to broadcast against it with the
+    batch appended (``_layout``).  z = 1 - 2b over the bits b of the
+    table's own wires, first wire most significant.  The 2^k-entry table is
+    built from the pair factors exp(-i chi_ij / 2), one vectorised exp of
+    the k x k angle matrix, and filled in place with a few numpy calls per
+    wire: no transcendental call per entry.
     """
     wires = sorted({q for g in pulses for q in g.qubits}.union(diag))
     k = len(wires)
@@ -234,7 +211,12 @@ def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarr
         np.multiply(phases[:s], field[w].conj(), out=phases[s:2 * s])
         phases[:s] *= field[w]
         field = (field[:w, None] * pair[w, :w, :, None]).reshape(w, 2 * s)
-    return _table_view(wires, phases, n)
+    axes, view, table = _layout(tuple(wires), n)
+    if 1 in axes:
+        full = np.empty((2,) * len(axes), dtype=np.complex128)
+        full[...] = phases.reshape(axes)
+        phases = full
+    return view, phases.reshape(*table, 1)
 
 
 def _zyz(m: tuple) -> tuple[tuple, tuple, complex]:
@@ -291,10 +273,10 @@ def _compile(circuit: Circuit) -> Plan:
     wire the open table spans when a window is flushed.  At the end a
     diagonal one rides in its window's block when the window has one and
     the last table does not span the wire, and joins the last table
-    otherwise.  The table is one pass (``_pulse_phases``, or
-    ``_diagonal_table`` with no pulse) when another pass or the end closes
-    it.  So a run of pulses costs one phase pass plus one block pass per
-    window that holds a non-diagonal pending matrix.
+    otherwise.  The table, with or without pulses, is one pass
+    (``_pulse_phases``) when another pass or the end closes it.  So a run
+    of pulses costs one phase pass plus one block pass per window that
+    holds a non-diagonal pending matrix.
 
     A window flushed for a pulse, XX or CP while the open table spans its
     pending wires, or can widen to them within ``CHUNK`` entries, becomes a
@@ -315,8 +297,7 @@ def _compile(circuit: Circuit) -> Plan:
 
     def close_run():
         if span:
-            view, phases = (_pulse_phases(run, n, folded) if run
-                            else _diagonal_table(n, folded))
+            view, phases = _pulse_phases(run, n, folded)
             steps.append(("apply_scale", view, (phases,)))
             passes["phase"] += 1
             run.clear()
@@ -380,8 +361,6 @@ def _compile(circuit: Circuit) -> Plan:
             for m in mats[1:].reshape(-1, 2, 2):
                 size = 2 * len(blk)
                 blk = (blk[:, None, :, None] * m[None, :, None, :]).reshape(size, size)
-            if blk.dtype.kind == "c" and not blk.imag.any():
-                blk = blk.real.copy()
             blocks.append((blk, top))
         join(rights)
         for args in blocks:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_circuit
-from gmsforge.circuit import (Circuit, Exponential, Gate, PerPair,
-                              PowerLawSum, SchemaError, Uniform, cnot,
+from gmsforge.circuit import (ArgumentError, Circuit, Exponential, Gate,
+                              PerPair, PowerLawSum, SchemaError, Uniform, cnot,
                               deserialize, empty, gms, h, rx, serialize, xx)
 from gmsforge.constructions import fanout, toffoli3_gms, toffoli_n
 from gmsforge.sim import unitary_of
@@ -164,6 +164,12 @@ def test_gate_validation():
         gms((0,), Uniform(1.0))
     with pytest.raises(ValueError):
         rx(0, float("nan"))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for build in (Uniform, lambda x: PerPair(((0, 1, x),)),
+                      lambda x: PowerLawSum(((0.4, x),)),
+                      lambda x: PowerLawSum(((x, 2.5),))):
+            with pytest.raises(ArgumentError, match="finite"):
+                build(bad)
     with pytest.raises(ValueError):
         gms((0, 1, 2), PerPair(((0, 1, 0.5),)))  # missing pairs
     with pytest.raises(ValueError):
@@ -263,8 +269,10 @@ def _one_gate(gate, n=3):
     (_one_gate({"kind": "H", "qubits": [0], "theta": 0.5}), "gates[0].theta"),
     (_one_gate({"kind": "RX", "qubits": [0], "theta": 0.5,
                 "profile": {"kind": "exponential"}}), "gates[0].profile"),
+    (_one_gate({"kind": "GMS", "qubits": [0, 1], "profile": {
+        "kind": "per_pair", "table": [[0, 1, math.nan]]}}), "gates[0].profile"),
 ], ids=["bool-n_qubits", "bool-qubit", "float-pair-index", "bool-offset",
-        "theta-on-H", "profile-on-RX"])
+        "theta-on-H", "profile-on-RX", "nan-coupling"])
 def test_strict_schema_names_field(text, path):
     with pytest.raises(SchemaError) as err:
         deserialize(text)

@@ -13,7 +13,7 @@ import pytest
 
 from gmsforge import cli, fourier, sim
 from gmsforge import constructions as cons
-from gmsforge.circuit import Exponential, deserialize, rx, serialize
+from gmsforge.circuit import Exponential, PowerLawSum, deserialize, rx, serialize
 from gmsforge.constructions import fanin, fanout, toffoli_n
 
 
@@ -226,6 +226,13 @@ def test_verify_emit_unitary(tmp_path, capsys):
     assert code == 0
     rows = dump.read_text().strip().split("\n")
     assert len(rows) == 4 and len(rows[0].split(",")) == 8  # re,im per entry
+    path = tmp_path / "f7.json"
+    run(capsys, "synth", "fanout", "--n", "7", "--out", str(path))
+    dump.unlink()
+    code, out, err = run(capsys, "verify", str(path), "--against", "fanout", "--n", "7",
+                         "--emit-unitary", str(dump))
+    assert code == 3 and out.startswith("PASS") and "limited to 6 qubits" in err
+    assert not dump.exists()
 
 
 def test_verify_qft_roundtrip(tmp_path, capsys):
@@ -233,6 +240,22 @@ def test_verify_qft_roundtrip(tmp_path, capsys):
     path = tmp_path / "q4.json"
     run(capsys, "synth", "qft-gms", "--n", "4", "--out", str(path))
     code, out, _ = run(capsys, "verify", str(path), "--against", "qft-ref", "--n", "4")
+    assert code == 0 and out.startswith("PASS")
+    code, out, _ = run(capsys, "synth", "qft-gms", "--n", "4", "--profile", "power-law",
+                       "--terms", "0.4:2.5,-0.5:3.4", "--offset", "1")
+    want = fourier.qft_gms(4, PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 1))
+    assert code == 0 and deserialize(out) == want
+
+
+def test_verify_tol_must_be_finite_and_positive(tmp_path, capsys):
+    path = tmp_path / "f4.json"
+    run(capsys, "synth", "fanout", "--n", "4", "--out", str(path))
+    for tol in ("inf", "-1", "nan", "0", "x"):
+        code, out, err = run(capsys, "verify", str(path), "--against", "fanin",
+                             "--n", "4", "--tol", tol)
+        assert code == 2 and out == "" and "--tol" in err
+    code, out, _ = run(capsys, "verify", str(path), "--against", "fanout", "--n", "4",
+                       "--tol", "1e-6")
     assert code == 0 and out.startswith("PASS")
 
 
@@ -282,11 +305,16 @@ def test_table1_json_keeps_want_got(capsys):
 
 def test_optimize_writes_scans(tmp_path, capsys):
     code, out, _ = run(capsys, "optimize-powerlaw", "--n", "10", "--m", "2",
-                       "--out-dir", str(tmp_path))
+                       "--out-dir", str(tmp_path), "--json")
     assert code == 0 and "fidelity=" in out
     for axis in ("b1", "b2", "p1", "p2"):
         lines = (tmp_path / f"scan_{axis}.csv").read_text().splitlines()
         assert lines[0] == "value,fidelity" and len(lines) > 10
+    doc = json.loads(out.splitlines()[-1])
+    res = fourier.optimize_powerlaw(10, 2, 0.1)
+    assert doc["command"] == "optimize-powerlaw" and doc["checks"][0]["outcome"] == "PASS"
+    assert doc["params"] == [list(t) for t in res.params.terms]
+    assert doc["fidelity"] == res.fidelity and f"fidelity={res.fidelity:.9f}" in out
 
 
 def test_optimize_deterministic(tmp_path, capsys):
@@ -301,7 +329,7 @@ def test_optimize_deterministic(tmp_path, capsys):
     assert (tmp_path / "y" / "scan_b1.csv").read_text() == scans1
 
 
-def test_fidelity_scan_stdout(capsys):
+def test_fidelity_scan_stdout(tmp_path, capsys):
     code, out, _ = run(capsys, "fidelity-scan", "--axis", "p1", "--n", "10",
                        "--params", "0.4,-0.5,2.5,3.4")
     assert code == 0
@@ -309,12 +337,18 @@ def test_fidelity_scan_stdout(capsys):
     assert lines[0] == "value,fidelity"
     best = max(lines[1:], key=lambda ln: float(ln.split(",")[1]))
     assert abs(float(best.split(",")[0]) - 2.5) < 1e-9
+    csv = tmp_path / "scan.csv"
+    code, written, _ = run(capsys, "fidelity-scan", "--axis", "p1", "--n", "10",
+                           "--params", "0.4,-0.5,2.5,3.4", "--out", str(csv))
+    assert code == 0 and written == "" and csv.read_text() == out
 
 
 def test_fidelity_scan_bad_axis(capsys):
-    code, _, err = run(capsys, "fidelity-scan", "--axis", "q9", "--n", "10",
-                       "--params", "0.4,2.5")
-    assert code == 2 and "axis" in err
+    for axis, params, flag in (("q9", "0.4,2.5", "--axis"), ("b1", "0.4,x", "--params"),
+                               ("b1", "0.4,2.5,1", "--params")):
+        code, out, err = run(capsys, "fidelity-scan", "--axis", axis, "--n", "10",
+                             "--params", params)
+        assert code == 2 and out == "" and flag in err
 
 
 def test_schema_error_exit2(tmp_path, capsys):
@@ -332,6 +366,10 @@ def test_synth_linear(tmp_path, capsys):
     assert code == 0 and circ.n_qubits == 3
     # one single-target fan: a dressed XX pulse
     assert sum(1 for g in circ.gates if g.kind in ("XX", "GMS")) == 1
+    m.write_text("[[0,1,0],[0,0,1],[1,0,0]]")  # a wire permutation costs no gate
+    code, out, err = run(capsys, "synth", "linear", "--matrix", str(m))
+    assert code == 0 and deserialize(out).gates == ()
+    assert "relabeling (zero pulse cost): [1, 2, 0]" in err
 
 
 def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -354,10 +392,21 @@ def test_bad_construction_arguments_exit2(tmp_path, capsys):
     bad = tmp_path / "m.json"
     for text, path in (("[[1,1],[0,", "line 1"), ('{"a": 1}', "list of rows"),
                        ('[[1,0],[0,"x"]]', "[1][1]: expected 0 or 1"),
-                       ("[[1,0],[1]]", "[1]: expected a row of 2 entries")):
+                       ("[[1,0],[1]]", "[1]: expected a row of 2 entries"),
+                       ("[]", "at least one row")):
         bad.write_text(text)
-        code, out, err = run(capsys, "synth", "linear", "--matrix", str(bad))
-        assert code == 2 and out == "" and "--matrix" in err and path in err
+        for command in ("synth", "count"):
+            code, out, err = run(capsys, command, "linear", "--matrix", str(bad))
+            assert code == 2 and out == "" and "--matrix" in err and path in err
+    # non-finite couplings, each refused naming its flag
+    for argv, flag in ((["synth", "phase-poly", "--n", "3", "--theta", "nan"], "--theta"),
+                       (["synth", "star", "--n", "4", "--chi", "inf"], "--chi"),
+                       (["synth", "qft-gms", "--n", "3", "--profile", "power-law",
+                         "--terms", "0.4:nan"], "--terms"),
+                       (["fidelity-scan", "--axis", "b1", "--n", "5", "--params",
+                         "nan,2"], "--params")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and flag in err and "finite" in err
     scan = ["fidelity-scan", "--axis", "p1", "--n", "10", "--params", "0.4,-0.5,2.5,3.4"]
     for step in ("0", "nan", "-0.1", "inf"):
         for argv in (["optimize-powerlaw", "--n", "10", "--m", "2",

@@ -257,18 +257,23 @@ def test_zyz_split():
 
 
 def test_diagonal_table_is_the_kronecker_product():
-    # a table with no pulse is the product of its diagonals, in the general
-    # builder's view and layout
-    rng = random.Random(5)
+    # a table with no pulse multiplies a state by the Kronecker product of
+    # its diagonals, also on the bottom-window wires it is padded to
+    rng, nrng = random.Random(5), np.random.default_rng(5)
     for n in (3, 6, 9, 12, 16):
         for _ in range(4):
             diag = {q: (cmath.exp(1j * rng.uniform(-3, 3)), 0, 0,
                         cmath.exp(1j * rng.uniform(-3, 3)))
                     for q in rng.sample(range(n), rng.randint(1, min(n, 6)))}
-            view, table = sim._diagonal_table(n, diag)
-            want_view, want = sim._pulse_phases((), n, diag)
-            assert view == want_view and table.shape == want.shape
-            assert np.max(np.abs(table - want)) < 1e-15
+            want = np.ones(1)
+            for q in range(n):
+                m = diag.get(q, (1, 0, 0, 1))
+                want = np.multiply.outer(want, [m[0], m[3]]).reshape(-1)
+            st = random_state(nrng, n)
+            got = st.reshape(-1, 1).copy()
+            view, table = sim._pulse_phases((), n, diag)
+            kernels.BACKEND.apply_scale(got.reshape(*view, 1), table)
+            assert np.max(np.abs(got[:, 0] - want * st)) < 1e-15
 
 
 def test_window_edges_and_early_flush():
