@@ -14,6 +14,8 @@ Conventions fixed here and relied on everywhere else:
 * XX(chi) = exp(-i*(sigma_x (x) sigma_x)*chi/2).  A GMS over a qubit set S
   applies XX to every pair of S, pair (i, j) at angle profile.angle(i, j).
 * Circuits are immutable values; every operation returns a new circuit.
+  Validation is one pass per circuit: each gate checks itself once, when it
+  is made, and a circuit takes one max over all wires against its register.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import bisect
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Union
+from itertools import chain, combinations
+from typing import Iterable, Sequence, Union
 
 
 class SchemaError(ValueError):
@@ -64,13 +66,14 @@ class PerPair:
     table: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        canon = tuple(sorted((min(i, j), max(i, j), float(chi)) for i, j, chi in self.table))
+        canon = sorted([(i, j, float(chi)) if i < j else (j, i, float(chi))
+                        for i, j, chi in self.table])
         keys = [(i, j) for i, j, _ in canon]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate pair in coupling table")
-        if not all(math.isfinite(chi) for _, _, chi in canon):
+        if not all(map(math.isfinite, [chi for _, _, chi in canon])):
             raise ArgumentError("coupling angles must be finite")
-        object.__setattr__(self, "table", canon)
+        object.__setattr__(self, "table", tuple(canon))
 
     def angle(self, i: int, j: int) -> float:
         # binary search of the sorted table: (a, b) sorts just before (a, b, chi)
@@ -120,6 +123,9 @@ CouplingProfile = Union[Uniform, PerPair, Exponential, PowerLawSum]
 
 GATE_KINDS = ("H", "RX", "RY", "RZ", "CNOT", "CP", "XX", "GMS", "PHASE")
 _PARAMETRIC = ("RX", "RY", "RZ", "CP", "XX", "PHASE")
+# kind -> (its number of wires, None for any; whether it takes an angle)
+_RULES = {kind: ({"CNOT": 2, "CP": 2, "XX": 2, "GMS": None, "PHASE": 0}.get(kind, 1),
+                 kind in _PARAMETRIC) for kind in GATE_KINDS}
 
 
 @dataclass(frozen=True)
@@ -129,43 +135,46 @@ class Gate:
     theta: float | None = None
     profile: CouplingProfile | None = None
 
-    _ARITY = {"H": 1, "RX": 1, "RY": 1, "RZ": 1,
-              "CNOT": 2, "CP": 2, "XX": 2, "PHASE": 0}
-
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(set(self.qubits)) != len(self.qubits):
+        kind, qubits, theta = self.kind, self.qubits, self.theta
+        if kind not in GATE_KINDS:
+            raise ValueError(f"unknown gate kind {kind!r}")
+        arity, angled = _RULES[kind]
+        width = len(qubits)
+        if width > 1 and len(set(qubits)) != width:
             raise ValueError("gate qubits must be distinct")
-        if any(q < 0 for q in self.qubits):
+        if width and min(qubits) < 0:
             raise ValueError("negative qubit index")
-        want = self._ARITY.get(self.kind)
-        if want is not None and len(self.qubits) != want:
-            raise ValueError(f"{self.kind} takes {want} qubit(s), "
-                             f"got {len(self.qubits)}")
-        if self.theta is not None and not math.isfinite(self.theta):
+        if arity is not None and width != arity:
+            raise ValueError(f"{kind} takes {arity} qubit(s), got {width}")
+        if theta is None:
+            if angled:
+                raise ValueError(f"{kind} requires an angle")
+        elif not math.isfinite(theta):
             raise ValueError("angle must be finite")
-        if self.kind in _PARAMETRIC and self.theta is None:
-            raise ValueError(f"{self.kind} requires an angle")
-        if self.kind not in _PARAMETRIC and self.theta is not None:
-            raise ValueError(f"{self.kind} takes no angle")
-        if self.kind != "GMS" and self.profile is not None:
-            raise ValueError(f"{self.kind} takes no profile")
-        if self.kind == "GMS":
-            if len(self.qubits) < 2:
-                raise ValueError("GMS needs at least 2 participating qubits")
-            if self.profile is None:
-                raise ValueError("GMS requires a coupling profile")
-            if isinstance(self.profile, PerPair):
-                want = set(combinations(sorted(self.qubits), 2))
-                have = {(i, j) for i, j, _ in self.profile.table}
-                if want != have:
-                    raise ValueError("per-pair table must cover exactly the participating pairs")
+        elif not angled:
+            raise ValueError(f"{kind} takes no angle")
+        if kind != "GMS":
+            if self.profile is not None:
+                raise ValueError(f"{kind} takes no profile")
+            return
+        if width < 2:
+            raise ValueError("GMS needs at least 2 participating qubits")
+        if self.profile is None:
+            raise ValueError("GMS requires a coupling profile")
+        # a table's pairs are sorted and distinct: compare them as a list
+        if (isinstance(self.profile, PerPair)
+                and [(i, j) for i, j, _ in self.profile.table]
+                != list(combinations(sorted(qubits), 2))):
+            raise ValueError("per-pair table must cover exactly the participating pairs")
 
-    def pair_angles(self) -> list[tuple[int, int, float]]:
-        """XX decomposition of a GMS gate: (i, j, chi) for every pair, i < j."""
+    def pair_angles(self) -> Sequence[tuple[int, int, float]]:
+        """XX decomposition of a GMS gate: (i, j, chi) for every pair, i < j;
+        a per-pair table, which validation made list exactly those, as it is."""
         if self.kind != "GMS":
             raise ValueError("pair_angles is defined for GMS gates only")
+        if isinstance(self.profile, PerPair):
+            return self.profile.table
         return [(i, j, self.profile.angle(i, j)) for i, j in combinations(sorted(self.qubits), 2)]
 
     def inverse(self) -> "Gate":
@@ -243,20 +252,17 @@ class Circuit:
         object.__setattr__(self, "ancillas", frozenset(self.ancillas))
         if any(a < 0 or a >= self.n_qubits for a in self.ancillas):
             raise ValueError("ancilla index out of range")
-        for g in self.gates:
-            self._check(g)
-
-    def _check(self, gate: Gate) -> None:
-        if any(q >= self.n_qubits for q in gate.qubits):
+        # one max over every wire; the walk only names the first bad gate
+        if max(chain.from_iterable(g.qubits for g in self.gates), default=0) >= self.n_qubits:
+            bad = next(g for g in self.gates if max(g.qubits, default=0) >= self.n_qubits)
             raise ValueError(
-                f"gate {gate.kind} on {gate.qubits} exceeds register of {self.n_qubits}")
+                f"gate {bad.kind} on {bad.qubits} exceeds register of {self.n_qubits}")
 
     @property
     def data_qubits(self) -> tuple[int, ...]:
         return tuple(q for q in range(self.n_qubits) if q not in self.ancillas)
 
     def append(self, gate: Gate) -> "Circuit":
-        self._check(gate)
         return Circuit(self.n_qubits, self.gates + (gate,), self.ancillas)
 
     def extend(self, gates: Iterable[Gate]) -> "Circuit":

@@ -159,6 +159,9 @@ def cmd_verify(args) -> int:
     if not 0 < args.tol < math.inf:
         raise ArgumentError(f"--tol must be finite and above 0, not {args.tol}")
     circuit = deserialize(Path(args.file).read_text())
+    if args.emit_unitary and circuit.n_qubits > 6:
+        print("unitary dump is limited to 6 qubits", file=sys.stderr)
+        return EXIT_GUARD
     read = time.perf_counter()
     ref = _resolve(args.against, args)
     # a construction's action on the data basis, or a simulated circuit or file
@@ -171,9 +174,6 @@ def cmd_verify(args) -> int:
     print(f"{outcome} phase={res.phase.real:+.9f}{res.phase.imag:+.9f}j "
           f"max_deviation={res.max_deviation:.3e}")
     if args.emit_unitary:
-        if circuit.n_qubits > 6:
-            print("unitary dump is limited to 6 qubits", file=sys.stderr)
-            return EXIT_GUARD
         _dump_unitary(unitary_of(circuit), args.emit_unitary)
     if args.json:
         n, d = circuit.n_qubits, len(matrix).bit_length() - 1

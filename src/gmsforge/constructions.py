@@ -14,17 +14,18 @@ x1*...*xm = sum over nonempty subsets S of (-1)^(|S|+1)(xor S) / 2^(m-1),
 realized as CNOT folds plus RZ, with the residual scalar tracked in an
 explicit global-phase gate.  The spin-echo, inverse-pulse and RZ-merge
 rewrites are single left-to-right passes over per-wire gate stacks.  The
-shrink rewrite grows one pulse per exclusion level and shares that object
-across all of the level's positions; the spin-echo pass memoises each
-collapse per pulse object and echo wire, so the round trip builds each
-distinct pulse once.
+shrink rewrite grows each subset pulse to full width in one step and shares
+that object across all of its 2^k positions; the spin-echo pass memoises
+each collapse per pulse object and echo wire, so the round trip builds each
+distinct pulse once.  The Toffoli chain maps two constant unit templates,
+built once, onto its wires, so it makes one gate per gate of its output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -373,15 +374,14 @@ def toffoli4_7gms() -> ConstructionSpec:
     return ConstructionSpec(Circuit(4, tuple(gates)), _toffoli_action(4))
 
 
-def _toffoli4_unit(x: int, y: int, z: int, target: int, helper: int) -> list[Gate]:
-    """Three-pulse Toffoli-4 as an embeddable unit (helper enters/leaves |0>)."""
-    spec = cccz_3gms()
-    inner = [h(3)] + list(spec.generated.gates) + [h(3)]
-    return embed(inner, [x, y, z, target, helper])
-
-
-def _toffoli3_unit(x: int, y: int, target: int) -> list[Gate]:
-    return embed(list(toffoli3_gms().generated.gates), [x, y, target])
+@cache
+def _unit_gates(width: int) -> tuple[Gate, ...]:
+    """The constant gates of a Toffoli-chain unit on wires 0.., built once:
+    the three-pulse Toffoli-4 (width 4, target 3, with a helper on wire 4
+    that enters and leaves |0>) or the ancilla-free Toffoli-3 (width 3)."""
+    if width == 4:
+        return (h(3), *cccz_3gms().generated.gates, h(3))
+    return toffoli3_gms().generated.gates
 
 
 def toffoli_n(n: int) -> ConstructionSpec:
@@ -391,44 +391,25 @@ def toffoli_n(n: int) -> ConstructionSpec:
     fresh tree ancillas, a final unit hits the target, then the computes
     run in reverse.  Odd n seeds the chain with one Toffoli-3 pair.  Pulse
     count: 3n-9 for even n, 3n-6 for odd n; every ancilla returns to |0>.
+    Each unit maps a shared template onto its wires, so the chain builds
+    one gate per gate of its output.
     """
     if n < 4:
         raise ArgumentError("need n >= 4")
-    controls = list(range(n - 1))
-    target = n - 1
-    even = n % 2 == 0
-    n_tree = (n - 4) // 2 if even else (n - 3) // 2
-    total = n + n_tree + 1
-    helper = total - 1  # shared inner ancilla of the Toffoli-4 units
-    tree = list(range(n, n + n_tree))
-
-    compute: list[tuple] = []
-    if n == 4:
-        final = ("t4", controls[0], controls[1], controls[2], target)
-    else:
-        nxt = iter(tree)
-        if even:
-            acc = next(nxt)
-            compute.append(("t4", controls[0], controls[1], controls[2], acc))
-            rest = controls[3:]
-        else:
-            acc = next(nxt)
-            compute.append(("t3", controls[0], controls[1], acc))
-            rest = controls[2:]
-        while len(rest) > 2:
-            out = next(nxt)
-            compute.append(("t4", acc, rest[0], rest[1], out))
-            acc = out
-            rest = rest[2:]
-        final = ("t4", acc, rest[0], rest[1], target)
-
+    controls, target = list(range(n - 1)), n - 1
+    first = 3 if n % 2 == 0 else 2  # controls the first unit ANDs
+    helper = n + (n - 1 - first) // 2  # after the tree ancillas; shared by the units
+    # each unit ANDs its inputs into its last wire: the first unit's inputs
+    # are controls, each later unit's the previous output and two controls
+    inputs = [controls[:first]] + [controls[k:k + 2] for k in range(first, n - 1, 2)]
+    units, acc = [], []
+    for ins, out in zip(inputs, [*range(n, helper), target]):
+        units.append((*acc, *ins, out))
+        acc = [out]
     gates: list[Gate] = []
-    for unit in compute + [final] + list(reversed(compute)):
-        if unit[0] == "t4":
-            gates += _toffoli4_unit(unit[1], unit[2], unit[3], unit[4], helper)
-        else:
-            gates += _toffoli3_unit(unit[1], unit[2], unit[3])
-    generated = Circuit(total, tuple(gates), frozenset(range(n, total)))
+    for unit in units + units[-2::-1]:  # the computes, the final unit, uncomputes
+        gates += embed(_unit_gates(len(unit)), [*unit, helper])
+    generated = Circuit(helper + 1, tuple(gates), frozenset(range(n, helper + 1)))
     return ConstructionSpec(generated, _toffoli_action(n))
 
 
@@ -436,24 +417,28 @@ def toffoli_n(n: int) -> ConstructionSpec:
 # Rewrites
 # ---------------------------------------------------------------------------
 
-def _half_extend(gate: Gate, extra: int) -> Gate:
-    """Grow a GMS by one spectator wire at half angles.
+def _grow(gate: Gate, missing: Sequence[int]) -> Gate:
+    """Grow a GMS over the k wires ``missing`` too, in one step, to the
+    pulse that k levels of halving by one spectator wire each would give.
 
-    The spectator's couplings cancel between the echoed pulse pair whatever
-    their value; uniform profiles extend uniformly, position-based ones by
-    their own distance law, explicit tables with zero spectator coupling.
+    Own pairs couple at angle/2**k.  A uniform profile stays uniform; a
+    position-based one couples the first spectator by its own distance law,
+    also at 1/2**k, and later ones at 0; an explicit table couples every
+    spectator at 0.  Spectator couplings cancel between the echoed pulses
+    whatever their value.
     """
-    grown = sorted(set(gate.qubits) | {extra})
+    scale = 2 ** len(missing)
+    grown = sorted((*gate.qubits, *missing))
     prof = gate.profile
     if isinstance(prof, Uniform):
-        return gms(grown, Uniform(prof.theta / 2))
-    table = []
-    for i, j in combinations(grown, 2):
-        if extra in (i, j) and isinstance(prof, PerPair):
-            table.append((i, j, 0.0))
-        else:
-            table.append((i, j, prof.angle(i, j) / 2))
-    return gms(grown, PerPair(tuple(table)))
+        return gms(grown, Uniform(prof.theta / scale))
+    chi = {(i, j): c / scale for i, j, c in gate.pair_angles()}
+    if not isinstance(prof, PerPair):
+        first = missing[0]
+        chi.update(((min(q, first), max(q, first)), prof.angle(q, first) / scale)
+                   for q in gate.qubits)
+    return gms(grown, PerPair(tuple((i, j, chi.get((i, j), 0.0))
+                                    for i, j in combinations(grown, 2))))
 
 
 def gms_shrink(circuit: Circuit) -> Circuit:
@@ -464,10 +449,10 @@ def gms_shrink(circuit: Circuit) -> Circuit:
     the reintroduced wire; the echo flips that wire's couplings so they
     cancel while the original ones double back to strength.
 
-    Every pulse of one exclusion level is the same gate, so the pulse is
-    grown once per excluded wire and the fully grown one, a single object,
-    fills all 2**k positions: the sequence for excluded wires l..k is the
-    one for wires l+1..k, RZ(pi) on wire l, that sequence again, RZ(-pi).
+    Every one of the 2**k pulses is the same gate, so it is grown to full
+    width once, in one step (``_grow``), and that single object fills all
+    2**k positions: the sequence for excluded wires l..k is the one for
+    wires l+1..k, RZ(pi) on wire l, that sequence again, RZ(-pi).
     """
     n = circuit.n_qubits
     out: list[Gate] = []
@@ -476,9 +461,7 @@ def gms_shrink(circuit: Circuit) -> Circuit:
             out.append(g)
             continue
         missing = [q for q in range(n) if q not in g.qubits]
-        for extra in missing:
-            g = _half_extend(g, extra)
-        seq = [g]
+        seq = [_grow(g, missing)]
         for extra in reversed(missing):
             seq = seq + [rz(extra, PI)] + seq + [rz(extra, -PI)]
         out.extend(seq)

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_circuit
 from gmsforge.circuit import (ArgumentError, Circuit, Exponential, Gate,
                               PerPair, PowerLawSum, SchemaError, Uniform, cnot,
-                              deserialize, empty, gms, h, rx, serialize, xx)
+                              deserialize, empty, global_phase, gms, h, rx,
+                              serialize, xx)
 from gmsforge.constructions import fanout, toffoli3_gms, toffoli_n
 from gmsforge.sim import unitary_of
 
@@ -158,26 +159,42 @@ def test_cost_additive_under_compose():
 
 
 def test_gate_validation():
-    with pytest.raises(ValueError):
-        cnot(1, 1)
-    with pytest.raises(ValueError):
-        gms((0,), Uniform(1.0))
-    with pytest.raises(ValueError):
-        rx(0, float("nan"))
+    refusals = [
+        (lambda: Gate("SWAP", (0, 1)), "unknown gate kind 'SWAP'"),
+        (lambda: cnot(1, 1), "gate qubits must be distinct"),
+        (lambda: gms((0, 2, 0), Uniform(1.0)), "gate qubits must be distinct"),
+        (lambda: h(-1), "negative qubit index"),
+        (lambda: Gate("XX", (0, 1, 2), 0.5), r"XX takes 2 qubit\(s\), got 3"),
+        (lambda: Gate("PHASE", (0,), 0.5), r"PHASE takes 0 qubit\(s\), got 1"),
+        (lambda: rx(0, float("nan")), "angle must be finite"),
+        (lambda: Gate("H", (0,), float("inf")), "angle must be finite"),
+        (lambda: Gate("RZ", (0,)), "RZ requires an angle"),
+        # an angle on H or CNOT would serialize a theta that reading rejects
+        (lambda: Gate("H", (0,), 0.5), "H takes no angle"),
+        (lambda: Gate("CNOT", (0, 1), 0.5), "CNOT takes no angle"),
+        (lambda: Gate("RX", (0,), 0.5, Uniform(1.0)), "RX takes no profile"),
+        (lambda: gms((0,), Uniform(1.0)), "GMS needs at least 2 participating qubits"),
+        (lambda: Gate("GMS", (0, 1)), "GMS requires a coupling profile"),
+        (lambda: gms((0, 1, 2), PerPair(((0, 1, 0.5),))), "cover exactly"),  # missing
+        (lambda: gms((0, 1), PerPair(((0, 1, 0.5), (1, 2, 0.5)))), "cover exactly"),  # extra
+        (lambda: gms((0, 1), PerPair(((0, 1, 0.5), (1, 1, 0.5)))), "cover exactly"),  # (i, i)
+        (lambda: PerPair(((0, 1, 0.5), (1, 0, 0.5))), "duplicate pair in coupling table"),
+        (lambda: PerPair(((0, 1, 0.5), (1, 2, float("nan")))), "coupling angles must be finite"),
+        # a wire past the register given to the constructor names the first
+        # offending gate, not a later one
+        (lambda: Circuit(2, (h(0), global_phase(0.5), cnot(0, 2), h(3))),
+         r"gate CNOT on \(0, 2\) exceeds register of 2"),
+        (lambda: empty(2).append(h(2)), r"gate H on \(2,\) exceeds register of 2"),
+    ]
+    for build, message in refusals:
+        with pytest.raises(ValueError, match=message):
+            build()
     for bad in (float("nan"), float("inf"), -float("inf")):
         for build in (Uniform, lambda x: PerPair(((0, 1, x),)),
                       lambda x: PowerLawSum(((0.4, x),)),
                       lambda x: PowerLawSum(((x, 2.5),))):
             with pytest.raises(ArgumentError, match="finite"):
                 build(bad)
-    with pytest.raises(ValueError):
-        gms((0, 1, 2), PerPair(((0, 1, 0.5),)))  # missing pairs
-    with pytest.raises(ValueError):
-        Gate("XX", (0, 1, 2), 0.5)  # wrong arity
-    with pytest.raises(ValueError, match="takes no angle"):
-        Gate("H", (0,), 0.5)  # would serialize a theta that reading rejects
-    with pytest.raises(ValueError, match="takes no profile"):
-        Gate("RX", (0,), 0.5, Uniform(1.0))
     with pytest.raises(SchemaError):
         deserialize('{"n_qubits": 3, "gates": '
                     '[{"kind": "CNOT", "qubits": [0, 1, 2]}]}')

@@ -217,7 +217,7 @@ def test_verify_ancilla_columns_guard_exit3(tmp_path, capsys, monkeypatch):
     assert "guard" in err and str(16 << 12) in err and str(16 << 10) in err
 
 
-def test_verify_emit_unitary(tmp_path, capsys):
+def test_verify_emit_unitary(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cx.json"
     run(capsys, "synth", "cnot-xx", "--out", str(path))
     dump = tmp_path / "u.csv"
@@ -229,10 +229,14 @@ def test_verify_emit_unitary(tmp_path, capsys):
     path = tmp_path / "f7.json"
     run(capsys, "synth", "fanout", "--n", "7", "--out", str(path))
     dump.unlink()
-    code, out, err = run(capsys, "verify", str(path), "--against", "fanout", "--n", "7",
-                         "--emit-unitary", str(dump))
-    assert code == 3 and out.startswith("PASS") and "limited to 6 qubits" in err
-    assert not dump.exists()
+    monkeypatch.setattr(cli, "_resolve", lambda *a: pytest.fail("reference built"))
+    monkeypatch.setattr(cli, "equiv_on_ancilla", lambda *a: pytest.fail("check ran"))
+    for extra in ((), ("--json",)):
+        # refused before the reference is built or the check runs
+        code, out, err = run(capsys, "verify", str(path), "--against", "fanout", "--n", "7",
+                             "--emit-unitary", str(dump), *extra)
+        assert code == 3 and out == "" and "limited to 6 qubits" in err
+        assert not dump.exists()
 
 
 def test_verify_qft_roundtrip(tmp_path, capsys):

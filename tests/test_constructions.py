@@ -10,7 +10,7 @@ from conftest import (controlled_z_matrix, random_circuit,
                       random_echo_circuit, toffoli_matrix)
 from gmsforge import constructions as cons
 from gmsforge import sim
-from gmsforge.circuit import (Circuit, Exponential, PerPair, PowerLawSum, Uniform,
+from gmsforge.circuit import (Circuit, Exponential, Gate, PerPair, PowerLawSum, Uniform,
                               cnot, gms, h, rx, ry, rz, serialize, xx)
 from gmsforge.cli import table1_rows
 from gmsforge.fourier import qft_gms
@@ -517,8 +517,26 @@ def test_toffoli9_shrink_round_trip():
     assert back.cost().gms_pulses == 21
 
 
+def half_extend(gate, extra):
+    """Grow a GMS by one spectator wire at half angles: uniform profiles
+    extend uniformly, position-based ones by their own distance law,
+    explicit tables with zero spectator coupling."""
+    grown = sorted(set(gate.qubits) | {extra})
+    prof = gate.profile
+    if isinstance(prof, Uniform):
+        return gms(grown, Uniform(prof.theta / 2))
+    table = []
+    for i, j in combinations(grown, 2):
+        if extra in (i, j) and isinstance(prof, PerPair):
+            table.append((i, j, 0.0))
+        else:
+            table.append((i, j, prof.angle(i, j) / 2))
+    return gms(grown, PerPair(tuple(table)))
+
+
 def oracle_gms_shrink(circuit):
-    """The per-item shrink: every pulse of a level is grown on its own."""
+    """The per-item shrink: every pulse of a level is grown on its own, one
+    spectator wire at a time."""
     n = circuit.n_qubits
     out = []
     for g in circuit.gates:
@@ -530,7 +548,7 @@ def oracle_gms_shrink(circuit):
             grown_seq = []
             for item in seq:
                 if item.kind == "GMS" and extra not in item.qubits:
-                    grown = cons._half_extend(item, extra)
+                    grown = half_extend(item, extra)
                     grown_seq += [grown, rz(extra, PI), grown, rz(extra, -PI)]
                 else:
                     grown_seq.append(item)
@@ -577,30 +595,57 @@ def test_gms_shrink_matches_per_item_oracle_on_constructions(original):
 
 
 def test_shrink_grows_one_pulse_per_level(monkeypatch):
-    grown = []  # (source, result) of every _half_extend call, in order
-    real = cons._half_extend
+    grown = []  # (source, missing wires, result) of every _grow call, in order
+    real = cons._grow
 
-    def recording(gate, extra):
-        grown.append((gate, real(gate, extra)))
-        return grown[-1][1]
+    def recording(gate, missing):
+        grown.append((gate, list(missing), real(gate, missing)))
+        return grown[-1][2]
 
-    monkeypatch.setattr(cons, "_half_extend", recording)
+    monkeypatch.setattr(cons, "_grow", recording)
     original = cons.toffoli_n(10).generated
     n = original.n_qubits
     pulses = iter(g for g in cons.gms_shrink(original).gates if g.kind == "GMS")
     calls = iter(grown)
     sources = [g for g in original.gates if g.kind == "GMS"]
+    assert all(len(g.qubits) < n for g in sources)
     for source in sources:
-        k = n - len(source.qubits)
-        chain = [next(calls) for _ in range(k)]
-        # k pulses, one per exclusion level, each grown from the one before
-        grown_from = [source] + [out for _, out in chain]
-        assert all(src is want for (src, _), want in zip(chain, grown_from))
-        assert len({id(out) for _, out in chain}) == k
-        last = chain[-1][1] if k else source
-        assert all(next(pulses) is last for _ in range(2 ** k))
+        # one full-width pulse, grown from the source in one step, fills all
+        # 2**k positions of the source's echo sequence
+        src, missing, out = next(calls)
+        assert src is source and missing == [q for q in range(n) if q not in src.qubits]
+        assert all(next(pulses) is out for _ in range(2 ** len(missing)))
     assert next(calls, None) is None and next(pulses, None) is None
-    assert len(grown) == sum(n - len(g.qubits) for g in sources) == 21 * 9
+    assert len(grown) == len(sources) == 21
+
+
+def count_post_inits(monkeypatch, cls):
+    """Count the instances of a dataclass constructed from now on."""
+    made = [0]
+    real = cls.__post_init__
+
+    def counting(self):
+        made[0] += 1
+        real(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    return made
+
+
+def test_construction_budget(monkeypatch):
+    # the Toffoli chain maps shared unit templates, so once they exist it
+    # makes one Gate per output gate (about twice that when every unit
+    # rebuilt its template); the shrink grows each subset pulse in one step,
+    # one table each (48 when every exclusion level built a table)
+    cons.toffoli_n(12)
+    made = count_post_inits(monkeypatch, Gate)
+    out = cons.toffoli_n(12).generated
+    assert made[0] == len(out.gates)
+    original = qft_gms(8, PowerLawSum(((0.4, 2.5),)))
+    subset = [g for g in original.gates if g.kind == "GMS" and len(g.qubits) < 8]
+    tables = count_post_inits(monkeypatch, PerPair)
+    cons.gms_shrink(original)
+    assert tables[0] == len(subset) == 13
 
 
 def test_echo_collapses_once_per_pulse_and_wire(monkeypatch):
