@@ -3,12 +3,12 @@
 __version__ = "0.1.0"
 
 from .circuit import (ArgumentError, Circuit, CostReport, Exponential, Gate,
-                      PerPair, PowerLawSum, SchemaError, Uniform, cnot, cp,
-                      deserialize, empty, gms, global_phase, h, rx, ry, rz,
+                      GuardError, PerPair, PowerLawSum, SchemaError, Uniform, cnot,
+                      cp, deserialize, empty, gms, global_phase, h, rx, ry, rz,
                       serialize, xx)
 
 __all__ = [
-    "ArgumentError", "Circuit", "CostReport", "Exponential", "Gate", "PerPair", "PowerLawSum",
-    "SchemaError", "Uniform", "cnot", "cp", "deserialize", "empty", "gms",
+    "ArgumentError", "Circuit", "CostReport", "Exponential", "Gate", "GuardError", "PerPair",
+    "PowerLawSum", "SchemaError", "Uniform", "cnot", "cp", "deserialize", "empty", "gms",
     "global_phase", "h", "rx", "ry", "rz", "serialize", "xx", "__version__",
 ]

@@ -41,6 +41,32 @@ class ArgumentError(ValueError):
     when they come from the command line, unlike other ValueErrors."""
 
 
+class GuardError(RuntimeError):
+    """Raised by ``guard`` when a request is above a resource limit."""
+
+
+def guard(name: str, asked: int, limit: int, unit: str, note: str = "") -> None:
+    """Refuse a request of ``asked`` units above ``limit``, in one message:
+    ``<name> guard: <asked> <unit> asked, limit is <limit> <unit>``, then
+    ``note`` in parentheses."""
+    if asked > limit:
+        raise GuardError(f"{name} guard: {asked} {unit} asked, limit is {limit} {unit}"
+                         + (f" ({note})" if note else ""))
+
+
+def check_register(n: int, least: int = 1, **wires: int) -> None:
+    """Refuse a register of fewer than ``least`` qubits, and wire parameters
+    outside it or on one wire, naming their flags and its width."""
+    if n < least:
+        raise ArgumentError(f"need n >= {least}")
+    for flag, wire in wires.items():
+        if not 0 <= wire < n:
+            raise ArgumentError(f"--{flag} must be a wire of the {n}-qubit "
+                                f"register (0..{n - 1}), not {wire}")
+    if len(set(wires.values())) < len(wires):
+        raise ArgumentError(f"--{' and --'.join(wires)} must be different wires")
+
+
 # ---------------------------------------------------------------------------
 # Coupling profiles
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ ledger, and the power-law optimizer.
 the given flags named after its parameters: its signature alone states them.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-guard tripped.  Any other exception is an internal error and propagates.
+guard tripped: every guard raises ``GuardError`` with one message naming
+the guard, the size asked and the limit, and ``main`` prints it.  Any other
+exception is an internal error and propagates.
 """
 
 from __future__ import annotations
@@ -22,20 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, constructions as cons, fourier, gf2
-from .circuit import (ArgumentError, Circuit, Exponential, PowerLawSum,
-                      SchemaError, deserialize, serialize)
-from .sim import DenseGuardError, equiv_on_ancilla, unitary_of
+from .circuit import (ArgumentError, Circuit, Exponential, GuardError, PowerLawSum,
+                      SchemaError, deserialize, guard, serialize)
+from .sim import equiv_on_ancilla, unitary_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD = 0, 1, 2, 3
-
-MAX_SHRINK_PULSES = 1 << 16
-"""Most pulses ``--max-gms-only`` may emit.  Toffoli-10 emits 10752 and
-Toffoli-11 would emit 92160; at 13 qubits each emitted pulse held about
-0.5 kB of gates and wrote about 0.5 kB of JSON."""
-
-
-class OutputGuardError(RuntimeError):
-    """A rewrite would emit more gates than its guard allows."""
 
 
 def _profile_from_args(args):
@@ -130,19 +123,10 @@ def _resolve(target: str, args) -> Circuit | cons.ConstructionSpec:
 
 
 def _emitted(built, args) -> Circuit:
-    """The circuit ``synth`` and ``count`` report, shrunk by --max-gms-only."""
+    """The circuit ``synth`` and ``count`` report, shrunk by --max-gms-only
+    (``gms_shrink`` guards its pulse count)."""
     circ = built.generated if isinstance(built, cons.ConstructionSpec) else built
-    if args.max_gms_only:
-        # a pulse missing k wires becomes 2^k full-register pulses
-        n = circ.n_qubits
-        pulses = sum(1 << (n - len(g.qubits))
-                     for g in circ.gates if g.kind == "GMS")
-        if pulses > MAX_SHRINK_PULSES:
-            raise OutputGuardError(
-                f"shrink guard: --max-gms-only would emit {pulses} pulses, "
-                f"limit is {MAX_SHRINK_PULSES} pulses")
-        circ = cons.gms_shrink(circ)
-    return circ
+    return cons.gms_shrink(circ) if args.max_gms_only else circ
 
 
 def cmd_synth(args) -> int:
@@ -159,9 +143,8 @@ def cmd_verify(args) -> int:
     if not 0 < args.tol < math.inf:
         raise ArgumentError(f"--tol must be finite and above 0, not {args.tol}")
     circuit = deserialize(Path(args.file).read_text())
-    if args.emit_unitary and circuit.n_qubits > 6:
-        print("unitary dump is limited to 6 qubits", file=sys.stderr)
-        return EXIT_GUARD
+    if args.emit_unitary:
+        guard("dump", circuit.n_qubits, 6, "qubits")
     read = time.perf_counter()
     ref = _resolve(args.against, args)
     # a construction's action on the data basis, or a simulated circuit or file
@@ -429,17 +412,14 @@ def main(argv=None) -> int:
     try:
         # looked up when the command runs, so a replaced cmd_* is the one run
         return globals()[args.func](args)
-    except ArgumentError as exc:
+    except (ArgumentError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DenseGuardError, OutputGuardError) as exc:
-        print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
 
 

@@ -31,11 +31,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .circuit import (ArgumentError, Circuit, Gate, PerPair, Uniform, cnot,
-                      gms, global_phase, h, rx, ry, rz, xx)
+from .circuit import (ArgumentError, Circuit, Gate, PerPair, Uniform,
+                      check_register, cnot, gms, global_phase, guard, h, rx, ry,
+                      rz, xx)
 from .sim import AllOnesSign, IndexMap
 
 PI = math.pi
+MAX_SHRINK_PULSES = 1 << 16
+"""Most pulses ``gms_shrink`` may emit.  Toffoli-10 emits 10752 and
+Toffoli-11 would emit 92160; at 13 qubits each emitted pulse held about
+0.5 kB of gates and wrote about 0.5 kB of JSON."""
 
 
 @dataclass(frozen=True)
@@ -65,19 +70,6 @@ def _toffoli_map(n: int) -> np.ndarray:
     x = np.arange(1 << n)
     x[[-2, -1]] = x[[-1, -2]]
     return x
-
-
-def _check_register(n: int, least: int = 1, **wires: int) -> None:
-    """Refuse a register of fewer than ``least`` qubits, and wire parameters
-    outside it or on one wire, naming their flags and its width."""
-    if n < least:
-        raise ArgumentError(f"need n >= {least}")
-    for flag, wire in wires.items():
-        if not 0 <= wire < n:
-            raise ArgumentError(f"--{flag} must be a wire of the {n}-qubit "
-                                f"register (0..{n - 1}), not {wire}")
-    if len(set(wires.values())) < len(wires):
-        raise ArgumentError(f"--{' and --'.join(wires)} must be different wires")
 
 
 def _cnots_action(d: int, cnots: Sequence[tuple[int, int]]) -> IndexMap:
@@ -123,8 +115,7 @@ def parity_phase_gates(qubits: Sequence[int], coeff: float) -> tuple[list[Gate],
 
 def controlled_z_reference(m: int) -> Circuit:
     """Exact m-qubit controlled-Z ladder: diag(1, ..., 1, -1)."""
-    if m < 1:
-        raise ArgumentError("need at least one qubit")
+    check_register(m)
     gates: list[Gate] = []
     scalar = 0.0
     for size in range(1, m + 1):
@@ -175,7 +166,7 @@ def _fan_gates(control: int, targets: Sequence[int]) -> list[Gate]:
 def star_coupling(n: int, hub: int = 0, chi: float = PI / 2) -> Circuit:
     """Two uniform pulses leaving only the hub's couplings active:
     full-register GMS(chi) then GMS(-chi) on the hub's complement."""
-    _check_register(n, 3, hub=hub)
+    check_register(n, 3, hub=hub)
     return Circuit(n, tuple(_star_gates(range(n), hub, chi)))
 
 
@@ -189,7 +180,7 @@ def _star_gates(qubits: Iterable[int], hub: int, chi: float) -> list[Gate]:
 
 
 def fanout(n: int, control: int = 0) -> ConstructionSpec:
-    _check_register(n, 2, control=control)
+    check_register(n, 2, control=control)
     targets = [q for q in range(n) if q != control]
     generated = Circuit(n, tuple(_fan_gates(control, targets)))
     return ConstructionSpec(generated, _cnots_action(n, [(control, t) for t in targets]))
@@ -197,7 +188,7 @@ def fanout(n: int, control: int = 0) -> ConstructionSpec:
 
 def fanin(n: int, target: int = 0) -> ConstructionSpec:
     """Shared-target CNOT set: Hadamard conjugation of the fan-out."""
-    _check_register(n, 2, target=target)
+    check_register(n, 2, target=target)
     controls = [q for q in range(n) if q != target]
     layer = [h(q) for q in range(n)]
     generated = Circuit(n, tuple(layer + _fan_gates(target, controls) + layer))
@@ -211,7 +202,7 @@ def parity_measure_prefix(n: int, target: int = 0) -> Circuit:
     target dressings act entirely on other wires, so the measured wire's
     Z statistics match the full fan-in on every basis input.
     """
-    _check_register(n, 3, target=target)
+    check_register(n, 3, target=target)
     gates = [h(q) for q in range(n)]
     gates += [ry(target, PI / 2),
               gms(range(n), Uniform(PI / 2)),
@@ -224,7 +215,7 @@ def parity_measure_prefix(n: int, target: int = 0) -> Circuit:
 def cnot_via_xx(control: int = 0, target: int = 1, n: int | None = None) -> ConstructionSpec:
     if n is None:
         n = max(control, target) + 1
-    _check_register(n, control=control, target=target)
+    check_register(n, control=control, target=target)
     generated = Circuit(n, tuple(_cnot_xx_gates(control, target)))
     return ConstructionSpec(generated, _cnots_action(n, [(control, target)]))
 
@@ -235,7 +226,7 @@ def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec
     target, leave a single XX(pi/2) between control and target, then
     standard dressing.  Each isolation is a pulse on its wires and one on
     its leaves, so the pulses span n, n - 1, n - 1 and n - 2 wires."""
-    _check_register(n, 3, control=control, target=target)
+    check_register(n, 3, control=control, target=target)
     keep = [q for q in range(n) if q != target]
     gates = [ry(control, PI / 2)]
     gates += _star_gates(range(n), control, PI / 2)
@@ -275,8 +266,7 @@ def tdistill() -> ConstructionSpec:
 def phase_polynomial_identity(n: int, theta: float) -> Circuit:
     """Hadamard-conjugated uniform pulse: applies phase exp(i*theta) to the
     parity of every qubit pair, up to one global phase."""
-    if n < 2:
-        raise ArgumentError("need n >= 2")
+    check_register(n, 2)
     layer = [h(q) for q in range(n)]
     return Circuit(n, tuple(layer + [gms(range(n), Uniform(theta))] + layer))
 
@@ -394,8 +384,7 @@ def toffoli_n(n: int) -> ConstructionSpec:
     Each unit maps a shared template onto its wires, so the chain builds
     one gate per gate of its output.
     """
-    if n < 4:
-        raise ArgumentError("need n >= 4")
+    check_register(n, 4)
     controls, target = list(range(n - 1)), n - 1
     first = 3 if n % 2 == 0 else 2  # controls the first unit ANDs
     helper = n + (n - 1 - first) // 2  # after the tree ancillas; shared by the units
@@ -453,8 +442,13 @@ def gms_shrink(circuit: Circuit) -> Circuit:
     width once, in one step (``_grow``), and that single object fills all
     2**k positions: the sequence for excluded wires l..k is the one for
     wires l+1..k, RZ(pi) on wire l, that sequence again, RZ(-pi).
+
+    The pulses it would emit are counted first and held to
+    ``MAX_SHRINK_PULSES``: a circuit above it raises ``GuardError``.
     """
     n = circuit.n_qubits
+    guard("shrink", sum(1 << (n - len(g.qubits)) for g in circuit.gates if g.kind == "GMS"),
+          MAX_SHRINK_PULSES, "pulses")
     out: list[Gate] = []
     for g in circuit.gates:
         if g.kind != "GMS" or len(g.qubits) == n:
@@ -474,8 +468,7 @@ def gms_dagger_rewrite(n: int, chi: float) -> Circuit:
     One pulse at pi - chi plus RX((n-1)pi) on every wire and the explicit
     scalar (-i)^(n(n-1)/2); equals GMS(-chi) exactly, including phase.
     """
-    if n < 2:
-        raise ArgumentError("need n >= 2")
+    check_register(n, 2)
     if not 0 <= chi <= PI:
         raise ArgumentError("chi must lie in [0, pi]")
     pairs = n * (n - 1) // 2

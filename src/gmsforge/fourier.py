@@ -30,19 +30,17 @@ from itertools import combinations
 import numpy as np
 
 from .circuit import (ArgumentError, Circuit, Exponential, Gate, PerPair,
-                      PowerLawSum, cp, gms, global_phase, h, rz)
+                      PowerLawSum, check_register, cp, gms, global_phase, guard, h, rz)
 from .constructions import ConstructionSpec
-from .sim import BitReversedIFFT, DenseGuardError, trace_fidelity, unitary_of
+from .sim import BitReversedIFFT, guard_bytes, trace_fidelity, unitary_of
 
 PI = math.pi
-MAX_LATTICE_ENTRIES = 1 << 25  # 256 MiB of float64: a dense unitary at 12 qubits
 
 
 def qft_reference(n: int) -> Circuit:
     """Textbook transform: H plus controlled-phase cascade, bit-reversed
     output order (no swap layer)."""
-    if n < 1:
-        raise ArgumentError("need n >= 1")
+    check_register(n)
     gates: list[Gate] = []
     for k in range(n - 1, 0, -1):
         gates.append(h(k))
@@ -118,16 +116,19 @@ def _qft_layers(wires: list[int], laws: list) -> list[Gate]:
 def qft_gms(n: int, profile) -> Circuit:
     """Transform from 2(n-1) pulses per power-law term (2(n-1) total with
     the exponential profile); equals qft_reference exactly there."""
-    if n < 2:
-        raise ArgumentError("need n >= 2")
+    check_register(n, 2)
     return Circuit(n, tuple(_qft_layers(list(range(n)), _gms_laws(profile))))
 
 
 def qfa_gms(n: int, profile) -> Circuit:
     """Adder |a>|b> -> |a>|a+b mod 2^n> on registers a = wires 0..n-1,
-    b = wires n..2n-1, both little-endian (wire j carries weight 2^j)."""
-    if n < 2:
-        raise ArgumentError("need n >= 2")
+    b = wires n..2n-1, both little-endian (wire j carries weight 2^j).
+    A power-law profile needs offset 1: the adder's nearest coupling sits at
+    exponent 0."""
+    check_register(n, 2)
+    if isinstance(profile, PowerLawSum) and profile.offset == 0:
+        raise ArgumentError("the power-law adder needs --offset 1: its nearest "
+                            "coupling sits at exponent 0")
     laws = _gms_laws(profile)
     b_wires = list(range(n, 2 * n))
     fwd = _qft_layers(b_wires, laws)
@@ -149,8 +150,7 @@ def fidelity_formula(n: int, params: PowerLawSum) -> float:
 
     with j running 1..n; offset 1 shifts the power-law base for the adder
     variant."""
-    if n < 2:
-        raise ArgumentError("need n >= 2")
+    check_register(n, 2)
     expo = 0.0
     for j in range(1, n + 1):
         approx = sum(1.0 / (b * (j + params.offset) ** p) for b, p in params.terms)
@@ -187,14 +187,6 @@ def _grid(lo: float, hi: float, step: float, skip_zero: bool) -> list[float]:
             if not (skip_zero and k == 0)]
 
 
-def _guard(points: str, n: int, entries: int) -> None:
-    """Refuse work on more than ``MAX_LATTICE_ENTRIES`` entries."""
-    if entries > MAX_LATTICE_ENTRIES:
-        raise DenseGuardError(
-            f"lattice guard: {points} at n={n} need {entries} entries "
-            f"({8 * entries} bytes), limit is {MAX_LATTICE_ENTRIES} entries")
-
-
 def _axes(params: PowerLawSum) -> list[str]:
     return [f"{c}{i+1}" for c in "bp" for i in range(len(params.terms))]
 
@@ -209,11 +201,10 @@ def _with_axis(params: PowerLawSum, axis: str, value: float) -> PowerLawSum:
 def scan_axis(n: int, params: PowerLawSum, axis: str, step: float = 0.1,
               b_box: tuple[float, float] = (-0.6, 0.6),
               p_box: tuple[float, float] = (1.5, 4.0)) -> FidelityScan:
-    """Fidelity along one parameter axis, all others held fixed; guarded
-    on its points times the formula's n terms."""
+    """Fidelity along one parameter axis, all others held fixed; its points
+    times the formula's n terms, 8 bytes each, are held to the byte budget."""
     lo, hi = b_box if axis[0] == "b" else p_box
-    points = len(_multiples(lo, hi, step))
-    _guard(f"{points} scan points", n, points * n)
+    guard_bytes("scan", 8 * len(_multiples(lo, hi, step)) * n)
     values = _grid(lo, hi, step, skip_zero=axis[0] == "b")
     return FidelityScan(axis, tuple((v, fidelity_formula(n, _with_axis(params, axis, v)))
                                     for v in values))
@@ -255,7 +246,8 @@ def optimize_powerlaw(n: int, m: int, grid_step: float = 0.1,
     ascending by (b, p), as the exponent is symmetric in them.  For m = 3,
     coordinate descent from the 16 best points of the lattice over every
     other grid value.  ``evaluations`` counts lattice entries and steps.
-    The lattice and t (K x n) are guarded before any grid list exists.
+    The lattice and t (K x n), 8 bytes an entry, are held to the byte budget
+    before any grid list exists.
     """
     if m not in (1, 2, 3):
         raise ArgumentError("m must be 1, 2 or 3")
@@ -265,7 +257,7 @@ def optimize_powerlaw(n: int, m: int, grid_step: float = 0.1,
         raise ArgumentError("empty search grid")
     # the m = 3 lattice takes every other grid value (gb, gp below)
     k = (nb + 1) // 2 * ((np_ + 1) // 2) if m == 3 else nb * np_
-    _guard(f"{k}^{m} points", n, max(k**m, k * n))
+    guard_bytes("lattice", 8 * max(k**m, k * n))
     bs = _grid(b_box[0], b_box[1], grid_step, skip_zero=True)
     ps = _grid(p_box[0], p_box[1], grid_step, skip_zero=False)
     gb, gp = (bs[::2], ps[::2]) if m == 3 else (bs, ps)
@@ -309,8 +301,7 @@ def _descend(n: int, seeds: list, bs: list, ps: list) -> tuple[PowerLawSum, int]
 def direct_fidelity(n: int, params: PowerLawSum) -> float:
     """Full-simulation cross-check: trace fidelity between the exact
     exponential-profile transform and its power-law approximation."""
-    if n > 10:
-        raise ArgumentError("direct fidelity is guarded at 10 qubits")
+    guard("direct fidelity", n, 10, "qubits")
     exact = unitary_of(qft_gms(n, Exponential()))
     approx = unitary_of(qft_gms(n, params))
     return trace_fidelity(exact, approx)
@@ -335,16 +326,14 @@ LAYER_CAP = {"local_banded": 4, "mixed_gms": 2}  # the most gates a layer costs
 def aqft_count(n: int, mode: str) -> int:
     """Entangling-gate count of the approximate transform under the banded
     model; layers have 1..n-1 controlled phases."""
-    if n < 2:
-        raise ArgumentError("need n >= 2")
+    check_register(n, 2)
     return _banded(range(1, n), mode)
 
 
 def aqfa_count(n: int, mode: str) -> int:
     """Approximate adder: transform + n control columns (lengths n..1) +
     inverse transform, same per-layer rule."""
-    if n < 2:
-        raise ArgumentError("need n >= 2")
+    check_register(n, 2)
     return 2 * _banded(range(1, n), mode) + _banded(range(1, n + 1), mode)
 
 

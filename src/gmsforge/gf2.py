@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuit import ArgumentError
+from .circuit import ArgumentError, check_register
 
 
 @dataclass(frozen=True)
@@ -238,8 +238,7 @@ def stabilizer_gms_bound(n: int) -> tuple[int, dict[str, int]]:
     Pure count arithmetic (12n - 18 total); this does not synthesize a
     tableau.
     """
-    if n < 2:
-        raise ArgumentError("need n >= 2")
+    check_register(n, 2)
     triangular = 2 * n - 3
     general = 2 * triangular
     breakdown = {

@@ -6,11 +6,13 @@ index sum(q_k * 2**(n-1-k)).
 
 Every dense check runs the basis columns |x>|0...0> of its d data wires
 through the circuit at once, 2^n x 2^d entries (d = n for a unitary).  One
-byte guard covers them all: n + d may not exceed twice the qubit guard, 12
-by default (a dense unitary at the 100 MB scale); override with the
-GMSFORGE_MAX_DENSE_QUBITS environment variable, a positive integer (any
-other value raises ArgumentError).  The statevector path has no such
-guard and is used for wide-register parity checks.
+byte budget covers them all and ``fourier``'s lattice and scan too: the
+bytes of a dense unitary at the qubit guard, 12 by default (256 MiB), so
+n + d may not exceed 24; override the 12 with the GMSFORGE_MAX_DENSE_QUBITS
+environment variable, a positive integer (any other value raises
+ArgumentError).  A request above it raises ``circuit.GuardError``.  The
+statevector path has no such guard and is used for wide-register parity
+checks.
 
 Every path runs through ``_run`` on the numpy kernels, three of them.
 Every multi-qubit gate but CNOT is one diagonal phase table between
@@ -67,7 +69,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .circuit import ArgumentError, Circuit, Uniform, gms
+from .circuit import ArgumentError, Circuit, Uniform, gms, guard
 from .kernels import BACKEND, CHUNK
 
 DEFAULT_DENSE_GUARD = 12
@@ -86,12 +88,6 @@ equivalence tolerance: dropping the residue moves the state by at most
 orders of magnitude below the 1e-9 equivalence tolerance."""
 
 
-class DenseGuardError(RuntimeError):
-    """A request for a dense array above its guard: a unitary or column
-    block above the configured qubit guard, or a fidelity-exponent lattice
-    above ``fourier.MAX_LATTICE_ENTRIES``."""
-
-
 def max_dense_qubits() -> int:
     """The qubit guard: GMSFORGE_MAX_DENSE_QUBITS, a positive integer, or
     the default when it is unset or blank."""
@@ -99,13 +95,21 @@ def max_dense_qubits() -> int:
     if not raw.strip():
         return DEFAULT_DENSE_GUARD
     try:
-        guard = int(raw)
+        qubits = int(raw)
     except ValueError:
-        guard = 0
-    if guard < 1:
+        qubits = 0
+    if qubits < 1:
         raise ArgumentError(
             f"GMSFORGE_MAX_DENSE_QUBITS must be a positive integer, not {raw!r}")
-    return guard
+    return qubits
+
+
+def guard_bytes(name: str, asked: int) -> None:
+    """Refuse ``asked`` bytes above the byte budget, 16 << 2 *
+    max_dense_qubits(): the size of a dense unitary at the qubit guard."""
+    qubits = max_dense_qubits()
+    guard(name, asked, 16 << 2 * qubits, "bytes", f"a dense unitary at {qubits} "
+          "qubits; set GMSFORGE_MAX_DENSE_QUBITS to raise it")
 
 
 def _mask(n: int, q: int) -> int:
@@ -432,13 +436,8 @@ def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
 
 
 def _dense_zeros(n: int, d: int) -> np.ndarray:
-    """A zero 2^n x 2^d array, allocated only under the dense guard."""
-    guard = max_dense_qubits()
-    if n + d > 2 * guard:
-        raise DenseGuardError(
-            f"dense guard: 2^{n} x 2^{d} columns need {16 << (n + d)} bytes, "
-            f"limit is {16 << (2 * guard)} bytes, the size of a dense unitary "
-            f"at the {guard}-qubit guard (set GMSFORGE_MAX_DENSE_QUBITS to raise it)")
+    """A zero 2^n x 2^d array, allocated only under the byte budget."""
+    guard_bytes("dense", 16 << (n + d))
     return np.zeros((1 << n, 1 << d), dtype=np.complex128)
 
 

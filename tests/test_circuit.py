@@ -12,7 +12,8 @@ from gmsforge.circuit import (ArgumentError, Circuit, Exponential, Gate,
                               deserialize, empty, global_phase, gms, h, rx,
                               serialize, xx)
 from gmsforge.constructions import fanout, toffoli3_gms, toffoli_n
-from gmsforge.sim import unitary_of
+from gmsforge.gf2 import FanLayer, Gf2Matrix, linear_simulate
+from gmsforge.sim import apply, unitary_of
 
 PI = math.pi
 
@@ -185,6 +186,15 @@ def test_gate_validation():
         (lambda: Circuit(2, (h(0), global_phase(0.5), cnot(0, 2), h(3))),
          r"gate CNOT on \(0, 2\) exceeds register of 2"),
         (lambda: empty(2).append(h(2)), r"gate H on \(2,\) exceeds register of 2"),
+        (lambda: Circuit(0), "circuit needs at least one qubit"),
+        (lambda: h(0).pair_angles(), "pair_angles is defined for GMS gates only"),
+        (lambda: Gf2Matrix(2, (1,)), "row count does not match dimension"),
+        (lambda: Gf2Matrix(2, (1, 4)), "row has bits outside the matrix width"),
+        (lambda: Gf2Matrix.identity(2).mul(Gf2Matrix.identity(3)), "dimension mismatch"),
+        (lambda: FanLayer(0, frozenset({0, 1})), "fan control cannot be one of its targets"),
+        (lambda: FanLayer(0, frozenset()), "fan layer needs at least one target"),
+        (lambda: linear_simulate([(0, 2)], 2), r"bad CNOT \(0, 2\) on 2 wires"),
+        (lambda: apply(empty(2), np.zeros(3)), r"state has shape \(3,\), expected \(4,\)"),
     ]
     for build, message in refusals:
         with pytest.raises(ValueError, match=message):
@@ -288,8 +298,21 @@ def _one_gate(gate, n=3):
                 "profile": {"kind": "exponential"}}), "gates[0].profile"),
     (_one_gate({"kind": "GMS", "qubits": [0, 1], "profile": {
         "kind": "per_pair", "table": [[0, 1, math.nan]]}}), "gates[0].profile"),
+    ("[]", "$"),
+    (json.dumps({"n_qubits": 2, "gates": {}}), "gates"),
+    (json.dumps({"n_qubits": 2, "gates": [1]}), "gates[0]"),
+    (_one_gate({"kind": "H", "qubits": 0}), "gates[0].qubits"),
+    (_one_gate({"kind": "GMS", "qubits": [0, 1], "profile": 1}), "gates[0].profile"),
+    (_one_gate({"kind": "GMS", "qubits": [0, 1], "profile": {
+        "kind": "per_pair", "table": [[0, 1]]}}), "gates[0].profile.table"),
+    (_one_gate({"kind": "GMS", "qubits": [0, 1], "profile": {
+        "kind": "power_law", "terms": [[0.4, 2.5]], "offset": 2}}), "gates[0].profile"),
+    (json.dumps({"n_qubits": 2, "ancillas": [2], "gates": []}), "$"),
+    (_one_gate({"kind": "H", "qubits": [3]}), "$"),
 ], ids=["bool-n_qubits", "bool-qubit", "float-pair-index", "bool-offset",
-        "theta-on-H", "profile-on-RX", "nan-coupling"])
+        "theta-on-H", "profile-on-RX", "nan-coupling", "top-level-list",
+        "gates-not-list", "gate-not-object", "qubits-not-list", "profile-not-object",
+        "short-pair-row", "offset-2", "ancilla-out-of-range", "gate-beyond-register"])
 def test_strict_schema_names_field(text, path):
     with pytest.raises(SchemaError) as err:
         deserialize(text)

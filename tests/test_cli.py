@@ -1,4 +1,5 @@
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -13,7 +14,8 @@ import pytest
 
 from gmsforge import cli, fourier, sim
 from gmsforge import constructions as cons
-from gmsforge.circuit import Exponential, PowerLawSum, deserialize, rx, serialize
+from gmsforge.circuit import (Exponential, GuardError, PowerLawSum, deserialize, rx,
+                              serialize)
 from gmsforge.constructions import fanin, fanout, toffoli_n
 
 
@@ -235,7 +237,8 @@ def test_verify_emit_unitary(tmp_path, capsys, monkeypatch):
         # refused before the reference is built or the check runs
         code, out, err = run(capsys, "verify", str(path), "--against", "fanout", "--n", "7",
                              "--emit-unitary", str(dump), *extra)
-        assert code == 3 and out == "" and "limited to 6 qubits" in err
+        assert code == 3 and out == ""
+        assert "dump guard: 7 qubits asked, limit is 6 qubits" in err
         assert not dump.exists()
 
 
@@ -393,6 +396,11 @@ def test_bad_construction_arguments_exit2(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "qft-gms", "--n", "4", "--profile",
                        "power-law", "--terms", "0.4:x")
     assert code == 2 and "--terms" in err
+    code, out, err = run(capsys, "synth", "qft-gms", "--n", "4", "--profile", "power-law")
+    assert code == 2 and out == "" and "--terms" in err
+    code, out, err = run(capsys, "verify", str(tmp_path / "missing.json"), "--against",
+                         "fanout", "--n", "3")
+    assert code == 2 and out == "" and "missing.json" in err
     bad = tmp_path / "m.json"
     for text, path in (("[[1,1],[0,", "line 1"), ('{"a": 1}', "list of rows"),
                        ('[[1,0],[0,"x"]]', "[1][1]: expected 0 or 1"),
@@ -419,20 +427,32 @@ def test_bad_construction_arguments_exit2(tmp_path, capsys):
             assert code == 2 and out == "" and "step" in err
 
 
+def test_power_law_adder_offset(capsys):
+    # offset 0 put the adder's nearest coupling at 0**p: a ZeroDivisionError
+    terms = ["qfa-gms", "--n", "3", "--profile", "power-law", "--terms", "0.4:2.5"]
+    for command in ("synth", "count"):
+        code, out, err = run(capsys, command, *terms)
+        assert code == 2 and out == "" and "--offset" in err
+    code, out, _ = run(capsys, "synth", *terms, "--offset", "1")
+    assert code == 0 and deserialize(out).cost().gms_pulses == 14
+    code, out, _ = run(capsys, "count", *terms, "--offset", "1", "--json")
+    assert code == 0 and json.loads(out)["gms_pulses"] == 14
+
+
 def test_max_gms_only_output_guard_exit3(capsys):
     # Toffoli-11's pulses grow to 92160 full-register pulses
     code, out, err = run(capsys, "count", "toffoli", "--n", "11", "--max-gms-only")
     assert code == 3 and out == ""
-    assert "guard" in err and "92160" in err and str(cli.MAX_SHRINK_PULSES) in err
+    assert f"shrink guard: 92160 pulses asked, limit is {cons.MAX_SHRINK_PULSES} pulses" in err
 
 
 def test_optimize_lattice_guard_exit3(tmp_path, capsys):
-    # 7560^2 lattice entries; the guard trips before any is allocated
+    # 7560^2 = 57153600 lattice entries of 8 bytes; the guard trips before
+    # any is allocated
     code, out, err = run(capsys, "optimize-powerlaw", "--n", "10", "--m", "2",
                          "--step", "0.02", "--out-dir", str(tmp_path))
     assert code == 3 and out == ""
-    assert "lattice guard" in err and "57153600" in err
-    assert str(fourier.MAX_LATTICE_ENTRIES) in err
+    assert f"lattice guard: {8 * 57153600} bytes asked, limit is {16 << 24} bytes" in err
 
 
 def test_parser_is_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch):
@@ -546,19 +566,94 @@ def test_cnot_xx_wires(capsys):
 
 
 def test_tiny_grid_step_refused_before_any_list(tmp_path, capsys):
-    for argv in (["optimize-powerlaw", "--n", "10", "--m", "2",
-                  "--out-dir", str(tmp_path)],
-                 ["fidelity-scan", "--axis", "p1", "--n", "10",
-                  "--params", "0.4,-0.5,2.5,3.4"]):
+    for name, argv in (("lattice", ["optimize-powerlaw", "--n", "10", "--m", "2",
+                                     "--out-dir", str(tmp_path)]),
+                       ("scan", ["fidelity-scan", "--axis", "p1", "--n", "10",
+                                 "--params", "0.4,-0.5,2.5,3.4"])):
         tracemalloc.start()
         try:
             code, out, err = run(capsys, *argv, "--step", "1e-9")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 3 and out == "" and "lattice guard" in err
-        assert str(fourier.MAX_LATTICE_ENTRIES) in err
+        assert code == 3 and out == "" and f"{name} guard: " in err
+        assert f"limit is {16 << 24} bytes" in err
         assert peak < 4 << 20
+
+
+# -- every resource guard: one GuardError, one message, exit 3 --------------------
+
+PAPER_OPT = PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 0)
+TRIP_FILES = {"tdistill": ["tdistill"], "toffoli5": ["toffoli", "--n", "5"],
+              "fanout6": ["fanout", "--n", "6"], "fanout7": ["fanout", "--n", "7"]}
+TOFFOLI5 = ["verify", "{toffoli5}", "--against", "toffoli", "--n", "5"]
+LATTICE = ["optimize-powerlaw", "--n", "10", "--m", "2", "--step", "0.02",
+           "--out-dir", "{tmp}"]
+SCAN = ["fidelity-scan", "--axis", "p1", "--n", "10", "--params", "0.4,-0.5,2.5,3.4",
+        "--step", "1e-9"]
+
+# (guard, GMSFORGE_MAX_DENSE_QUBITS, request, size asked, limit, unit): a list is
+# a command line whose {file} is synthesized from TRIP_FILES first, a callable a
+# library call; each request trips its guard exactly when it asks above the limit
+GUARDS = [
+    ("dense", None, ["verify", "{tdistill}", "--against", "tdistill"],
+     16 << 30, 16 << 24, "bytes"),
+    ("dense", "6", TOFFOLI5, 16 << 12, 16 << 12, "bytes"),
+    ("dense", "5", TOFFOLI5, 16 << 12, 16 << 10, "bytes"),
+    ("lattice", None, LATTICE, 8 * 7560**2, 16 << 24, "bytes"),
+    ("scan", None, SCAN, 8 * 2500000000 * 10, 16 << 24, "bytes"),
+    ("shrink", None, ["count", "toffoli", "--n", "10", "--max-gms-only"],
+     10752, 65536, "pulses"),
+    ("shrink", None, ["count", "toffoli", "--n", "11", "--max-gms-only"],
+     92160, 65536, "pulses"),
+    ("shrink", None, lambda: cons.gms_shrink(toffoli_n(10).generated), 10752, 65536, "pulses"),
+    ("shrink", None, lambda: cons.gms_shrink(toffoli_n(11).generated), 92160, 65536, "pulses"),
+    ("dump", None, ["verify", "{fanout6}", "--against", "fanout", "--n", "6",
+                    "--emit-unitary", "{tmp}/u.csv"], 6, 6, "qubits"),
+    ("dump", None, ["verify", "{fanout7}", "--against", "fanout", "--n", "7",
+                    "--emit-unitary", "{tmp}/u.csv"], 7, 6, "qubits"),
+    ("direct fidelity", None, lambda: fourier.direct_fidelity(10, PAPER_OPT),
+     10, 10, "qubits"),
+    ("direct fidelity", None, lambda: fourier.direct_fidelity(11, PAPER_OPT),
+     11, 10, "qubits"),
+]
+
+
+@pytest.mark.parametrize("name,qubits,ask,asked,limit,unit", GUARDS,
+                         ids=[f"{g[0]}-{g[3]}-{g[4]}" for g in GUARDS])
+def test_every_guard(name, qubits, ask, asked, limit, unit, tmp_path, capsys, monkeypatch):
+    message = f"{name} guard: {asked} {unit} asked, limit is {limit} {unit}"
+    if callable(ask):
+        call, argv = ask, None
+    else:
+        files = {}
+        for key, flags in TRIP_FILES.items():
+            if f"{{{key}}}" in ask:
+                files[key] = str(tmp_path / f"{key}.json")
+                assert cli.main(["synth", *flags, "--out", files[key]]) == 0
+        argv = [a.format(tmp=tmp_path, **files) for a in ask]
+        args = cli._parser().parse_args(argv)
+        call = functools.partial(getattr(cli, args.func), args)
+    if qubits is None:
+        monkeypatch.delenv("GMSFORGE_MAX_DENSE_QUBITS", raising=False)
+    else:
+        monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", qubits)
+    if asked <= limit:
+        call()
+    else:
+        with pytest.raises(GuardError) as info:
+            call()
+        assert str(info.value).startswith(message)
+    if argv is None:
+        return
+    capsys.readouterr()
+    # every command here but fidelity-scan takes --json
+    for extra in ((),) if argv[0] == "fidelity-scan" else ((), ("--json",)):
+        code, out, err = run(capsys, *argv, *extra)
+        if asked <= limit:
+            assert code == 0, err
+        else:
+            assert code == 3 and out == "" and err.startswith(f"error: {message}")
 
 
 def test_every_builder_parameter_is_a_flag():

@@ -1,7 +1,7 @@
 import math
 import random
 from functools import partial
-from itertools import combinations
+from itertools import combinations, zip_longest
 
 import numpy as np
 import pytest
@@ -16,6 +16,17 @@ from gmsforge.cli import table1_rows
 from gmsforge.fourier import qft_gms
 
 PI = math.pi
+
+
+def assert_same_serialization(got, want, label="circuits"):
+    """Assert that two circuits serialize to the same bytes, reporting only
+    the first line that differs: pytest's diff of two long texts took
+    minutes."""
+    got_text, want_text = serialize(got), serialize(want)
+    if got_text != want_text:
+        lines = zip_longest(got_text.split("\n"), want_text.split("\n"), fillvalue="<end>")
+        k, (a, b) = next((k, ab) for k, ab in enumerate(lines, 1) if ab[0] != ab[1])
+        pytest.fail(f"{label}: serializations differ at line {k}: {a!r} != {b!r}")
 
 
 def assert_spec_ok(spec, tol=1e-9):
@@ -582,7 +593,7 @@ def test_gms_shrink_matches_per_item_oracle(kind):
                 g = gms(qubits, _random_profile(rng, qubits, kind))
             gates.append(g)
         circ = Circuit(n, tuple(gates), frozenset({n - 1}))
-        assert serialize(cons.gms_shrink(circ)) == serialize(oracle_gms_shrink(circ)), seed
+        assert_same_serialization(cons.gms_shrink(circ), oracle_gms_shrink(circ), f"seed {seed}")
 
 
 @pytest.mark.parametrize("original", [
@@ -591,7 +602,7 @@ def test_gms_shrink_matches_per_item_oracle(kind):
     qft_gms(8, PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 0)),
     qft_gms(8, PowerLawSum(((0.3, 2.0),), 1))])
 def test_gms_shrink_matches_per_item_oracle_on_constructions(original):
-    assert serialize(cons.gms_shrink(original)) == serialize(oracle_gms_shrink(original))
+    assert_same_serialization(cons.gms_shrink(original), oracle_gms_shrink(original))
 
 
 def test_shrink_grows_one_pulse_per_level(monkeypatch):
@@ -663,7 +674,7 @@ def test_echo_collapses_once_per_pulse_and_wire(monkeypatch):
     assert len({(id(g), q) for g, q in calls}) == len(calls)
     n = original.n_qubits
     assert len(calls) == sum(n - len(g.qubits) for g in original.gates if g.kind == "GMS")
-    assert serialize(echoed) == serialize(oracle_spin_echo_cancel(shrunk))
+    assert_same_serialization(echoed, oracle_spin_echo_cancel(shrunk))
     back = cons.cancel_inverse_gms(echoed)
     assert back.cost().gms_pulses == original.cost().gms_pulses
 
@@ -678,7 +689,7 @@ def test_echo_memo_keeps_signed_zeros():
     circ = Circuit(3, (pulse(0.0), rz(2, PI), pulse(0.0),
                        pulse(-0.0), rz(2, -PI), pulse(-0.0)))
     out = cons.spin_echo_cancel(circ)
-    assert serialize(out) == serialize(oracle_spin_echo_cancel(circ))
+    assert_same_serialization(out, oracle_spin_echo_cancel(circ))
     assert [math.copysign(1.0, g.profile.table[0][2])
             for g in out.gates if g.kind == "GMS"] == [1.0, -1.0]
 
@@ -709,7 +720,7 @@ def test_echo_match_reads_one_candidate_wire(original):
     shrunk = cons.gms_shrink(original)
     out = cons.spin_echo_cancel(shrunk)
     want = cons._stack_pass(shrunk, partial(oracle_echo_match, memo={}))
-    assert serialize(out) == serialize(want)
+    assert_same_serialization(out, want)
     assert out.cost().gms_pulses < shrunk.cost().gms_pulses
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gmsforge import fourier, sim
-from gmsforge.circuit import Exponential, PowerLawSum, Uniform
+from gmsforge.circuit import ArgumentError, Exponential, GuardError, PowerLawSum, Uniform
 
 PI = math.pi
 PAPER_OPT = PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 0)
@@ -105,6 +105,16 @@ def test_qfa_random_pairs_wider():
             a = rng.randrange(1 << n)
             b = rng.randrange(1 << n)
             assert_adds(circ, n, a, b)
+
+
+def test_power_law_adder_needs_offset_1():
+    # the adder's nearest coupling sits at exponent 0, where offset 0 divides by 0**p
+    with pytest.raises(ArgumentError, match="--offset 1"):
+        fourier.qfa_gms(3, PowerLawSum(((0.4, 2.5),), 0))
+    exact = fourier.qfa_gms(3, Exponential()).cost().gms_pulses
+    for terms in (((0.4, 2.5),), PAPER_OPT.terms):
+        got = fourier.qfa_gms(3, PowerLawSum(terms, 1)).cost().gms_pulses
+        assert got == exact * len(terms) == 14 * len(terms)
 
 
 # -- fidelity objective ---------------------------------------------------------
@@ -268,5 +278,29 @@ def test_direct_fidelity_far_params_worse():
 
 
 def test_direct_fidelity_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(GuardError,
+                       match="direct fidelity guard: 11 qubits asked, limit is 10 qubits"):
         fourier.direct_fidelity(11, PAPER_OPT)
+
+
+def test_lattice_shares_the_dense_byte_budget(monkeypatch):
+    # one byte budget: each qubit added to the dense guard admits 4x the entries
+    for qubits, entries in (("12", 1 << 25), ("13", 4 << 25)):
+        monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", qubits)
+        sim.guard_bytes("lattice", 8 * entries)
+        with pytest.raises(GuardError, match="GMSFORGE_MAX_DENSE_QUBITS"):
+            sim.guard_bytes("lattice", 8 * entries + 8)
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    # 7560^2 entries reach the lattice at 13 qubits, and are refused at 12
+    monkeypatch.setattr(fourier, "_lattice", reached)
+    with pytest.raises(Reached):
+        fourier.optimize_powerlaw(10, 2, 0.02)
+    monkeypatch.delenv("GMSFORGE_MAX_DENSE_QUBITS")
+    with pytest.raises(GuardError, match="lattice guard"):
+        fourier.optimize_powerlaw(10, 2, 0.02)

@@ -1,5 +1,6 @@
 import cmath
 import importlib.util
+import inspect
 import math
 import random
 from pathlib import Path
@@ -348,6 +349,14 @@ def test_tracing_kernels_are_on_the_backend():
     assert tracing.KERNELS
     for name in tracing.KERNELS:
         assert callable(getattr(sim.BACKEND, name)), name
+
+
+def test_tracing_sim_names_are_functions_of_sim():
+    # the traced run wraps each of these with getattr on gmsforge.sim
+    tracing = load_bench("tracing")
+    assert tracing.SIM
+    for name in tracing.SIM:
+        assert inspect.isfunction(getattr(sim, name, None)), name
 
 
 # Folds: a pulse wire whose pending matrix, the pulse's Hadamard included,
