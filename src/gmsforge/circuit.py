@@ -85,6 +85,29 @@ class Uniform:
         return self.theta
 
 
+def _canonical(table) -> bool:
+    """Whether a coupling table is already the one ``PerPair`` would store
+    and passes its checks: a tuple of (i, j, chi) tuples, i < j, keys
+    strictly ascending, chi a finite float.  One pass; any other table
+    takes the sorting path, which raises what it always raised."""
+    if type(table) is not tuple:
+        return False
+    pi = pj = -1  # the previous key; a table keyed below it takes the sorting path
+    try:
+        for row in table:
+            if type(row) is not tuple or len(row) != 3:
+                return False
+            i, j, chi = row
+            # chi - chi is 0 for finite chi only
+            if not (type(chi) is float and i < j and (i > pi or i == pi and j > pj)
+                    and chi - chi == 0.0):
+                return False
+            pi, pj = i, j
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class PerPair:
     """Explicit symmetric pair table; must cover every pair of the set."""
@@ -92,6 +115,8 @@ class PerPair:
     table: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        if _canonical(self.table):  # kept as it is
+            return
         canon = sorted([(i, j, float(chi)) if i < j else (j, i, float(chi))
                         for i, j, chi in self.table])
         keys = [(i, j) for i, j, _ in canon]

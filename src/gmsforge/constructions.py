@@ -13,11 +13,15 @@ multi-controlled phases are synthesized exactly from the parity expansion
 x1*...*xm = sum over nonempty subsets S of (-1)^(|S|+1)(xor S) / 2^(m-1),
 realized as CNOT folds plus RZ, with the residual scalar tracked in an
 explicit global-phase gate.  The spin-echo, inverse-pulse and RZ-merge
-rewrites are single left-to-right passes over per-wire gate stacks.  The
-shrink rewrite grows each subset pulse to full width in one step and shares
-that object across all of its 2^k positions; the spin-echo pass memoises
-each collapse per pulse object and echo wire, so the round trip builds each
-distinct pulse once.  The Toffoli chain maps two constant unit templates,
+rewrites are single left-to-right passes over per-wire gate stacks; each
+calls its matcher only on the gate kinds it can match (XX and GMS, GMS,
+RZ), and every other gate just pushes its slot.  The shrink rewrite grows
+each subset pulse to full width in one step and shares that object across
+all of its 2^k positions; the spin-echo pass memoises each collapse per
+pulse object and echo wire, so the round trip builds each distinct pulse
+once.  A collapse or a grown pulse builds its pair table in one pass over
+its parent's canonical table, and ``PerPair`` takes a canonical table as
+it is after one checking pass.  The Toffoli chain maps two constant unit templates,
 built once, onto its wires, so it makes one gate per gate of its output.
 """
 
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -414,20 +418,21 @@ def _grow(gate: Gate, missing: Sequence[int]) -> Gate:
     position-based one couples the first spectator by its own distance law,
     also at 1/2**k, and later ones at 0; an explicit table couples every
     spectator at 0.  Spectator couplings cancel between the echoed pulses
-    whatever their value.
+    whatever their value.  The table is one pass over the grown pairs and,
+    in the same order, over the pulse's canonical table.
     """
     scale = 2 ** len(missing)
     grown = sorted((*gate.qubits, *missing))
     prof = gate.profile
     if isinstance(prof, Uniform):
         return gms(grown, Uniform(prof.theta / scale))
-    chi = {(i, j): c / scale for i, j, c in gate.pair_angles()}
-    if not isinstance(prof, PerPair):
-        first = missing[0]
-        chi.update(((min(q, first), max(q, first)), prof.angle(q, first) / scale)
-                   for q in gate.qubits)
-    return gms(grown, PerPair(tuple((i, j, chi.get((i, j), 0.0))
-                                    for i, j in combinations(grown, 2))))
+    own, angles = set(gate.qubits), iter(gate.pair_angles())
+    first = missing[0]
+    spectator = {} if isinstance(prof, PerPair) else {
+        (min(q, first), max(q, first)): prof.angle(q, first) / scale for q in gate.qubits}
+    return gms(grown, PerPair(tuple([
+        (i, j, next(angles)[2] / scale if i in own and j in own else spectator.get((i, j), 0.0))
+        for i, j in combinations(grown, 2)])))
 
 
 def gms_shrink(circuit: Circuit) -> Circuit:
@@ -478,73 +483,86 @@ def gms_dagger_rewrite(n: int, chi: float) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def _stack_pass(circuit: Circuit, match: Callable) -> Circuit:
+def _stack_pass(circuit: Circuit, kinds: Container[str], match: Callable) -> Circuit:
     """One left-to-right pass keeping each wire's output slots as a stack.
 
-    ``match(out, stacks, gate)`` returns None or (partner slot, replacement)
-    for an arriving gate.  The gate is then dropped and the replacement,
-    put in the partner's slot, is tried again as if just arrived: no later
-    gate touches its wires, so this is the fixpoint of a rescan per match.
+    Only gates of the ``kinds`` are matched; any other gate just pushes its
+    slot.  ``match(out, stacks, gate)`` returns None or (partner slot,
+    replacement) for an arriving gate.  The gate is then dropped and the
+    replacement, put in the partner's slot, is tried again as if just
+    arrived: no later gate touches its wires, so this is the fixpoint of a
+    rescan per match.
     """
-    out: list[Gate | None] = []
+    out: list[Gate | None] = list(circuit.gates)
     stacks: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
-    for gate in circuit.gates:
-        slot = len(out)
-        out.append(gate)
-        while gate is not None and (found := match(out, stacks, gate)) is not None:
+    for slot, gate in enumerate(out):
+        while (gate is not None and gate.kind in kinds
+               and (found := match(out, stacks, gate)) is not None):
             out[slot] = None
             slot, gate = found
             for w in out[slot].qubits:  # the partner is at the top or just below
-                del stacks[w][-1 if stacks[w][-1] == slot else -2]
+                stack = stacks[w]
+                del stack[-1 if stack[-1] == slot else -2]
             out[slot] = gate
         if gate is not None:
             for w in gate.qubits:
                 stacks[w].append(slot)
-    return Circuit(circuit.n_qubits, tuple(g for g in out if g is not None),
-                   circuit.ancillas)
+    return Circuit(circuit.n_qubits, tuple(filter(None, out)), circuit.ancillas)
 
 
 def _echo_collapse(gate: Gate, q: int) -> Gate | None:
     """Result of an identical XX/GMS pair straddling RZ(pi) on wire q: the
-    q couplings cancel, the rest double (nothing is left of an XX pair)."""
+    q couplings cancel, the rest double (nothing is left of an XX pair).
+    The table is one pass over the pulse's canonical one, so it stays
+    canonical and ``PerPair`` takes it as it is."""
     rest = sorted(set(gate.qubits) - {q})
     if len(rest) < 2:
         return None
     if isinstance(gate.profile, Uniform):
         return gms(rest, Uniform(2 * gate.profile.theta))
-    return gms(rest, PerPair(tuple((a, b, 2 * chi) for a, b, chi in gate.pair_angles()
-                                   if q not in (a, b))))
+    return gms(rest, PerPair(tuple([(a, b, 2 * chi) for a, b, chi in gate.pair_angles()
+                                    if a != q != b])))
 
 
-def _echo_match(out: list, stacks: list[list[int]], gate: Gate, memo: dict):
+def _echo_match(memo: dict, out: list, stacks: list[list[int]], gate: Gate):
     """An XX/GMS echoes the same pulse sitting just below an RZ(pi) on one
     of its wires q when that pulse is also the last gate on its other wires.
 
     The partner slot is the top of the first wire, or of the second when
     the first wire's top is an RZ (then the first wire is the only
-    candidate echo wire); the echo wire is the one wire whose top is not
-    that slot.  ``memo`` maps (id(gate), q) to (gate, collapse): the key is
-    the object, not its value, so pulses that are equal but differ in a
+    candidate echo wire).  The cheapest rejection comes first: the partner
+    must be the same pulse (by identity, else by wires and then value).
+    Then one loop over the wires finds the single wire whose top is not
+    the partner.  ``memo`` maps (id(gate), q) to (gate, collapse): the key
+    is the object, not its value, so pulses that are equal but differ in a
     zero's sign keep their own collapse, and holding the gate keeps its id
     unique."""
-    if gate.kind not in ("XX", "GMS"):
+    qubits = gate.qubits
+    stack = stacks[qubits[0]]
+    if not stack:
         return None
-    a, b = gate.qubits[:2]
-    if not stacks[a]:
-        return None
-    left = stacks[a][-1]
-    if out[left].kind == "RZ":
-        if not stacks[b]:
+    left = stack[-1]
+    prev = out[left]
+    if prev.kind == "RZ":
+        stack = stacks[qubits[1]]
+        if not stack:
             return None
-        left = stacks[b][-1]
-    odd = [w for w in gate.qubits if not stacks[w] or stacks[w][-1] != left]
-    if len(odd) != 1:
+        left = stack[-1]
+        prev = out[left]
+    if prev is not gate and (prev.qubits != qubits or prev != gate):
         return None
-    q = odd[0]
-    if len(stacks[q]) < 2 or stacks[q][-2] != left:
+    # the partner has the same wires, so its slot is on every one of them
+    q = echo = None
+    for w in qubits:
+        stack = stacks[w]
+        if stack[-1] != left:
+            if echo is not None:
+                return None
+            q, echo = w, stack
+    if echo is None or echo[-2] != left:
         return None
-    top = out[stacks[q][-1]]
-    if top.kind != "RZ" or abs(top.theta) != PI or out[left] != gate:
+    rz_pi = out[echo[-1]]
+    if rz_pi.kind != "RZ" or abs(rz_pi.theta) != PI:
         return None
     key = (id(gate), q)
     if key not in memo:
@@ -562,13 +580,13 @@ def spin_echo_cancel(circuit: Circuit) -> Circuit:
     wire, so the shared pulses of a shrunk circuit collapse to shared
     pulses and the next level's match compares by identity.
     """
-    return _stack_pass(circuit, partial(_echo_match, memo={}))
+    return _stack_pass(circuit, ("XX", "GMS"), partial(_echo_match, {}))
 
 
 def _inverse_match(out: list, stacks: list[list[int]], gate: Gate):
     """A GMS cancels the last gate on all its wires if that is one GMS on the
     same qubits with every coupling negated."""
-    if gate.kind != "GMS" or not stacks[gate.qubits[0]]:
+    if not stacks[gate.qubits[0]]:
         return None
     left = stacks[gate.qubits[0]][-1]
     prev = out[left]
@@ -583,13 +601,13 @@ def _inverse_match(out: list, stacks: list[list[int]], gate: Gate):
 def cancel_inverse_gms(circuit: Circuit) -> Circuit:
     """Drop GMS pairs that are exact inverses separated only by gates on
     disjoint wires, in one pass to the fixpoint."""
-    return _stack_pass(circuit, _inverse_match)
+    return _stack_pass(circuit, ("GMS",), _inverse_match)
 
 
 def _rz_match(out: list, stacks: list[list[int]], gate: Gate):
     """An RZ merges into an RZ that is the last gate on its wire; the sum
     is dropped only when the angles cancel exactly."""
-    if gate.kind != "RZ" or not stacks[q := gate.qubits[0]]:
+    if not stacks[q := gate.qubits[0]]:
         return None
     left = stacks[q][-1]
     if out[left].kind != "RZ":
@@ -602,4 +620,4 @@ def merge_rz(circuit: Circuit) -> Circuit:
     """Merge adjacent RZ gates on each wire, RZ(a) RZ(b) = RZ(a + b), in
     one pass; this removes the RZ(pi) RZ(-pi) residue of cancelled echoes.
     Unitary preserved exactly, phase included."""
-    return _stack_pass(circuit, _rz_match)
+    return _stack_pass(circuit, ("RZ",), _rz_match)

@@ -35,6 +35,13 @@ from .constructions import ConstructionSpec
 from .sim import BitReversedIFFT, guard_bytes, trace_fidelity, unitary_of
 
 PI = math.pi
+SCAN_POINT_BYTES = 136
+"""Bytes a point of ``scan_axis`` holds: its value and fidelity as Python
+floats, in two lists and then in the grid of pairs; about 130 under
+tracemalloc on 64-bit CPython 3.11, whatever n and the terms.  The figure
+rests on that interpreter's object sizes."""
+LATTICE_BLOCKS = 16
+"""Blocks of rows in which ``_lattice`` forms its non-C terms."""
 
 
 def qft_reference(n: int) -> Circuit:
@@ -201,13 +208,39 @@ def _with_axis(params: PowerLawSum, axis: str, value: float) -> PowerLawSum:
 def scan_axis(n: int, params: PowerLawSum, axis: str, step: float = 0.1,
               b_box: tuple[float, float] = (-0.6, 0.6),
               p_box: tuple[float, float] = (1.5, 4.0)) -> FidelityScan:
-    """Fidelity along one parameter axis, all others held fixed; its points
-    times the formula's n terms, 8 bytes each, are held to the byte budget."""
+    """Fidelity along one parameter axis, all others held fixed, every
+    point at once; the SCAN_POINT_BYTES a point holds are held to the byte
+    budget."""
     lo, hi = b_box if axis[0] == "b" else p_box
-    guard_bytes("scan", 8 * len(_multiples(lo, hi, step)) * n)
+    guard_bytes("scan", SCAN_POINT_BYTES * len(_multiples(lo, hi, step)))
     values = _grid(lo, hi, step, skip_zero=axis[0] == "b")
-    return FidelityScan(axis, tuple((v, fidelity_formula(n, _with_axis(params, axis, v)))
-                                    for v in values))
+    return FidelityScan(axis, tuple(zip(values, _scan_fidelities(n, params, axis, values))))
+
+
+def _scan_fidelities(n: int, params: PowerLawSum, axis: str, values: list) -> list:
+    """``fidelity_formula`` at every value of one axis: the formula's steps
+    in its order, over j and then the terms, each taken for all points at
+    once, so every point has the formula's bits.  The steps are Python
+    float operations, not numpy ones, whose pow and exp may differ from
+    the formula's in the last bit."""
+    check_register(n, 2)
+    axis_term, on_b = int(axis[1:]) - 1, axis[0] == "b"
+    expo = [0.0] * len(values)
+    for j in range(1, n + 1):
+        d = j + params.offset
+        approx = [0] * len(values)  # sum() starts at 0
+        for term, (b, p) in enumerate(params.terms):
+            if term != axis_term:
+                fixed = 1.0 / (b * d ** p)
+                approx = [a + fixed for a in approx]
+            elif on_b:
+                dp = d ** p
+                approx = [a + 1.0 / (v * dp) for a, v in zip(approx, values)]
+            else:
+                approx = [a + 1.0 / (b * d ** v) for a, v in zip(approx, values)]
+        weight, exact = 3.0 * (n - j) / 64.0, 2.0**-j
+        expo = [e + weight * (exact - a) ** 2 for e, a in zip(expo, approx)]
+    return [math.exp(-PI**2 * e) for e in expo]
 
 
 def _lattice(n: int, bs: list, ps: list, offset: int, m: int) -> np.ndarray:
@@ -217,22 +250,42 @@ def _lattice(n: int, bs: list, ps: list, offset: int, m: int) -> np.ndarray:
         c0 - 2 sum_s A[i_s] + sum_s B[i_s] + 2 sum_{s<u} C[i_s, i_u]
     with A = t @ (w 2^-j), B = (t t) @ w and C = (t w) @ t^T, so no entry has
     a j axis.  B is added one axis at a time, which fixes the bits of
-    near-ties.  Its caller guards its size."""
+    near-ties.
+
+    The array is the only K^m buffer.  The C sum is built in it first (at
+    m = 2, C itself is computed into it); the rest is formed, in the order
+    above, in LATTICE_BLOCKS blocks of rows of the first axis and added
+    block by block (a sum taken the other way round has the same bits).
+    Two blocks are alive at once, so beside t the peak is 9/8 of the array.
+    Its caller guards its size."""
     k = len(bs) * len(ps)
     js = np.arange(1, n + 1)
     base, w = 2.0 ** -js, 3.0 * (n - js) / 64.0
     t = (1.0 / (np.array(bs)[:, None, None] * (js + offset) ** np.array(ps)[:, None])).reshape(k, n)
 
-    def on(arr, *axes):  # arr spread over the given lattice axes
-        return arr.reshape([k if i in axes else 1 for i in range(m)])
+    def on(arr, *axes, rows=slice(None)):  # arr spread over the given lattice axes
+        spread = arr.reshape([k if i in axes else 1 for i in range(m)])
+        return spread[rows] if 0 in axes else spread
 
-    a, b = t @ (w * base), (t * t) @ w
-    expo = w @ base**2 - 2 * sum(on(a, s) for s in range(m))
-    for s in range(m):
-        expo += on(b, s)
+    a, b, c0 = t @ (w * base), (t * t) @ w, w @ base**2
+    expo = np.empty((k,) * m)
     if m > 1:
-        c = (t * w) @ t.T
-        expo += 2 * sum(on(c, s, u) for s, u in combinations(range(m), 2))
+        pairs = list(combinations(range(m), 2))
+        c = np.matmul(t * w, t.T, out=expo if m == 2 else None)
+        np.add(0, on(c, *pairs[0]), out=expo)
+        for s, u in pairs[1:]:
+            np.add(expo, on(c, s, u), out=expo)
+        np.multiply(2, expo, out=expo)
+    step = -(-k // LATTICE_BLOCKS)
+    for lo in range(0, k, step):
+        r = slice(lo, lo + step)
+        x = c0 - 2 * sum(on(a, s, rows=r) for s in range(m))
+        for s in range(m):
+            x += on(b, s, rows=r)
+        if m > 1:
+            expo[r] += x
+        else:  # no C sum at m = 1
+            expo[r] = x
     return expo
 
 

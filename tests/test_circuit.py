@@ -210,6 +210,38 @@ def test_gate_validation():
                     '[{"kind": "CNOT", "qubits": [0, 1, 2]}]}')
 
 
+def test_per_pair_keeps_canonical_tables_and_sorts_the_rest():
+    # a canonical table (a tuple of float rows, i < j, keys ascending) is
+    # kept as it is; any other form is stored sorted, with float angles, and
+    # refused as before
+    canon = ((0, 1, 0.5), (0, 2, -0.0), (1, 2, 1.5))
+    assert PerPair(canon).table is canon
+    for other in (canon[::-1], ((1, 0, 0.5), (0, 2, -0.0), (2, 1, 1.5)),
+                  ((0, 2, -0.0), (0, 1, 0.5), (1, 2, 1.5)), list(canon),
+                  tuple(map(list, canon)), ((0, 1, 0.5), (0, 2, -0.0), (1, 2, np.float64(1.5)))):
+        table = PerPair(other).table
+        assert repr(table) == repr(canon) and type(table[2][2]) is float
+    assert repr(PerPair(((0, 1, 1), (0, 2, 0))).table) == "((0, 1, 1.0), (0, 2, 0.0))"
+    for dup in (((0, 1, 0.5), (0, 1, 0.7)), ((0, 1, 0.5), (0, 2, 0.1), (0, 2, 0.1))):
+        with pytest.raises(ValueError, match="duplicate pair in coupling table"):
+            PerPair(dup)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ArgumentError, match="finite"):
+            PerPair(((0, 1, 0.5), (0, 2, bad)))
+
+
+def test_per_pair_gate_refuses_a_table_that_misses_a_pair():
+    # one row per pair, but a row is not a pair of the pulse: it names a wire
+    # outside it, in either column, or a wire twice (PerPair keeps an (i, i)
+    # row as it is), so one pair of the pulse has no row
+    for wires, table in (((0, 1, 2), ((0, 1, 0.5), (0, 2, 0.5), (0, 3, 0.5))),
+                         ((1, 2, 3), ((0, 1, 0.5), (1, 2, 0.5), (1, 3, 0.5))),
+                         ((0, 1, 2), ((0, 1, 0.5), (0, 2, 0.5), (1, 1, 0.5))),
+                         ((0, 1, 2), ((0, 0, 0.5), (0, 1, 0.5), (0, 2, 0.5)))):
+        with pytest.raises(ValueError, match="cover exactly the participating pairs"):
+            gms(wires, PerPair(table))
+
+
 def test_per_pair_angle_lookup():
     prof = PerPair(((7, 3, 2.0), (1, 7, 1.0), (3, 1, 0.5)))
     assert [prof.angle(1, 3), prof.angle(7, 1), prof.angle(3, 7)] == [0.5, 1.0, 2.0]
@@ -309,10 +341,13 @@ def _one_gate(gate, n=3):
         "kind": "power_law", "terms": [[0.4, 2.5]], "offset": 2}}), "gates[0].profile"),
     (json.dumps({"n_qubits": 2, "ancillas": [2], "gates": []}), "$"),
     (_one_gate({"kind": "H", "qubits": [3]}), "$"),
+    (_one_gate({"kind": "GMS", "qubits": [0, 1, 2], "profile": {
+        "kind": "per_pair", "table": [[0, 1, 0.5], [0, 2, 0.5], [1, 1, 0.5]]}}), "gates[0]"),
 ], ids=["bool-n_qubits", "bool-qubit", "float-pair-index", "bool-offset",
         "theta-on-H", "profile-on-RX", "nan-coupling", "top-level-list",
         "gates-not-list", "gate-not-object", "qubits-not-list", "profile-not-object",
-        "short-pair-row", "offset-2", "ancilla-out-of-range", "gate-beyond-register"])
+        "short-pair-row", "offset-2", "ancilla-out-of-range", "gate-beyond-register",
+        "self-pair-row"])
 def test_strict_schema_names_field(text, path):
     with pytest.raises(SchemaError) as err:
         deserialize(text)

@@ -601,7 +601,10 @@ GUARDS = [
     ("dense", "6", TOFFOLI5, 16 << 12, 16 << 12, "bytes"),
     ("dense", "5", TOFFOLI5, 16 << 12, 16 << 10, "bytes"),
     ("lattice", None, LATTICE, 8 * 7560**2, 16 << 24, "bytes"),
-    ("scan", None, SCAN, 8 * 2500000000 * 10, 16 << 24, "bytes"),
+    ("scan", None, SCAN, 136 * 2500000000, 16 << 24, "bytes"),
+    # 481 and 482 points of 136 bytes about a 65536-byte budget
+    ("scan", "6", SCAN[:-1] + ["0.005189"], 136 * 481, 16 << 12, "bytes"),
+    ("scan", "6", SCAN[:-1] + ["0.005182"], 136 * 482, 16 << 12, "bytes"),
     ("shrink", None, ["count", "toffoli", "--n", "10", "--max-gms-only"],
      10752, 65536, "pulses"),
     ("shrink", None, ["count", "toffoli", "--n", "11", "--max-gms-only"],

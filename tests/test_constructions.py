@@ -659,6 +659,62 @@ def test_construction_budget(monkeypatch):
     assert tables[0] == len(subset) == 13
 
 
+def test_rewrite_budget(monkeypatch):
+    # a rewrite's matcher runs only on the gate kinds it can match: the echo
+    # pass on XX/GMS arrivals and on the replacements it tries again, the
+    # inverse pass on GMS arrivals; every collapse makes one table
+    calls = {}  # matcher name -> [(gate, found)]
+
+    def recording(name, real):
+        def match(*args):
+            found = real(*args)
+            calls.setdefault(name, []).append((args[-1], found))
+            return found
+        return match
+
+    monkeypatch.setattr(cons, "_echo_match", recording("echo", cons._echo_match))
+    monkeypatch.setattr(cons, "_inverse_match", recording("inverse", cons._inverse_match))
+    original = qft_gms(8, PowerLawSum(((0.4, 2.5),)))
+    tables = count_post_inits(monkeypatch, PerPair)
+    shrunk = cons.gms_shrink(original)
+    assert tables[0] == 13
+    echoed = cons.spin_echo_cancel(shrunk)
+    assert tables[0] == 13 + 48
+    back = cons.cancel_inverse_gms(echoed)
+    assert back.cost().gms_pulses == original.cost().gms_pulses
+
+    # a call that follows a match with a replacement is its retry; every
+    # other call is an arrival
+    echo, arrivals, retry = calls["echo"], [], None
+    for gate, found in echo:
+        if retry is None:
+            arrivals.append(gate)
+        else:
+            assert gate is retry
+        retry = found[1] if found else None
+    assert retry is None
+    assert arrivals == [g for g in shrunk.gates if g.kind in ("XX", "GMS")]
+    assert len(echo) == 620
+    inverse = calls["inverse"]
+    assert [g for g, found in inverse] == [g for g in echoed.gates if g.kind == "GMS"]
+    assert all(found is None or found[1] is None for _, found in inverse)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_benchmark_round_trips_match_restart_oracles(seed):
+    # the seeded one-term power laws of the ledger workload's round trip
+    rng = random.Random(seed)
+    b = rng.choice([-0.6, -0.5, -0.4, -0.3, 0.3, 0.4, 0.5, 0.6])
+    p = round(rng.randint(20, 35) * 0.1, 1)
+    original = qft_gms(8, PowerLawSum(((b, p),)))
+    shrunk = cons.gms_shrink(original)
+    echoed = cons.spin_echo_cancel(shrunk)
+    assert echoed.gates == oracle_spin_echo_cancel(shrunk).gates
+    back = cons.cancel_inverse_gms(echoed)
+    assert back.gates == oracle_cancel_inverse_gms(echoed).gates
+    assert back.cost().gms_pulses == original.cost().gms_pulses
+
+
 def test_echo_collapses_once_per_pulse_and_wire(monkeypatch):
     calls = []
     real = cons._echo_collapse
@@ -719,7 +775,7 @@ def oracle_echo_match(out, stacks, gate, memo):
 def test_echo_match_reads_one_candidate_wire(original):
     shrunk = cons.gms_shrink(original)
     out = cons.spin_echo_cancel(shrunk)
-    want = cons._stack_pass(shrunk, partial(oracle_echo_match, memo={}))
+    want = cons._stack_pass(shrunk, ("XX", "GMS"), partial(oracle_echo_match, memo={}))
     assert_same_serialization(out, want)
     assert out.cost().gms_pulses < shrunk.cost().gms_pulses
 

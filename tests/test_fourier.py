@@ -230,14 +230,51 @@ def test_optimizer_pinned_results(n, m, terms, evaluations):
 
 
 def test_optimizer_m2_memory():
-    # the lattice holds K^2 = 97344 entries, never K^2 x n
+    # the lattice holds K^2 = 97344 entries, never K^2 x n, and is the only
+    # array of that size: its terms are formed in blocks of rows
     tracemalloc.start()
     try:
         fourier.optimize_powerlaw(10, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+    assert peak <= 1.5 * 8 * 312**2
+
+
+@pytest.mark.parametrize("axis", ["b1", "p2"])
+def test_scan_guard_counts_what_the_scan_holds(axis):
+    # about 130 bytes a point whatever n is: values and fidelities as floats.
+    # The upper bound is the guard's promise (it counts at least what the
+    # scan holds); the figure itself rests on CPython's object sizes, so the
+    # lower bound only checks that the guard does not count several times over
+    step = 2e-4
+    lo, hi = (-0.6, 0.6) if axis[0] == "b" else (1.5, 4.0)
+    points = len(fourier._multiples(lo, hi, step))
+    for n in (2, 14):
+        tracemalloc.start()
+        try:
+            scan = fourier.scan_axis(n, PAPER_OPT, axis, step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scan.grid) == points - (axis[0] == "b")
+        assert 0.5 * fourier.SCAN_POINT_BYTES * points <= peak
+        assert peak <= fourier.SCAN_POINT_BYTES * points
+
+
+@pytest.mark.parametrize("n", [3, 6, 10, 14])
+@pytest.mark.parametrize("offset", [0, 1])
+@pytest.mark.parametrize("terms", [((0.4, 2.5),), ((0.4, 2.5), (-0.5, 3.4)),
+                                   ((0.3, 2.0), (-0.2, 3.1), (0.5, 1.7))])
+def test_scan_has_the_formula_bits(n, offset, terms):
+    # every point of every axis, at three steps, equals the per-point formula
+    params = PowerLawSum(terms, offset)
+    for axis in fourier._axes(params):
+        for step in (0.1, 0.05, 0.01):
+            scan = fourier.scan_axis(n, params, axis, step)
+            assert scan.grid == tuple(
+                (v, fourier.fidelity_formula(n, fourier._with_axis(params, axis, v)))
+                for v, _ in scan.grid)
 
 
 # -- count models -----------------------------------------------------------------
