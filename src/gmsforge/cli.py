@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, constructions as cons, fourier, gf2
 from .circuit import (ArgumentError, Circuit, Exponential, GuardError, PowerLawSum,
                       SchemaError, deserialize, guard, serialize)
-from .sim import equiv_on_ancilla, unitary_of
+from .sim import IndexMap, equiv_on_ancilla, unitary_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD = 0, 1, 2, 3
 
@@ -147,11 +147,13 @@ def cmd_verify(args) -> int:
         guard("dump", circuit.n_qubits, 6, "qubits")
     read = time.perf_counter()
     ref = _resolve(args.against, args)
-    # a construction's action on the data basis, or a simulated circuit or file
-    matrix, how = ((ref.act.matrix(), "oracle") if isinstance(ref, cons.ConstructionSpec)
-                   else (unitary_of(ref), "circuit"))
+    # a construction's action (a permutation is compared in place), or a circuit
+    reference, how = ((ref.act, "oracle") if isinstance(ref, cons.ConstructionSpec)
+                      else (unitary_of(ref), "circuit"))
+    if not isinstance(reference, (IndexMap, np.ndarray)):
+        reference = reference.matrix()
     built = time.perf_counter()
-    res = equiv_on_ancilla(circuit, matrix, args.tol)
+    res = equiv_on_ancilla(circuit, reference, args.tol)
     checked = time.perf_counter()
     outcome = "PASS" if res.ok else f"FAIL ({res.failure})"
     print(f"{outcome} phase={res.phase.real:+.9f}{res.phase.imag:+.9f}j "
@@ -159,7 +161,7 @@ def cmd_verify(args) -> int:
     if args.emit_unitary:
         _dump_unitary(unitary_of(circuit), args.emit_unitary)
     if args.json:
-        n, d = circuit.n_qubits, len(matrix).bit_length() - 1
+        n, d = circuit.n_qubits, reference.shape[0].bit_length() - 1
         print(json.dumps(_manifest("verify", vars(args), start, [
             {"name": f"{args.file} vs {args.against}",
              "outcome": "PASS" if res.ok else "FAIL",
@@ -169,6 +171,7 @@ def cmd_verify(args) -> int:
              "columns_bytes": 16 << (n + d), "passes": res.passes,
              "plan_bytes": res.plan_bytes,
              "reference_s": round(built - read, 6),
+             "reference_bytes": 0 if isinstance(reference, IndexMap) else reference.nbytes,
              "check_s": round(checked - built, 6)}])))
     return EXIT_OK if res.ok else EXIT_FAIL
 

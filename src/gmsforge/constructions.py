@@ -3,7 +3,7 @@
 Each generator that implements a standard unitary is returned as a
 ConstructionSpec pairing the pulse-based circuit with the action of that
 unitary on its data register: a basis-index map (Toffoli, the CNOT fans
-and the encoder) or a sign on the all-ones index (the controlled-Z gates).
+and the encoder), signed on the all-ones index for the controlled-Z gates.
 An action builds its index array on first use, so making a spec costs no
 2^d work.  The verification harness checks the circuit against the action
 up to a global phase (on the data register when ancillas are involved).
@@ -51,9 +51,10 @@ Toffoli-11 would emit 92160; at 13 qubits each emitted pulse held about
 class ConstructionSpec:
     """A generated circuit paired with the action of the unitary it must
     implement: ``act(cols)`` maps a (2^d, batch) array of data-register
-    states to their images and ``act.matrix()`` is the dense unitary.  The
-    action computes nothing of size 2^d until it is first used.  The
-    builder's signature holds the construction's parameters."""
+    states to their images; a basis permutation up to signs is an
+    ``IndexMap``, compared in place, and ``act.matrix()``, the dense unitary,
+    serves the transform and tests.  Nothing of size 2^d is computed before
+    first use.  The builder's signature holds the construction's parameters."""
 
     generated: Circuit
     act: Callable = field(compare=False, repr=False)

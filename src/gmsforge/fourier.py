@@ -331,7 +331,8 @@ def optimize_powerlaw(n: int, m: int, grid_step: float = 0.1,
 
 
 def _descend(n: int, seeds: list, bs: list, ps: list) -> tuple[PowerLawSum, int]:
-    """Coordinate descent over the full grid from each seed: (best, steps)."""
+    """Coordinate descent over the full grid from each seed, to the first
+    maximum of each whole-axis scan that beats the candidate: (best, steps)."""
     best, best_f, steps = None, -1.0, 0
     for seed in seeds:
         cand, cand_f = seed, fidelity_formula(n, seed)
@@ -339,13 +340,13 @@ def _descend(n: int, seeds: list, bs: list, ps: list) -> tuple[PowerLawSum, int]
         while improved:
             improved = False
             for axis in _axes(cand):
-                for v in (bs if axis[0] == "b" else ps):
-                    trial = _with_axis(cand, axis, v)
-                    f = fidelity_formula(n, trial)
-                    steps += 1
-                    if f > cand_f:
-                        cand, cand_f = trial, f
-                        improved = True
+                values = bs if axis[0] == "b" else ps
+                fs = _scan_fidelities(n, cand, axis, values)
+                steps += len(values)
+                top = fs.index(max(fs))
+                if fs[top] > cand_f:
+                    cand, cand_f = _with_axis(cand, axis, values[top]), fs[top]
+                    improved = True
         if cand_f > best_f:
             best, best_f = cand, cand_f
     return best, steps

@@ -5,14 +5,15 @@ the most significant bit of the basis index, so |q0 q1 ... q_{n-1}> has
 index sum(q_k * 2**(n-1-k)).
 
 Every dense check runs the basis columns |x>|0...0> of its d data wires
-through the circuit at once, 2^n x 2^d entries (d = n for a unitary).  One
-byte budget covers them all and ``fourier``'s lattice and scan too: the
-bytes of a dense unitary at the qubit guard, 12 by default (256 MiB), so
-n + d may not exceed 24; override the 12 with the GMSFORGE_MAX_DENSE_QUBITS
-environment variable, a positive integer (any other value raises
-ArgumentError).  A request above it raises ``circuit.GuardError``.  The
-statevector path has no such guard and is used for wide-register parity
-checks.
+through the circuit at once, 2^n x 2^d entries (d = n for a unitary), and
+compares them with a phased permutation (``IndexMap``) in place, with a
+dense reference matrix otherwise.  One byte budget covers them all and
+``fourier``'s lattice and scan too: the bytes of a dense unitary at the
+qubit guard, 12 by default (256 MiB), so n + d may not exceed 24; override
+the 12 with the GMSFORGE_MAX_DENSE_QUBITS environment variable, a positive
+integer (any other value raises ArgumentError).  A request above it raises
+``circuit.GuardError``.  The statevector path has no such guard and is
+used for wide-register parity checks.
 
 Every path runs through ``_run`` on the numpy kernels, three of them.
 Every multi-qubit gate but CNOT is one diagonal phase table between
@@ -494,14 +495,14 @@ def _row_blocks(a: np.ndarray):
     return [a[r:r + step] for r in range(0, len(a), step)]
 
 
+def _peak(blocks) -> float:
+    """The largest |entry| of ``blocks``, made one at a time."""
+    return float(np.max([np.abs(b).max() for b in blocks]))
+
+
 def _max_deviation(u: np.ndarray, v: np.ndarray, lam) -> float:
     """max |u - lam * v| with temporaries of one row block."""
-    peaks = []
-    for a, b in zip(_row_blocks(u), _row_blocks(v)):
-        t = lam * b
-        np.subtract(a, t, out=t)
-        peaks.append(np.abs(t).max())
-    return float(np.max(peaks))
+    return _peak(a - lam * b for a, b in zip(_row_blocks(u), _row_blocks(v)))
 
 
 def equiv_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> PhaseMatch:
@@ -533,6 +534,20 @@ def equiv_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> PhaseMatch:
     return PhaseMatch(dev <= tol, lam, dev)
 
 
+def _equiv_in_place(w: np.ndarray, v: IndexMap, tol: float) -> PhaseMatch:
+    """``equiv_phase(w, v.matrix(), tol)`` bit for bit, overwriting ``w``:
+    lam is read at the same pivot, lam * phase[x] is subtracted at each
+    nonzero (dest[x], x) and the deviation is max |w|.  Where V is 0 the
+    dense check subtracts lam * 0, which changes no bit of |w|."""
+    x0 = np.lexsort((v.dest, -np.abs(v.phase)))[0]  # largest |phase|, lowest row
+    lam = w[v.dest[x0], x0] / np.complex128(v.phase[x0])
+    ok = float(abs(lam)) != 0.0
+    lam = lam / abs(lam) if ok else 1.0
+    w[v.dest, np.arange(len(w))] -= lam * v.phase
+    dev = _peak(_row_blocks(w))
+    return PhaseMatch(ok and dev <= tol, lam if ok else 1.0 + 0j, dev)
+
+
 @dataclass(frozen=True)
 class AncillaMatch:
     ok: bool
@@ -544,25 +559,27 @@ class AncillaMatch:
     plan_bytes: int  # held in the circuit's plan, ``Plan.nbytes``
 
 
-def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
-                     tol: float = 1e-9) -> AncillaMatch:
-    """Check the circuit acts as ``data_unitary`` on the data register.
+def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaMatch:
+    """Check the circuit acts as ``reference``, a 2^d x 2^d unitary or an
+    ``IndexMap`` (compared in place), on the data register.
 
     The data register is the circuit's non-ancilla wires, or the whole
-    register when ``data_unitary`` is as wide as the circuit (then this is
-    ``equiv_phase(unitary_of(circuit), data_unitary)`` and leakage is 0).
+    register when ``reference`` is as wide as the circuit (then this is
+    ``equiv_phase(unitary_of(circuit), reference)`` and leakage is 0).
     Every data basis state |x>|0...0> is run through the circuit; the result
     must be (V|x>)|0...0> with one common global phase.  Residual population
     on the ancilla-neq-0 rows above tol is reported as the distinct
-    "leakage" failure.  The columns are held at once under the dense guard.
+    "leakage" failure.  The columns are held at once under the dense guard,
+    and with ancillas a copy of their data rows; every other temporary is
+    at most a row block or 2^d entries.
     """
     n = circuit.n_qubits
-    full = data_unitary.shape == (1 << n, 1 << n)
+    full = reference.shape == (1 << n, 1 << n)
     data = range(n) if full else circuit.data_qubits
     ddim = 1 << len(data)
-    if data_unitary.shape != (ddim, ddim):
+    if reference.shape != (ddim, ddim):
         raise ArgumentError(
-            f"reference acts on {data_unitary.shape}; the data register has "
+            f"reference acts on {reference.shape}; the data register has "
             f"dimension {ddim}, the whole register {1 << n}")
     cols, rows, passes = _columns(circuit, data)
     plan_bytes = _plan(circuit).nbytes
@@ -570,11 +587,12 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
     if not full:
         w = cols[rows]
         cols[rows] = 0.0
-        leakage = float(np.max(np.abs(cols)))
+        leakage = _peak(_row_blocks(cols))
     if leakage > tol:
         return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
                             passes, plan_bytes)
-    pm = equiv_phase(w, data_unitary, tol)
+    pm = (_equiv_in_place(w, reference, tol) if isinstance(reference, IndexMap)
+          else equiv_phase(w, reference, tol))
     failure = None if pm.ok else "mismatch"
     return AncillaMatch(pm.ok, failure, pm.phase, pm.max_deviation, leakage,
                         passes, plan_bytes)
@@ -586,49 +604,43 @@ def equiv_on_ancilla(circuit: Circuit, data_unitary: np.ndarray,
 #
 # Each reference below is the textbook unitary V on d data wires, given by
 # its action rather than by a gate list.  Calling it maps a (2^d, batch)
-# array of states to their images; ``matrix()`` is V itself, built in one
-# 2^d x 2^d array under the dense guard.  Nothing of size 2^d exists before
+# array of states to their images; ``matrix()`` is V itself, one 2^d x 2^d
+# array under the dense guard, for the dense references and tests (an
+# ``IndexMap`` is compared in place).  Nothing of size 2^d exists before
 # the first use.
 
 class IndexMap:
-    """V|x> = |dest[x]> for a permutation ``dest`` of the 2^d basis
-    indices, which ``build()`` returns on first use."""
+    """V|x> = phase[x] |dest[x]>: ``build()`` returns the permutation dest
+    of the 2^d basis indices on first use, ``phases()`` the unit-modulus
+    phases (all 1 when it is None)."""
 
-    def __init__(self, d: int, build):
-        self.d = d
-        self._build = build
+    def __init__(self, d: int, build, phases=None):
+        self.d, self.shape = d, (1 << d, 1 << d)
+        self._build, self._phases = build, phases or (lambda: np.ones(1 << d))
 
     @cached_property
     def dest(self) -> np.ndarray:
         return self._build()
 
+    @cached_property
+    def phase(self) -> np.ndarray:
+        return self._phases()
+
     def __call__(self, cols: np.ndarray) -> np.ndarray:
-        out = np.empty_like(cols)
-        out[self.dest] = cols
+        out = np.empty_like(cols, np.result_type(cols, self.phase))
+        out[self.dest] = (self.phase * cols.T).T
         return out
 
     def matrix(self) -> np.ndarray:
         m = _dense_zeros(self.d, self.d)
-        m[self.dest, np.arange(len(m))] = 1.0
+        m[self.dest, np.arange(len(m))] = self.phase
         return m
 
 
-class AllOnesSign:
+def AllOnesSign(d: int) -> IndexMap:
     """V = diag(1, ..., 1, -1): the sign of the all-ones index flips."""
-
-    def __init__(self, d: int):
-        self.d = d
-
-    def __call__(self, cols: np.ndarray) -> np.ndarray:
-        out = cols.copy()
-        out[-1] *= -1
-        return out
-
-    def matrix(self) -> np.ndarray:
-        m = _dense_zeros(self.d, self.d)
-        np.fill_diagonal(m, 1.0)
-        m[-1, -1] = -1.0
-        return m
+    return IndexMap(d, lambda: np.arange(1 << d),
+                    lambda: np.append(np.ones((1 << d) - 1), -1.0))
 
 
 def _bit_reversal(d: int) -> np.ndarray:

@@ -148,10 +148,12 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
     run(capsys, "synth", "fanin", "--n", "5", "--out", str(f5))
     # fanin-5's two pulses meet the state with no pass between them and
     # share one phase pass; each of toffoli-5's nine pulses takes its own
-    cases = (((t5, "toffoli", "--n", "5"), "ancilla", "oracle", 7 + 5, 9),
-             ((f5, "fanin", "--n", "5"), "dense", "oracle", 5 + 5, 1),
-             ((t5, str(t5)), "dense", "circuit", 7 + 7, 9))
-    for (path, *against), method, how, width, phase in cases:
+    # a permutation is compared in place and holds no reference bytes; a
+    # circuit file's unitary holds 16 bytes an entry
+    cases = (((t5, "toffoli", "--n", "5"), "ancilla", "oracle", 7 + 5, 9, 0),
+             ((f5, "fanin", "--n", "5"), "dense", "oracle", 5 + 5, 1, 0),
+             ((t5, str(t5)), "dense", "circuit", 7 + 7, 9, 16 << 14))
+    for (path, *against), method, how, width, phase, ref_bytes in cases:
         _, plain, _ = run(capsys, "verify", str(path), "--against", *against)
         code, out, _ = run(capsys, "verify", str(path), "--against", *against, "--json")
         text, doc = out.splitlines()
@@ -160,6 +162,7 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
         assert c["method"] == method and c["reference"] == how
         assert c["columns_bytes"] == 16 << width
         assert 0 <= c["reference_s"] and 0 <= c["check_s"]
+        assert c["reference_bytes"] == ref_bytes
         # the passes _run made over the columns, one phase pass per run of
         # adjacent pulses, and the bytes of the plan's tables and blocks
         passes = c["passes"]
@@ -169,6 +172,12 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
         steps = sim._plan(deserialize(path.read_text())).steps
         assert c["plan_bytes"] == sum(a.nbytes for _, _, args in steps for a in args
                                       if isinstance(a, np.ndarray)) > 0
+    # the transform is no permutation: its dense matrix, 16 << 2d bytes
+    q3 = tmp_path / "q3.json"
+    run(capsys, "synth", "qft-gms", "--n", "3", "--out", str(q3))
+    code, out, _ = run(capsys, "verify", str(q3), "--against", "qft-ref", "--n", "3", "--json")
+    c = json.loads(out.splitlines()[1])["checks"][0]
+    assert code == 0 and c["reference_bytes"] == 16 << 6
 
 
 def test_verify_toffoli_simulates_no_reference_circuit(tmp_path, capsys, monkeypatch):
@@ -181,8 +190,34 @@ def test_verify_toffoli_simulates_no_reference_circuit(tmp_path, capsys, monkeyp
     monkeypatch.setattr(cons, "toffoli_reference", forbidden)
     monkeypatch.setattr(cons, "controlled_z_reference", forbidden)
     monkeypatch.setattr(cli, "unitary_of", forbidden)
+    # nor is the reference made dense: the columns are the one dense array
+    monkeypatch.setattr(sim.IndexMap, "matrix", forbidden)
+    dense, zeros = [], sim._dense_zeros
+
+    def columns_only(n, d):
+        dense.append((n, d))
+        assert len(dense) == 1, "a dense array beside the columns"
+        return zeros(n, d)
+
+    monkeypatch.setattr(sim, "_dense_zeros", columns_only)
     code, out, _ = run(capsys, "verify", str(path), "--against", "toffoli", "--n", "5")
+    assert code == 0 and out.startswith("PASS") and dense == [(7, 5)]
+
+
+def test_verify_permutation_holds_only_the_columns(tmp_path, capsys):
+    # fanin-10's columns are 16 MiB; the dense reference was 16 MiB more.
+    # Beside the columns the kernels' scratch buffer and the check's
+    # temporaries are one row block each, CHUNK complex entries
+    path = tmp_path / "f10.json"
+    run(capsys, "synth", "fanin", "--n", "10", "--out", str(path))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", str(path), "--against", "fanin", "--n", "10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0 and out.startswith("PASS")
+    assert peak <= (16 << 20) + 2 * 16 * sim.CHUNK
 
 
 def test_python_m_gmsforge(tmp_path, capsys):

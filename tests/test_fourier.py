@@ -229,6 +229,39 @@ def test_optimizer_pinned_results(n, m, terms, evaluations):
     assert res.params.terms == terms and res.evaluations == evaluations
 
 
+def point_by_point_descend(n, seeds, bs, ps):
+    """The m = 3 descent as it once walked each axis, one fidelity_formula
+    call per point, keeping every improvement: the oracle for the
+    whole-axis descent."""
+    best, best_f, steps = None, -1.0, 0
+    for seed in seeds:
+        cand, cand_f = seed, fourier.fidelity_formula(n, seed)
+        improved = True
+        while improved:
+            improved = False
+            for axis in fourier._axes(cand):
+                for v in (bs if axis[0] == "b" else ps):
+                    trial = fourier._with_axis(cand, axis, v)
+                    f = fourier.fidelity_formula(n, trial)
+                    steps += 1
+                    if f > cand_f:
+                        cand, cand_f = trial, f
+                        improved = True
+        if cand_f > best_f:
+            best, best_f = cand, cand_f
+    return best, steps
+
+
+@pytest.mark.parametrize("step", [0.1, 0.2])
+@pytest.mark.parametrize("n", range(4, 13))
+def test_descent_scans_each_axis_whole(n, step, monkeypatch):
+    got = fourier.optimize_powerlaw(n, 3, step)
+    monkeypatch.setattr(fourier, "_descend", point_by_point_descend)
+    want = fourier.optimize_powerlaw(n, 3, step)
+    assert got.params == want.params and got.fidelity == want.fidelity
+    assert got.evaluations == want.evaluations and got == want
+
+
 def test_optimizer_m2_memory():
     # the lattice holds K^2 = 97344 entries, never K^2 x n, and is the only
     # array of that size: its terms are formed in blocks of rows

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -7,9 +8,10 @@ import pytest
 
 from conftest import (HADAMARD, I2, PAULI_Z, controlled_z_matrix, kron_all,
                       random_circuit, random_state, toffoli_matrix, xx_matrix)
+from gmsforge import constructions as cons
 from gmsforge import sim
-from gmsforge.circuit import (ArgumentError, Circuit, GuardError, Uniform, empty, gms,
-                              h, rx, rz, xx)
+from gmsforge.circuit import (ArgumentError, Circuit, GuardError, Uniform, cp, empty,
+                              gms, h, rx, ry, rz, xx)
 from gmsforge.constructions import (TDISTILL_FANS, fanout, tdistill,
                                     toffoli3_gms, toffoli_n)
 from gmsforge.fourier import direct_fidelity, qft_gms
@@ -193,6 +195,105 @@ def test_equiv_on_ancilla_full_width_reference():
     assert r.ok and r.leakage == 0.0
     with pytest.raises(ValueError, match="data register"):
         sim.equiv_on_ancilla(spec.generated, np.eye(4), 1e-9)
+
+
+# -- permutation references compared in place -----------------------------------
+
+PERMUTATIONS = {
+    "fanout(5)": lambda: cons.fanout(5), "fanout(5, 2)": lambda: cons.fanout(5, 2),
+    "fanin(6)": lambda: cons.fanin(6), "fanin(4, 2)": lambda: cons.fanin(4, 2),
+    "cnot_via_xx": cons.cnot_via_xx, "cnot_via_4gms(4)": lambda: cons.cnot_via_4gms(4, 0, 3),
+    "ccz_3gms": cons.ccz_3gms, "cccz_4gms": cons.cccz_4gms, "cccz_3gms": cons.cccz_3gms,
+    "toffoli3_gms": cons.toffoli3_gms, "toffoli4_7gms": cons.toffoli4_7gms,
+    "toffoli_n(5)": lambda: cons.toffoli_n(5), "toffoli_n(6)": lambda: cons.toffoli_n(6),
+}
+
+
+def same_match(circuit, act):
+    """The in-place compare against ``act`` and the dense one against
+    ``act.matrix()`` agree on every AncillaMatch field, bit for bit: repr
+    keeps a float's every bit and a zero's sign."""
+    got = sim.equiv_on_ancilla(circuit, act)
+    want = sim.equiv_on_ancilla(circuit, act.matrix())
+    assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
+    return got
+
+
+@pytest.mark.parametrize("make", PERMUTATIONS.values(), ids=PERMUTATIONS)
+def test_in_place_compare_is_the_dense_compare(make):
+    # the generated circuit passes; an RZ(0.1) mutant on each data wire fails
+    spec = make()
+    assert isinstance(spec.act, sim.IndexMap)
+    assert same_match(spec.generated, spec.act).ok
+    for q in spec.generated.data_qubits:
+        r = same_match(spec.generated.append(rz(q, 0.1)), spec.act)
+        assert not r.ok and r.failure == "mismatch"
+
+
+def test_in_place_compare_on_the_whole_register():
+    # an ancilla circuit against a permutation as wide as its register, so
+    # the ancillas are data wires: Toffoli-5 is no identity there, and fails
+    spec = cons.toffoli_n(5)
+    n = spec.generated.n_qubits
+    act = sim.IndexMap(n, lambda: np.arange(1 << n))
+    r = same_match(spec.generated, act)
+    assert not r.ok and r.failure == "mismatch" and r.leakage == 0.0
+
+
+def test_in_place_compare_reports_leakage():
+    # the Z-axis CCZ erratum of test_ccz_erratum_z_axis_leaks
+    good = cons.ccz_3gms().generated
+    bad = Circuit(4, tuple(rz(3, PI / 4) if g == ry(3, PI / 4) else g
+                           for g in good.gates), frozenset({3}))
+    r = same_match(bad, cons.ccz_3gms().act)
+    assert not r.ok and r.failure == "leakage" and r.leakage > 0.3
+    # an ancilla on the top wire leaks into the lower half of the rows, past
+    # the first of the columns' eight row blocks
+    wide = Circuit(9, (rx(0, PI),), frozenset({0}))
+    r = same_match(wide, sim.IndexMap(8, lambda: np.arange(256)))
+    assert r.failure == "leakage" and r.leakage == 1.0
+
+
+@pytest.mark.parametrize("make", [lambda: cons.fanin(4), cons.ccz_3gms,
+                                  lambda: cons.toffoli_n(5)])
+def test_in_place_compare_with_no_phase_at_the_pivot(make, monkeypatch):
+    # the pivot's column zeroed by hand: lam is 0, both checks fail with
+    # phase 1 and the deviation at lam = 1.  With phases of modulus exactly
+    # 1 the pivot is the column that V maps to row 0
+    spec = make()
+    columns, pivot = sim._columns, int(np.argmin(spec.act.dest))
+
+    def zeroed(circuit, data):
+        cols, rows, passes = columns(circuit, data)
+        cols[:, pivot] = 0.0
+        return cols, rows, passes
+
+    monkeypatch.setattr(sim, "_columns", zeroed)
+    r = same_match(spec.generated, spec.act)
+    assert not r.ok and r.phase == 1.0 and r.failure == "mismatch"
+
+
+def test_in_place_compare_with_unit_phases():
+    # a random permutation with random unit-modulus phases, whose magnitudes
+    # differ in the last bits, so the pivot is not simply dest's 0; and a
+    # diagonal of phases that a CP circuit implements
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 5):
+        dest = rng.permutation(1 << d)
+        phase = np.exp(1j * rng.uniform(-PI, PI, 1 << d))
+        act = sim.IndexMap(d, lambda: dest, lambda: phase)
+        assert not same_match(random_circuit(random.Random(d), d, 8), act).ok
+        assert np.array_equal(act(np.eye(1 << d)), act.matrix())
+    c = Circuit(3, (cp(0, 1, 0.3), cp(1, 2, -1.1), rz(0, 0.7)))
+    act = sim.IndexMap(3, lambda: np.arange(8), lambda: np.diag(sim.unitary_of(c)))
+    assert same_match(c, act).ok
+    assert same_match(c.append(rz(2, 0.1)), act).failure == "mismatch"
+
+
+def test_all_ones_sign_is_an_index_map():
+    act = sim.AllOnesSign(3)
+    assert isinstance(act, sim.IndexMap)
+    assert np.array_equal(act.matrix(), np.diag([1.0] * 7 + [-1.0]))
 
 
 def test_trace_fidelity_self():
