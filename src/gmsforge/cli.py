@@ -288,7 +288,9 @@ def cmd_optimize(args) -> int:
         print(f"wrote {outdir / f'scan_{scan.axis}.csv'}")
     if args.json:
         print(json.dumps(_manifest("optimize-powerlaw", vars(args), start, [
-            {"name": "grid_search", "outcome": "PASS", "deviation": None}])
+            {"name": "grid_search", "outcome": "PASS", "deviation": None,
+             "bound_solves": res.bound_solves, "b_tuples": res.b_tuples,
+             "pruned_p_tuples": res.pruned}])
             | {"params": [list(t) for t in res.params.terms],
                "fidelity": res.fidelity}))
     return EXIT_OK

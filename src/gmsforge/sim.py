@@ -8,7 +8,7 @@ Every dense check runs the basis columns |x>|0...0> of its d data wires
 through the circuit at once, 2^n x 2^d entries (d = n for a unitary), and
 compares them with a phased permutation (``IndexMap``) in place, with a
 dense reference matrix otherwise.  One byte budget covers them all and
-``fourier``'s lattice and scan too: the bytes of a dense unitary at the
+``fourier``'s search and scans too: the bytes of a dense unitary at the
 qubit guard, 12 by default (256 MiB), so n + d may not exceed 24; override
 the 12 with the GMSFORGE_MAX_DENSE_QUBITS environment variable, a positive
 integer (any other value raises ArgumentError).  A request above it raises
@@ -55,8 +55,8 @@ only executes it.  The plan's tables are the memory this costs, about
 with the plan's bytes.
 
 The textbook references a check compares against are given by their
-action on a state (``IndexMap``, ``AllOnesSign``, ``BitReversedIFFT``), not
-by a gate list that would itself have to be simulated.
+action on a state (the classes ``IndexMap``, which ``AllOnesSign``
+builds, and ``BitReversedIFFT``), not by a gate list to be simulated.
 """
 
 from __future__ import annotations
@@ -534,18 +534,23 @@ def equiv_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> PhaseMatch:
     return PhaseMatch(dev <= tol, lam, dev)
 
 
-def _equiv_in_place(w: np.ndarray, v: IndexMap, tol: float) -> PhaseMatch:
-    """``equiv_phase(w, v.matrix(), tol)`` bit for bit, overwriting ``w``:
-    lam is read at the same pivot, lam * phase[x] is subtracted at each
-    nonzero (dest[x], x) and the deviation is max |w|.  Where V is 0 the
-    dense check subtracts lam * 0, which changes no bit of |w|."""
+def _equiv_in_place(cols: np.ndarray, rows: np.ndarray, v: IndexMap,
+                    tol: float) -> tuple[PhaseMatch, float]:
+    """``equiv_phase(cols[rows], v.matrix(), tol)`` bit for bit, and the
+    leakage off the data ``rows``, overwriting ``cols``: lam, read at the
+    same pivot, times phase[x] is subtracted at (rows[dest[x]], x), where
+    the dense check's lam * 0 elsewhere changes no bit; one pass of row
+    maxima then gives the deviation (data rows) and the leakage (the rest)."""
     x0 = np.lexsort((v.dest, -np.abs(v.phase)))[0]  # largest |phase|, lowest row
-    lam = w[v.dest[x0], x0] / np.complex128(v.phase[x0])
+    lam = cols[rows[v.dest[x0]], x0] / np.complex128(v.phase[x0])
     ok = float(abs(lam)) != 0.0
     lam = lam / abs(lam) if ok else 1.0
-    w[v.dest, np.arange(len(w))] -= lam * v.phase
-    dev = _peak(_row_blocks(w))
-    return PhaseMatch(ok and dev <= tol, lam if ok else 1.0 + 0j, dev)
+    cols[rows[v.dest], np.arange(len(v.dest))] -= lam * v.phase
+    peaks = np.concatenate([np.abs(b).max(axis=1) for b in _row_blocks(cols)])
+    dev = float(peaks[rows].max())
+    peaks[rows] = 0.0
+    return (PhaseMatch(ok and dev <= tol, lam if ok else 1.0 + 0j, dev),
+            float(peaks.max()))
 
 
 @dataclass(frozen=True)
@@ -569,9 +574,9 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
     Every data basis state |x>|0...0> is run through the circuit; the result
     must be (V|x>)|0...0> with one common global phase.  Residual population
     on the ancilla-neq-0 rows above tol is reported as the distinct
-    "leakage" failure.  The columns are held at once under the dense guard,
-    and with ancillas a copy of their data rows; every other temporary is
-    at most a row block or 2^d entries.
+    "leakage" failure.  The columns are held at once under the dense guard
+    (with a copy of their data rows for a dense reference with ancillas);
+    every other temporary is at most a row block, 2^d entries or a row's float.
     """
     n = circuit.n_qubits
     full = reference.shape == (1 << n, 1 << n)
@@ -583,16 +588,18 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
             f"dimension {ddim}, the whole register {1 << n}")
     cols, rows, passes = _columns(circuit, data)
     plan_bytes = _plan(circuit).nbytes
-    w, leakage = cols, 0.0  # a view when every wire is data
-    if not full:
-        w = cols[rows]
-        cols[rows] = 0.0
-        leakage = _peak(_row_blocks(cols))
+    if isinstance(reference, IndexMap):
+        pm, leakage = _equiv_in_place(cols, rows, reference, tol)
+    else:
+        w, leakage = cols, 0.0  # a view when every wire is data
+        if not full:
+            w = cols[rows]
+            cols[rows] = 0.0
+            leakage = _peak(_row_blocks(cols))
+        pm = equiv_phase(w, reference, tol) if leakage <= tol else None
     if leakage > tol:
         return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
                             passes, plan_bytes)
-    pm = (_equiv_in_place(w, reference, tol) if isinstance(reference, IndexMap)
-          else equiv_phase(w, reference, tol))
     failure = None if pm.ok else "mismatch"
     return AncillaMatch(pm.ok, failure, pm.phase, pm.max_deviation, leakage,
                         passes, plan_bytes)

@@ -357,6 +357,10 @@ def test_optimize_writes_scans(tmp_path, capsys):
     assert doc["command"] == "optimize-powerlaw" and doc["checks"][0]["outcome"] == "PASS"
     assert doc["params"] == [list(t) for t in res.params.terms]
     assert doc["fidelity"] == res.fidelity and f"fidelity={res.fidelity:.9f}" in out
+    search = doc["checks"][0]
+    assert (search["bound_solves"], search["b_tuples"], search["pruned_p_tuples"]) == \
+        (res.bound_solves, res.b_tuples, res.pruned) == (351, 2448, 334)
+    assert f"evaluations={res.evaluations}" in out and res.evaluations == 2799
 
 
 def test_optimize_deterministic(tmp_path, capsys):
@@ -481,13 +485,23 @@ def test_max_gms_only_output_guard_exit3(capsys):
     assert f"shrink guard: 92160 pulses asked, limit is {cons.MAX_SHRINK_PULSES} pulses" in err
 
 
+LATTICE_ASKED = 8 * (math.comb(253, 3) * 95 + 251 * 121 * 10 + 3 * 120**3 * 10)
+"""m = 3 at step 0.01, n = 10: 2667126 multisets of 251 exponents, 95 floats
+each, the powers and power-law terms of 251 exponents and 120 b values, and
+one enumeration of 120^3 b-tuples with two temporaries, 8 bytes a float."""
+
+
 def test_optimize_lattice_guard_exit3(tmp_path, capsys):
-    # 7560^2 = 57153600 lattice entries of 8 bytes; the guard trips before
-    # any is allocated
-    code, out, err = run(capsys, "optimize-powerlaw", "--n", "10", "--m", "2",
-                         "--step", "0.02", "--out-dir", str(tmp_path))
+    # the guard trips before any grid list exists
+    code, out, err = run(capsys, "optimize-powerlaw", "--n", "10", "--m", "3",
+                         "--step", "0.01", "--out-dir", str(tmp_path))
     assert code == 3 and out == ""
-    assert f"lattice guard: {8 * 57153600} bytes asked, limit is {16 << 24} bytes" in err
+    assert f"lattice guard: {LATTICE_ASKED} bytes asked, limit is {16 << 24} bytes" in err
+    # m = 2 at step 0.02, which the K^2 exponent lattice refused (457228800
+    # bytes), holds about 4.5 MB now and runs
+    code, out, _ = run(capsys, "optimize-powerlaw", "--n", "10", "--m", "2",
+                       "--step", "0.02", "--out-dir", str(tmp_path))
+    assert code == 0 and "fidelity=0.999122601" in out
 
 
 def test_parser_is_built_once_and_options_do_not_leak(tmp_path, capsys, monkeypatch):
@@ -622,7 +636,7 @@ PAPER_OPT = PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 0)
 TRIP_FILES = {"tdistill": ["tdistill"], "toffoli5": ["toffoli", "--n", "5"],
               "fanout6": ["fanout", "--n", "6"], "fanout7": ["fanout", "--n", "7"]}
 TOFFOLI5 = ["verify", "{toffoli5}", "--against", "toffoli", "--n", "5"]
-LATTICE = ["optimize-powerlaw", "--n", "10", "--m", "2", "--step", "0.02",
+LATTICE = ["optimize-powerlaw", "--n", "10", "--m", "3", "--step", "0.01",
            "--out-dir", "{tmp}"]
 SCAN = ["fidelity-scan", "--axis", "p1", "--n", "10", "--params", "0.4,-0.5,2.5,3.4",
         "--step", "1e-9"]
@@ -635,7 +649,7 @@ GUARDS = [
      16 << 30, 16 << 24, "bytes"),
     ("dense", "6", TOFFOLI5, 16 << 12, 16 << 12, "bytes"),
     ("dense", "5", TOFFOLI5, 16 << 12, 16 << 10, "bytes"),
-    ("lattice", None, LATTICE, 8 * 7560**2, 16 << 24, "bytes"),
+    ("lattice", None, LATTICE, LATTICE_ASKED, 16 << 24, "bytes"),
     ("scan", None, SCAN, 136 * 2500000000, 16 << 24, "bytes"),
     # 481 and 482 points of 136 bytes about a 65536-byte budget
     ("scan", "6", SCAN[:-1] + ["0.005189"], 136 * 481, 16 << 12, "bytes"),

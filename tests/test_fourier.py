@@ -182,29 +182,105 @@ def test_optimizer_monotone_in_box():
 
 
 def test_optimizer_m3_runs():
-    # three terms are constrained (each contributes |1/b| >= 5/3 at j = 1,
-    # so they must cancel), which keeps the reachable fidelity below m = 2
+    # the exact m = 3 optimum at n = 6 (0.999906) lies above m = 2's (0.999836)
     res = fourier.optimize_powerlaw(6, 3, grid_step=0.1)
-    assert res.fidelity > 0.9
+    assert res.fidelity > fourier.optimize_powerlaw(6, 2, grid_step=0.1).fidelity
     assert len(res.params.terms) == 3
     assert all(abs(b) <= 0.6 and 1.5 <= p <= 4.0 for b, p in res.params.terms)
+
+
+def test_optimizer_m3_reaches_the_grid_optimum_at_n10():
+    # coordinate descent from lattice seeds stopped at 0.889901 here
+    assert fourier.optimize_powerlaw(10, 3, grid_step=0.1).fidelity >= 0.9994
+
+
+def power_law_terms(n, bs, ps, offset):
+    """t[p, b, j] = 1/(b (j+offset)^p), with the weights w and targets y."""
+    js = np.arange(1, n + 1)
+    t = 1.0 / (np.array(bs)[:, None] * (js + offset) ** np.array(ps)[:, None, None])
+    return t, 3.0 * (n - js) / 64.0, 2.0 ** -js
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("n", [3, 6, 10, 14])
 @pytest.mark.parametrize("offset", [0, 1])
 def test_lattice_matches_fidelity_formula(m, n, offset):
-    # |b| >= 0.4 and p >= 2.5 keep every fidelity above underflow at m = 3
+    # the exponent the search enumerates at each point of the (b, p) grid
+    # lattice; |b| >= 0.4 and p >= 2.5 keep every fidelity above underflow
+    # at m = 3
     bs, ps = [-0.6, -0.4, 0.4, 0.6], [2.5, 3.0, 3.5]
+    t, w, y = power_law_terms(n, bs, ps, offset)
+    for p_idx in itertools.combinations_with_replacement(range(len(ps)), m):
+        expo = fourier._exponents(t, np.array(p_idx), y, w)
+        assert expo.shape == (len(bs) ** m,)
+        for flat, b_idx in enumerate(itertools.product(range(len(bs)), repeat=m)):
+            params = PowerLawSum(tuple((bs[b], ps[p]) for b, p in zip(b_idx, p_idx)),
+                                 offset)
+            want = -math.log(fourier.fidelity_formula(n, params)) / PI**2
+            assert abs(expo[flat] - want) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n, offset", [(3, 1), (10, 0), (14, 1)])
+def test_bounds_are_least_squares_minima(m, n, offset):
+    # each bound is the minimum over real c that lstsq finds on the distinct
+    # exponents, and no grid b-tuple on those exponents lies below it
+    bs = fourier._grid(-0.6, 0.6, 0.2, skip_zero=True)
+    ps = fourier._grid(1.5, 4.0, 0.25, skip_zero=False)
+    t, w, y = power_law_terms(n, bs, ps, offset)
+    q = np.array(list(itertools.combinations_with_replacement(range(len(ps)), m)))
+    cols = np.sqrt(w) * bs[-1] * t[:, -1]  # row p: sqrt(w_j) (j+offset)^-p
+    a = cols[q]
+    a[:, 1:][q[:, 1:] == q[:, :-1]] = 0.0
+    bound = fourier._bounds(a, np.sqrt(w) * y)
+    assert bound.shape == (len(q),)
+    for p_idx, got in zip(q, bound):
+        a = cols[sorted(set(p_idx))].T
+        c = np.linalg.lstsq(a, np.sqrt(w) * y, rcond=None)[0]
+        want = ((np.sqrt(w) * y - a @ c) ** 2).sum()
+        assert abs(got - want) <= 1e-9 * want + 1e-18
+        low = fourier._exponents(t, p_idx, y, w).min()
+        assert got <= low + fourier.PRUNE_REL * low + fourier.PRUNE_ABS
+
+
+def brute_force(n, m, step, offset, b_box=(-0.6, 0.6), p_box=(1.5, 4.0)):
+    """The grid optimum by exhaustion: the exponent of every ordered m-tuple
+    of (b, p) grid points in b-major order, one first point at a time, so
+    at most K^(m-1) x n entries exist; the first minimum wins, its terms
+    sorted."""
+    bs = fourier._grid(*b_box, step, skip_zero=True)
+    ps = fourier._grid(*p_box, step, skip_zero=False)
     combos = [(b, p) for b in bs for p in ps]
-    expo = fourier._lattice(n, bs, ps, offset, m)
-    assert expo.shape == (len(combos),) * m
-    rng = np.random.default_rng(1000 * m + 10 * n + offset)
-    for flat in rng.choice(expo.size, size=min(expo.size, 200), replace=False):
-        idx = np.unravel_index(flat, expo.shape)
-        params = PowerLawSum(tuple(combos[i] for i in idx), offset)
-        want = -math.log(fourier.fidelity_formula(n, params)) / PI**2
-        assert abs(expo[idx] - want) < 1e-12
+    js = np.arange(1, n + 1)
+    w, y = 3.0 * (n - js) / 64.0, 2.0 ** -js
+    t = np.array([[1.0 / (b * (j + offset) ** p) for j in js] for b, p in combos])
+    rest = np.zeros((1, n))
+    for _ in range(m - 1):
+        rest = (rest[:, None] + t).reshape(-1, n)
+    best, arg = math.inf, None
+    for first in range(len(combos)):
+        expo = (y - t[first] - rest) ** 2 @ w
+        i = int(np.argmin(expo))
+        if expo[i] < best:
+            best, arg = expo[i], (first, *np.unravel_index(i, (len(combos),) * (m - 1)))
+    return PowerLawSum(tuple(sorted(combos[k] for k in arg)), offset)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("offset", [0, 1])
+def test_optimizer_m3_matches_brute_force(n, offset):
+    # the whole step-0.2 grid: 78 (b, p) points, 474552 ordered triples
+    res = fourier.optimize_powerlaw(n, 3, 0.2, offset=offset)
+    want = brute_force(n, 3, 0.2, offset)
+    assert res.params == want and res.fidelity == fourier.fidelity_formula(n, want)
+
+
+@pytest.mark.parametrize("n, offset", [(6, 0), (10, 0), (10, 1)])
+def test_optimizer_m3_matches_brute_force_at_step_01(n, offset):
+    # step 0.1 over a box that holds the n = 10 optimum: 7 x 13 points
+    box = {"b_box": (-0.5, 0.2), "p_box": (1.6, 2.8)}
+    res = fourier.optimize_powerlaw(n, 3, 0.1, offset=offset, **box)
+    assert res.params == brute_force(n, 3, 0.1, offset, **box)
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -216,62 +292,65 @@ def test_optimizer_matches_brute_force(m):
     best = max(points, key=lambda t: fourier.fidelity_formula(n, PowerLawSum(t, 0)))
     res = fourier.optimize_powerlaw(n, m, grid_step=step)
     assert res.params.terms == tuple(sorted(best))
-    assert res.evaluations == (len(bs) * len(ps)) ** m
+    assert res.params == brute_force(n, m, step, 0)
+    assert res.bound_solves == math.comb(len(ps) + m - 1, m)
+    assert res.b_tuples == (res.bound_solves - res.pruned) * len(bs) ** m
+    assert res.evaluations == res.bound_solves + res.b_tuples
 
 
-@pytest.mark.parametrize("n, m, terms, evaluations", [
-    (10, 1, ((0.6, 2.6),), 312),
-    (10, 2, ((-0.5, 3.4), (0.4, 2.5)), 97344),
-    (6, 3, ((0.5, 3.6), (0.3, 2.5), (-0.2, 3.3)), 476832),
+@pytest.mark.parametrize("n, m, terms, counts", [
+    (10, 1, ((0.6, 2.6),), (26, 312, 0)),
+    (10, 2, ((-0.5, 3.4), (0.4, 2.5)), (351, 2448, 334)),
+    (6, 3, ((-0.5, 1.7), (-0.4, 2.7), (0.2, 2.0)), (3276, 1035072, 2677)),
 ])
-def test_optimizer_pinned_results(n, m, terms, evaluations):
+def test_optimizer_pinned_results(n, m, terms, counts):
+    # (bound solves, b-tuples evaluated, multisets pruned)
     res = fourier.optimize_powerlaw(n, m)
-    assert res.params.terms == terms and res.evaluations == evaluations
+    assert res.params.terms == terms
+    assert (res.bound_solves, res.b_tuples, res.pruned) == counts
+    assert res.evaluations == counts[0] + counts[1]
 
 
-def point_by_point_descend(n, seeds, bs, ps):
-    """The m = 3 descent as it once walked each axis, one fidelity_formula
-    call per point, keeping every improvement: the oracle for the
-    whole-axis descent."""
-    best, best_f, steps = None, -1.0, 0
-    for seed in seeds:
-        cand, cand_f = seed, fourier.fidelity_formula(n, seed)
-        improved = True
-        while improved:
-            improved = False
-            for axis in fourier._axes(cand):
-                for v in (bs if axis[0] == "b" else ps):
-                    trial = fourier._with_axis(cand, axis, v)
-                    f = fourier.fidelity_formula(n, trial)
-                    steps += 1
-                    if f > cand_f:
-                        cand, cand_f = trial, f
-                        improved = True
-        if cand_f > best_f:
-            best, best_f = cand, cand_f
-    return best, steps
-
-
-@pytest.mark.parametrize("step", [0.1, 0.2])
-@pytest.mark.parametrize("n", range(4, 13))
-def test_descent_scans_each_axis_whole(n, step, monkeypatch):
-    got = fourier.optimize_powerlaw(n, 3, step)
-    monkeypatch.setattr(fourier, "_descend", point_by_point_descend)
-    want = fourier.optimize_powerlaw(n, 3, step)
-    assert got.params == want.params and got.fidelity == want.fidelity
-    assert got.evaluations == want.evaluations and got == want
+@pytest.mark.parametrize("step, m, terms", [
+    (0.05, 1, ((0.25, 3.0),)), (0.05, 2, ((-0.5, 2.0), (0.25, 2.0))),
+    (0.1, 1, ((0.5, 2.0),)), (0.1, 2, ((-0.5, 4.0), (0.1, 4.0))),
+])
+def test_optimizer_exact_ties_go_to_the_first_tuple(step, m, terms):
+    # at n = 2 only j = 1 is weighted, and with offset 1 many grid tuples fit
+    # it exactly; the first ordered tuple of (b, p) points in b-major order
+    # wins, as the exponent lattice's argmin picked
+    res = fourier.optimize_powerlaw(2, m, step, offset=1)
+    assert res.params.terms == terms and res.fidelity == 1.0
 
 
 def test_optimizer_m2_memory():
-    # the lattice holds K^2 = 97344 entries, never K^2 x n, and is the only
-    # array of that size: its terms are formed in blocks of rows
+    # 351 multisets of 74 floats, the 26 x 12 x 10 power-law terms and one
+    # enumeration of 144 b-tuples: about 211 KiB with the scans, where the
+    # K^2 exponent lattice took 989 KiB
     tracemalloc.start()
     try:
         fourier.optimize_powerlaw(10, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * 8 * 312**2
+    assert peak <= 256 << 10
+
+
+@pytest.mark.parametrize("n, m, step", [(10, 1, 0.01), (10, 2, 0.02), (14, 2, 0.05),
+                                        (6, 3, 0.1)])
+def test_lattice_guard_counts_what_the_search_holds(n, m, step, monkeypatch):
+    # the search without its scans peaks below the bytes its guard asks,
+    # and above half of them
+    asked = []
+    monkeypatch.setattr(fourier, "guard_bytes", lambda name, size: asked.append(size))
+    monkeypatch.setattr(fourier, "scan_axis", lambda *args: None)
+    tracemalloc.start()
+    try:
+        fourier.optimize_powerlaw(n, m, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert asked[0] / 2 <= peak <= asked[0]
 
 
 @pytest.mark.parametrize("axis", ["b1", "p2"])
@@ -295,6 +374,14 @@ def test_scan_guard_counts_what_the_scan_holds(axis):
         assert peak <= fourier.SCAN_POINT_BYTES * points
 
 
+def with_axis(params, axis, value):
+    """``params`` with the axis "b2", "p1", ... set to ``value``."""
+    idx = int(axis[1:]) - 1
+    terms = [list(t) for t in params.terms]
+    terms[idx][0 if axis[0] == "b" else 1] = value
+    return PowerLawSum(tuple(tuple(t) for t in terms), params.offset)
+
+
 @pytest.mark.parametrize("n", [3, 6, 10, 14])
 @pytest.mark.parametrize("offset", [0, 1])
 @pytest.mark.parametrize("terms", [((0.4, 2.5),), ((0.4, 2.5), (-0.5, 3.4)),
@@ -306,7 +393,7 @@ def test_scan_has_the_formula_bits(n, offset, terms):
         for step in (0.1, 0.05, 0.01):
             scan = fourier.scan_axis(n, params, axis, step)
             assert scan.grid == tuple(
-                (v, fourier.fidelity_formula(n, fourier._with_axis(params, axis, v)))
+                (v, fourier.fidelity_formula(n, with_axis(params, axis, v)))
                 for v, _ in scan.grid)
 
 
@@ -367,10 +454,11 @@ def test_lattice_shares_the_dense_byte_budget(monkeypatch):
     def reached(*args):
         raise Reached
 
-    # 7560^2 entries reach the lattice at 13 qubits, and are refused at 12
-    monkeypatch.setattr(fourier, "_lattice", reached)
+    # m = 3 at step 0.02 (341376 multisets of 95 floats, 311.9 MB) reaches
+    # the search at 13 qubits, and is refused at 12
+    monkeypatch.setattr(fourier, "_bounds", reached)
     with pytest.raises(Reached):
-        fourier.optimize_powerlaw(10, 2, 0.02)
+        fourier.optimize_powerlaw(10, 3, 0.02)
     monkeypatch.delenv("GMSFORGE_MAX_DENSE_QUBITS")
-    with pytest.raises(GuardError, match="lattice guard"):
-        fourier.optimize_powerlaw(10, 2, 0.02)
+    with pytest.raises(GuardError, match="lattice guard: 311900640 bytes asked"):
+        fourier.optimize_powerlaw(10, 3, 0.02)

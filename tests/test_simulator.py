@@ -290,6 +290,23 @@ def test_in_place_compare_with_unit_phases():
     assert same_match(c.append(rz(2, 0.1)), act).failure == "mismatch"
 
 
+def test_in_place_compare_holds_no_copy_of_the_data_rows():
+    # Toffoli-8: 11 qubits, 8 data wires, 8 MiB of columns.  Beyond them the
+    # check holds about 0.26 MiB, the run's own temporaries; a copy of the
+    # data rows alone took 16 * 4^8 bytes (1 MiB)
+    spec = cons.toffoli_n(8)
+    c, d = spec.generated, len(spec.generated.data_qubits)
+    sim._plan(c), spec.act.dest, spec.act.phase  # built before the count
+    tracemalloc.start()
+    try:
+        r = sim.equiv_on_ancilla(c, spec.act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.ok and r.failure is None
+    assert peak - (16 << (c.n_qubits + d)) < 16 * 4**d // 2
+
+
 def test_all_ones_sign_is_an_index_map():
     act = sim.AllOnesSign(3)
     assert isinstance(act, sim.IndexMap)
