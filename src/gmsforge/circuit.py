@@ -14,8 +14,18 @@ Conventions fixed here and relied on everywhere else:
 * XX(chi) = exp(-i*(sigma_x (x) sigma_x)*chi/2).  A GMS over a qubit set S
   applies XX to every pair of S, pair (i, j) at angle profile.angle(i, j).
 * Circuits are immutable values; every operation returns a new circuit.
-  Validation is one pass per circuit: each gate checks itself once, when it
-  is made, and a circuit takes one max over all wires against its register.
+  Validation is one pass per value: a gate, a pair table or a circuit made
+  by its public constructor checks itself once, when it is made, and a
+  circuit takes one max over all wires against its register.  Builders,
+  ``deserialize`` and every public method take that path.  A value the
+  package derives from checked values, by a map that keeps every check
+  true, is built from its fields by ``_derived`` instead.  The call sites,
+  all in ``constructions``, and the check each keeps: ``embed`` checks its
+  wire map once, distinct and non-negative on the wires its gates use;
+  ``_grow`` and ``_echo_collapse`` build canonical tables and check every
+  coupling they compute finite; ``toffoli_n``, ``gms_shrink`` and
+  ``_stack_pass`` emit circuits on their input's register with no new
+  wire.
 """
 
 from __future__ import annotations
@@ -65,6 +75,16 @@ def check_register(n: int, least: int = 1, **wires: int) -> None:
                                 f"register (0..{n - 1}), not {wire}")
     if len(set(wires.values())) < len(wires):
         raise ArgumentError(f"--{' and --'.join(wires)} must be different wires")
+
+
+def _derived(cls, **fields):
+    """A frozen ``Gate``, ``PerPair`` or ``Circuit`` built from every one
+    of its fields, by name, without ``__post_init__``: only for a value
+    derived from checked values by a map that keeps every check true (the
+    module docstring names the call sites)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 # ---------------------------------------------------------------------------

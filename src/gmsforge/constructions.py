@@ -20,9 +20,14 @@ each subset pulse to full width in one step and shares that object across
 all of its 2^k positions; the spin-echo pass memoises each collapse per
 pulse object and echo wire, so the round trip builds each distinct pulse
 once.  A collapse or a grown pulse builds its pair table in one pass over
-its parent's canonical table, and ``PerPair`` takes a canonical table as
-it is after one checking pass.  The Toffoli chain maps two constant unit templates,
-built once, onto its wires, so it makes one gate per gate of its output.
+its parent's canonical table.
+
+Values derived here from checked values are built unchecked
+(``circuit._derived``; the ``circuit`` docstring names each call site and
+the check it keeps).  The Toffoli chain maps each of its units once, from
+two constant templates built once, and its uncompute half reuses the
+compute units' gate objects; the shrink makes one RZ(pi)/RZ(-pi) echo pair
+per wire.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
-from .circuit import (ArgumentError, Circuit, Gate, PerPair, Uniform,
+from .circuit import (ArgumentError, Circuit, Gate, PerPair, Uniform, _derived,
                       check_register, cnot, gms, global_phase, guard, h, rx, ry,
                       rz, xx)
 from .sim import AllOnesSign, IndexMap
@@ -85,19 +90,38 @@ def _toffoli_action(n: int) -> IndexMap:
     return IndexMap(n, lambda: _toffoli_map(n))
 
 
+def _pulse(qubits: tuple, profile) -> Gate:
+    """A GMS on sorted, distinct wires whose profile covers exactly their
+    pairs, built unchecked."""
+    return _derived(Gate, kind="GMS", qubits=qubits, theta=None, profile=profile)
+
+
 def embed(gates: Iterable[Gate], wires: Sequence[int]) -> list[Gate]:
     """Remap gates of a small circuit onto the given wires of a wider one.
 
     Position-dependent profiles (exponential, power-law) are frozen into
     per-pair tables first, since wire distances change under the mapping.
+
+    The map is checked once, with ``Gate``'s messages: the wires it gives
+    the gates' qubits must be distinct and non-negative (entries no gate
+    uses are not read), so each gate's image keeps every check its source
+    passed and is built unchecked; a non-uniform pulse's table, re-sorted
+    on the new wires, takes ``PerPair``'s checks.
     """
+    gates = list(gates)
+    used = {q for g in gates for q in g.qubits}
+    images = {wires[q] for q in used}
+    if len(images) != len(used):
+        raise ValueError("gate qubits must be distinct")
+    if min(images, default=0) < 0:
+        raise ValueError("negative qubit index")
     out = []
     for g in gates:
         qs = tuple(wires[q] for q in g.qubits)
         if g.kind != "GMS":
-            out.append(Gate(g.kind, qs, g.theta))
+            out.append(_derived(Gate, kind=g.kind, qubits=qs, theta=g.theta, profile=None))
         elif isinstance(g.profile, Uniform):
-            out.append(gms(qs, g.profile))
+            out.append(_pulse(tuple(sorted(qs)), g.profile))
         else:
             table = tuple((wires[i], wires[j], chi) for i, j, chi in g.pair_angles())
             out.append(gms(qs, PerPair(table)))
@@ -386,8 +410,9 @@ def toffoli_n(n: int) -> ConstructionSpec:
     fresh tree ancillas, a final unit hits the target, then the computes
     run in reverse.  Odd n seeds the chain with one Toffoli-3 pair.  Pulse
     count: 3n-9 for even n, 3n-6 for odd n; every ancilla returns to |0>.
-    Each unit maps a shared template onto its wires, so the chain builds
-    one gate per gate of its output.
+    Each unit maps a shared template onto its wires once (``embed``, which
+    checks only the wire map), and the uncomputes reuse the compute units'
+    gate objects, so the chain checks no gate once the templates exist.
     """
     check_register(n, 4)
     controls, target = list(range(n - 1)), n - 1
@@ -400,16 +425,26 @@ def toffoli_n(n: int) -> ConstructionSpec:
     for ins, out in zip(inputs, [*range(n, helper), target]):
         units.append((*acc, *ins, out))
         acc = [out]
-    gates: list[Gate] = []
-    for unit in units + units[-2::-1]:  # the computes, the final unit, uncomputes
-        gates += embed(_unit_gates(len(unit)), [*unit, helper])
-    generated = Circuit(helper + 1, tuple(gates), frozenset(range(n, helper + 1)))
+    mapped = [embed(_unit_gates(len(unit)), [*unit, helper]) for unit in units]
+    # the computes, the final unit, then the computes' gates again, reversed
+    gates = tuple(g for block in mapped + mapped[-2::-1] for g in block)
+    generated = _derived(Circuit, n_qubits=helper + 1, gates=gates,
+                         ancillas=frozenset(range(n, helper + 1)))
     return ConstructionSpec(generated, _toffoli_action(n))
 
 
 # ---------------------------------------------------------------------------
 # Rewrites
 # ---------------------------------------------------------------------------
+
+def _pair_table(rows: tuple) -> PerPair:
+    """A ``PerPair`` of rows canonical by construction (float couplings,
+    i < j, pairs ascending), built unchecked once every coupling is found
+    finite, with ``PerPair``'s refusal."""
+    if not all(map(math.isfinite, [chi for _, _, chi in rows])):
+        raise ArgumentError("coupling angles must be finite")
+    return _derived(PerPair, table=rows)
+
 
 def _grow(gate: Gate, missing: Sequence[int]) -> Gate:
     """Grow a GMS over the k wires ``missing`` too, in one step, to the
@@ -420,18 +455,19 @@ def _grow(gate: Gate, missing: Sequence[int]) -> Gate:
     also at 1/2**k, and later ones at 0; an explicit table couples every
     spectator at 0.  Spectator couplings cancel between the echoed pulses
     whatever their value.  The table is one pass over the grown pairs and,
-    in the same order, over the pulse's canonical table.
+    in the same order, over the pulse's canonical table, so the grown
+    pulse is built unchecked but for its couplings' finiteness.
     """
     scale = 2 ** len(missing)
-    grown = sorted((*gate.qubits, *missing))
+    grown = tuple(sorted((*gate.qubits, *missing)))
     prof = gate.profile
     if isinstance(prof, Uniform):
-        return gms(grown, Uniform(prof.theta / scale))
+        return _pulse(grown, Uniform(prof.theta / scale))
     own, angles = set(gate.qubits), iter(gate.pair_angles())
     first = missing[0]
     spectator = {} if isinstance(prof, PerPair) else {
         (min(q, first), max(q, first)): prof.angle(q, first) / scale for q in gate.qubits}
-    return gms(grown, PerPair(tuple([
+    return _pulse(grown, _pair_table(tuple([
         (i, j, next(angles)[2] / scale if i in own and j in own else spectator.get((i, j), 0.0))
         for i, j in combinations(grown, 2)])))
 
@@ -447,7 +483,8 @@ def gms_shrink(circuit: Circuit) -> Circuit:
     Every one of the 2**k pulses is the same gate, so it is grown to full
     width once, in one step (``_grow``), and that single object fills all
     2**k positions: the sequence for excluded wires l..k is the one for
-    wires l+1..k, RZ(pi) on wire l, that sequence again, RZ(-pi).
+    wires l+1..k, RZ(pi) on wire l, that sequence again, RZ(-pi).  Each
+    wire's RZ(pi)/RZ(-pi) echo pair is made once, too.
 
     The pulses it would emit are counted first and held to
     ``MAX_SHRINK_PULSES``: a circuit above it raises ``GuardError``.
@@ -455,6 +492,7 @@ def gms_shrink(circuit: Circuit) -> Circuit:
     n = circuit.n_qubits
     guard("shrink", sum(1 << (n - len(g.qubits)) for g in circuit.gates if g.kind == "GMS"),
           MAX_SHRINK_PULSES, "pulses")
+    echoes = [(rz(q, PI), rz(q, -PI)) for q in range(n)]
     out: list[Gate] = []
     for g in circuit.gates:
         if g.kind != "GMS" or len(g.qubits) == n:
@@ -463,9 +501,10 @@ def gms_shrink(circuit: Circuit) -> Circuit:
         missing = [q for q in range(n) if q not in g.qubits]
         seq = [_grow(g, missing)]
         for extra in reversed(missing):
-            seq = seq + [rz(extra, PI)] + seq + [rz(extra, -PI)]
+            on, off = echoes[extra]
+            seq = seq + [on] + seq + [off]
         out.extend(seq)
-    return Circuit(n, tuple(out), circuit.ancillas)
+    return _derived(Circuit, n_qubits=n, gates=tuple(out), ancillas=circuit.ancillas)
 
 
 def gms_dagger_rewrite(n: int, chi: float) -> Circuit:
@@ -492,7 +531,8 @@ def _stack_pass(circuit: Circuit, kinds: Container[str], match: Callable) -> Cir
     replacement) for an arriving gate.  The gate is then dropped and the
     replacement, put in the partner's slot, is tried again as if just
     arrived: no later gate touches its wires, so this is the fixpoint of a
-    rescan per match.
+    rescan per match.  A replacement acts on wires of its partner, so the
+    output, on the input's register, is built unchecked.
     """
     out: list[Gate | None] = list(circuit.gates)
     stacks: list[list[int]] = [[] for _ in range(circuit.n_qubits)]
@@ -508,21 +548,23 @@ def _stack_pass(circuit: Circuit, kinds: Container[str], match: Callable) -> Cir
         if gate is not None:
             for w in gate.qubits:
                 stacks[w].append(slot)
-    return Circuit(circuit.n_qubits, tuple(filter(None, out)), circuit.ancillas)
+    return _derived(Circuit, n_qubits=circuit.n_qubits, gates=tuple(filter(None, out)),
+                    ancillas=circuit.ancillas)
 
 
 def _echo_collapse(gate: Gate, q: int) -> Gate | None:
     """Result of an identical XX/GMS pair straddling RZ(pi) on wire q: the
     q couplings cancel, the rest double (nothing is left of an XX pair).
     The table is one pass over the pulse's canonical one, so it stays
-    canonical and ``PerPair`` takes it as it is."""
-    rest = sorted(set(gate.qubits) - {q})
+    canonical, and the collapse is built unchecked but for its doubled
+    couplings' finiteness."""
+    rest = tuple(sorted(set(gate.qubits) - {q}))
     if len(rest) < 2:
         return None
     if isinstance(gate.profile, Uniform):
-        return gms(rest, Uniform(2 * gate.profile.theta))
-    return gms(rest, PerPair(tuple([(a, b, 2 * chi) for a, b, chi in gate.pair_angles()
-                                    if a != q != b])))
+        return _pulse(rest, Uniform(2 * gate.profile.theta))
+    return _pulse(rest, _pair_table(tuple([(a, b, 2 * chi) for a, b, chi in gate.pair_angles()
+                                           if a != q != b])))
 
 
 def _echo_match(memo: dict, out: list, stacks: list[list[int]], gate: Gate):

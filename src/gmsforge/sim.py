@@ -32,14 +32,15 @@ between pulses whose wires carry only gates diagonal in the pulse's X
 basis.  A CNOT is one ``apply_cnot`` pass.
 
 Each of those passes over one state is one long product.  A phase table
-also spans the last ``WINDOW`` wires whenever it then holds at most
-``kernels.CHUNK`` entries, so the state's innermost axis under it is at
-least 2^WINDOW entries long.  A window flushed while the open table spans
-its wires, or can widen to them within ``CHUNK`` entries, is made real:
-each pending matrix is split as diag(p1, p2) @ [[c, -s], [s, c]] @
-diag(1, psi) (``_zyz``), the right diagonal joins the closing table, the
-left one stays pending for the next table and the block holds only the
-real rotations.  The bottom window's block starts at its first wire with
+that holds a pulse also spans the last ``WINDOW`` wires whenever it then
+holds at most ``kernels.CHUNK`` entries, so the state's innermost axis
+under it is at least 2^WINDOW entries long; a table of folded diagonals
+alone, as between CNOTs, keeps its own wires.  A window flushed while the
+open table spans its wires, or can widen to them within ``CHUNK``
+entries, is made real: each pending matrix is split as diag(p1, p2) @
+[[c, -s], [s, c]] @ diag(1, psi) (``_zyz``), the right diagonal joins the
+closing table, the left one stays pending for the next table and the
+block holds only the real rotations.  The bottom window's block starts at its first wire with
 a pending matrix.  ``kernels.apply_block`` runs a block in one of three
 forms: one state's bottom wires as float rows times the block's real
 form, a real block on the float view, or a complex block on the complex
@@ -144,22 +145,25 @@ def _one_qubit_matrix(g) -> tuple:
     return (c - 1j * s, 0.0, 0.0, c + 1j * s)  # RZ
 
 
-def _table_wires(wires, n: int) -> set[int]:
-    """The wires a phase table over ``wires`` spans: the last ``WINDOW``
-    wires too when the table then holds at most ``CHUNK`` entries, so that
-    the state's innermost axis under the table is at least 2^WINDOW long
-    instead of one or two entries."""
+def _table_wires(wires, n: int, pulsed: bool) -> set[int]:
+    """The wires a phase table over ``wires`` spans: for a table that holds
+    a pulse, the last ``WINDOW`` wires too when the table then holds at
+    most ``CHUNK`` entries, so that the state's innermost axis under the
+    table is at least 2^WINDOW long instead of one or two entries.  A table
+    of diagonals alone is not padded: between CNOTs it is one or two wires,
+    and padding made such plans about 8x larger."""
     padded = set(wires).union(range(max(0, n - WINDOW), n))
-    return padded if 1 << len(padded) <= CHUNK else set(wires)
+    return padded if pulsed and 1 << len(padded) <= CHUNK else set(wires)
 
 
 @lru_cache(maxsize=4096)
-def _layout(core: tuple, n: int) -> tuple[tuple, tuple, tuple]:
+def _layout(core: tuple, n: int, pulsed: bool) -> tuple[tuple, tuple, tuple]:
     """For a table over the sorted ``core`` wires: the axes that spread it
-    over ``_table_wires(core, n)`` (1 on an added wire), a view shape for a
-    (dim, batch) state less its batch axis, and the table's shape against
-    that view less the batch.  Runs of neighbouring wires share one axis."""
-    wires = _table_wires(core, n)
+    over ``_table_wires(core, n, pulsed)`` (1 on an added wire), a view
+    shape for a (dim, batch) state less its batch axis, and the table's
+    shape against that view less the batch.  Runs of neighbouring wires
+    share one axis."""
+    wires = _table_wires(core, n, pulsed)
     view, table = [], []
     for q in range(n):
         inside = q in wires
@@ -178,9 +182,9 @@ def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarr
     exp(-i/2 sum_{i<j} chi_ij z_i z_j), times the diagonal matrices ``diag``
     maps wires to.  Diagonal factors commute, so the run is one table over
     the union of the pulses' wires and ``diag``'s, and the bottom window
-    when that is small enough (``_table_wires``), built from the summed
-    pair angles; with no pulse every chi is 0, and the table is the
-    Kronecker product of the diagonals.
+    when there is a pulse and that is small enough (``_table_wires``),
+    built from the summed pair angles; with no pulse every chi is 0, and
+    the table is the Kronecker product of the diagonals.
 
     Returns a view shape for a (dim, batch) state and the table, repeated
     over the wires ``_table_wires`` adds, to broadcast against it with the
@@ -216,7 +220,7 @@ def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarr
         np.multiply(phases[:s], field[w].conj(), out=phases[s:2 * s])
         phases[:s] *= field[w]
         field = (field[:w, None] * pair[w, :w, :, None]).reshape(w, 2 * s)
-    axes, view, table = _layout(tuple(wires), n)
+    axes, view, table = _layout(tuple(wires), n, bool(pulses))
     if 1 in axes:
         full = np.empty((2,) * len(axes), dtype=np.complex128)
         full[...] = phases.reshape(axes)
@@ -342,7 +346,9 @@ def _compile(circuit: Circuit) -> Plan:
         # are pending only after the blocks
         if not any(q in pending for q in wires):
             return
-        table = _table_wires(span, n) if span else set()
+        # the wires the open table spans when it closes: padded only if it
+        # holds a pulse, as ``_pulse_phases`` builds it
+        table = _table_wires(span, n, bool(run)) if span else set()
         join(diagonals(table))
         blocks, lefts, rights = [], {}, {}
         for w in {(n - 1 - q) // WINDOW for q in wires if q in pending}:

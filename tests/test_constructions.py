@@ -1,17 +1,20 @@
 import math
 import random
+from collections import Counter
 from functools import partial
 from itertools import combinations, zip_longest
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (controlled_z_matrix, random_circuit,
                       random_echo_circuit, toffoli_matrix)
 from gmsforge import constructions as cons
 from gmsforge import sim
-from gmsforge.circuit import (Circuit, Exponential, Gate, PerPair, PowerLawSum, Uniform,
-                              cnot, gms, h, rx, ry, rz, serialize, xx)
+from gmsforge.circuit import (ArgumentError, Circuit, Exponential, Gate, PerPair,
+                              PowerLawSum, Uniform, _canonical, cnot, gms, h, rx, ry,
+                              rz, serialize, xx)
 from gmsforge.cli import table1_rows
 from gmsforge.fourier import qft_gms
 
@@ -643,20 +646,108 @@ def count_post_inits(monkeypatch, cls):
     return made
 
 
+def count_derived(monkeypatch):
+    """Count the values ``constructions`` builds unchecked from its fields
+    (``circuit._derived``) from now on, by class name."""
+    made = Counter()
+    real = cons._derived
+
+    def counting(cls, **fields):
+        made[cls.__name__] += 1
+        return real(cls, **fields)
+
+    monkeypatch.setattr(cons, "_derived", counting)
+    return made
+
+
 def test_construction_budget(monkeypatch):
-    # the Toffoli chain maps shared unit templates, so once they exist it
-    # makes one Gate per output gate (about twice that when every unit
-    # rebuilt its template); the shrink grows each subset pulse in one step,
-    # one table each (48 when every exclusion level built a table)
+    # once its templates exist, the Toffoli chain checks no gate: it maps
+    # each unit once (180 checked gates when every unit was checked), and
+    # the uncompute units are the compute units' gate objects; the shrink
+    # grows each subset pulse in one step, one unchecked table each (13
+    # checked tables before; 48 when every exclusion level built a table),
+    # and checks one RZ(pi)/RZ(-pi) pair per wire
     cons.toffoli_n(12)
-    made = count_post_inits(monkeypatch, Gate)
+    checked = count_post_inits(monkeypatch, Gate)
+    derived = count_derived(monkeypatch)
     out = cons.toffoli_n(12).generated
-    assert made[0] == len(out.gates)
+    assert checked[0] == 0
+    unit = len(cons._unit_gates(4))
+    blocks = [out.gates[k:k + unit] for k in range(0, len(out.gates), unit)]
+    assert len(blocks) * unit == len(out.gates) and len(blocks) % 2 == 1
+    for compute, uncompute in zip(blocks, blocks[::-1][:len(blocks) // 2]):
+        assert all(a is b for a, b in zip(compute, uncompute))
+    assert len(set(map(id, out.gates))) == derived["Gate"] == unit * (len(blocks) + 1) // 2
+    assert derived["Circuit"] == 1 and out == Circuit(out.n_qubits, out.gates, out.ancillas)
     original = qft_gms(8, PowerLawSum(((0.4, 2.5),)))
     subset = [g for g in original.gates if g.kind == "GMS" and len(g.qubits) < 8]
     tables = count_post_inits(monkeypatch, PerPair)
+    derived.clear()
+    checked[0] = 0
     cons.gms_shrink(original)
-    assert tables[0] == len(subset) == 13
+    assert tables[0] == 0 and derived["PerPair"] == len(subset) == 13
+    assert checked[0] == 2 * 8
+
+
+def assert_checked(circuit):
+    """Every gate of ``circuit`` equals its checked construction, a pulse
+    with its table re-checked (a list takes ``PerPair``'s sorting path) and
+    canonical as stored, and the circuit equals its checked construction."""
+    for g in circuit.gates:
+        profile = g.profile
+        if isinstance(profile, PerPair):
+            assert _canonical(profile.table)
+            profile = PerPair(list(profile.table))
+        if g.kind == "GMS":
+            assert gms(g.qubits, profile) == g  # sorted wires, as gms() makes them
+        assert Gate(g.kind, g.qubits, g.theta, profile) == g
+    assert Circuit(circuit.n_qubits, circuit.gates, circuit.ancillas) == circuit
+
+
+LEDGER_PROFILES = st.one_of(
+    st.builds(lambda b, p, offset: PowerLawSum(((b, p),), offset),
+              st.sampled_from([-0.6, -0.5, -0.4, -0.3, 0.3, 0.4, 0.5, 0.6]),
+              st.integers(20, 35).map(lambda k: round(k * 0.1, 1)),
+              st.sampled_from([0, 1])),
+    st.just(Exponential()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(profile=LEDGER_PROFILES, n=st.integers(4, 12))
+def test_derived_values_equal_checked_constructions(profile, n):
+    # the values the rewrites and the Toffoli chain build unchecked are the
+    # ones the checked constructors would make, on the ledger's draws; the
+    # chain's pulses also shrink over scattered missing wires (above n = 8
+    # a shrunk chain holds 30000 gates)
+    outputs = [cons.toffoli_n(n).generated]
+    for original in (qft_gms(8, profile), cons.toffoli_n(min(n, 8)).generated):
+        shrunk = cons.gms_shrink(original)
+        echoed = cons.spin_echo_cancel(shrunk)
+        back = cons.cancel_inverse_gms(echoed)
+        outputs += [shrunk, echoed, back, cons.merge_rz(back)]
+    for circuit in outputs:
+        assert_checked(circuit)
+
+
+def test_derivations_keep_their_refusals():
+    # a doubled coupling past the largest float, as a table or uniform
+    for profile in (PerPair(((0, 1, 1e308), (0, 2, 1e308), (1, 2, 1e308))),
+                    Uniform(1e308)):
+        pulse = gms((0, 1, 2), profile)
+        with pytest.raises(ArgumentError, match="coupling angles? must be finite"):
+            cons.spin_echo_cancel(Circuit(3, (pulse, rz(0, PI), pulse)))
+    # a grown pulse's own coupling, pi / 5e-324, overflows
+    tiny = Circuit(3, (gms((0, 1), PowerLawSum(((5e-324, 1.0),))),))
+    with pytest.raises(ArgumentError, match="coupling angles must be finite"):
+        cons.gms_shrink(tiny)
+    # embed checks the wires its gates use once, with Gate's messages
+    for gates, wires, message in (([rz(0, .1), rz(1, .2)], [3, 3], "distinct"),
+                                  ([cnot(0, 1)], [2, 2], "distinct"),
+                                  ([rz(0, .1)], [-1], "negative")):
+        with pytest.raises(ValueError, match=message):
+            cons.embed(gates, wires)
+    # an entry no gate uses is not read
+    assert cons.embed([rz(1, .2)], [0, 4, 0]) == [rz(4, .2)]
 
 
 def test_rewrite_budget(monkeypatch):
@@ -676,10 +767,13 @@ def test_rewrite_budget(monkeypatch):
     monkeypatch.setattr(cons, "_inverse_match", recording("inverse", cons._inverse_match))
     original = qft_gms(8, PowerLawSum(((0.4, 2.5),)))
     tables = count_post_inits(monkeypatch, PerPair)
+    derived = count_derived(monkeypatch)
     shrunk = cons.gms_shrink(original)
-    assert tables[0] == 13
+    # no table of the round trip is checked (13 and 13 + 48 were): each is
+    # canonical by construction and only its couplings are checked, finite
+    assert tables[0] == 0 and derived["PerPair"] == 13
     echoed = cons.spin_echo_cancel(shrunk)
-    assert tables[0] == 13 + 48
+    assert tables[0] == 0 and derived["PerPair"] == 13 + 48
     back = cons.cancel_inverse_gms(echoed)
     assert back.cost().gms_pulses == original.cost().gms_pulses
 

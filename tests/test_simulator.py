@@ -14,7 +14,7 @@ from gmsforge.circuit import (ArgumentError, Circuit, GuardError, Uniform, cp, e
                               gms, h, rx, ry, rz, xx)
 from gmsforge.constructions import (TDISTILL_FANS, fanout, tdistill,
                                     toffoli3_gms, toffoli_n)
-from gmsforge.fourier import direct_fidelity, qft_gms
+from gmsforge.fourier import direct_fidelity, qfa_gms, qft_gms
 from gmsforge.circuit import Exponential, PowerLawSum
 from gmsforge.gf2 import FanLayer, linear_simulate
 
@@ -387,3 +387,64 @@ def test_unitarity_of_circuit_matrices():
     for _ in range(20):
         u = sim.unitary_of(random_circuit(rng, 4, 15))
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) < 1e-10
+
+
+# -- phase-table padding ---------------------------------------------------------
+
+def compile_padding_every_table(monkeypatch, circuit):
+    """The plan when every phase table, pulse or not, is padded to the
+    bottom window where it fits."""
+    real = sim._table_wires
+    with monkeypatch.context() as m:
+        m.setattr(sim, "_table_wires", lambda wires, n, pulsed: real(wires, n, True))
+        sim._layout.cache_clear()
+        try:
+            return sim._compile(circuit)
+        finally:
+            sim._layout.cache_clear()
+
+
+def same_steps(a, b) -> bool:
+    def same(x, y):
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            return (isinstance(x, np.ndarray) and isinstance(y, np.ndarray)
+                    and x.shape == y.shape and np.array_equal(x, y))
+        return x == y
+
+    return len(a.steps) == len(b.steps) and all(
+        n1 == n2 and v1 == v2 and len(x1) == len(x2) and all(map(same, x1, x2))
+        for (n1, v1, x1), (n2, v2, x2) in zip(a.steps, b.steps))
+
+
+def test_only_tables_with_a_pulse_are_padded(monkeypatch):
+    # a table of diagonals alone, as between the CNOTs of a reference,
+    # keeps its own wires: padding it made this plan 8x larger
+    ref = cons.toffoli_reference(12)
+    padded = compile_padding_every_table(monkeypatch, ref)
+    plan = sim._compile(ref)
+    assert plan.passes == padded.passes and plan.nbytes * 8 < padded.nbytes
+    u = sim.unitary_of(cons.toffoli_reference(6))
+    assert np.max(np.abs(u - toffoli_matrix(6))) < 1e-12
+
+
+def test_benchmark_plans_are_unchanged_by_pulse_only_padding(monkeypatch):
+    # the benchmark's circuits build no table without a pulse, so their
+    # plans are step for step the ones padding every table gave
+    circuits = [toffoli_n(7).generated, cons.fanin(9).generated, qft_gms(8, Exponential()),
+                toffoli_n(11).generated, qft_gms(16, Exponential()),
+                qfa_gms(8, Exponential()), cons.phase_polynomial_identity(17, 0.7),
+                tdistill().generated]
+    tables = []
+    real = sim._pulse_phases
+
+    def recording(pulses, n, diag):
+        tables.append(len(pulses))
+        return real(pulses, n, diag)
+
+    for circuit in circuits:
+        want = compile_padding_every_table(monkeypatch, circuit)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_pulse_phases", recording)
+            got = sim._compile(circuit)
+        assert same_steps(got, want) and got.nbytes == want.nbytes
+    assert tables and 0 not in tables
