@@ -87,6 +87,13 @@ def _derived(cls, **fields):
     return obj
 
 
+def _nonfinite(chis) -> ArgumentError:
+    """The refusal of the first coupling angle of ``chis`` that is not
+    finite, made only once a check has failed."""
+    bad = next(chi for chi in chis if not math.isfinite(chi))
+    return ArgumentError(f"coupling angles must be finite, not {bad!r}")
+
+
 # ---------------------------------------------------------------------------
 # Coupling profiles
 # ---------------------------------------------------------------------------
@@ -99,7 +106,7 @@ class Uniform:
 
     def __post_init__(self):
         if not math.isfinite(self.theta):
-            raise ArgumentError(f"coupling angle must be finite, not {self.theta!r}")
+            raise _nonfinite([self.theta])
 
     def angle(self, i: int, j: int) -> float:
         return self.theta
@@ -142,8 +149,9 @@ class PerPair:
         keys = [(i, j) for i, j, _ in canon]
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate pair in coupling table")
-        if not all(map(math.isfinite, [chi for _, _, chi in canon])):
-            raise ArgumentError("coupling angles must be finite")
+        chis = [chi for _, _, chi in canon]
+        if not all(map(math.isfinite, chis)):
+            raise _nonfinite(chis)
         object.__setattr__(self, "table", tuple(canon))
 
     def angle(self, i: int, j: int) -> float:
@@ -339,28 +347,10 @@ class Circuit:
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
         return Circuit(self.n_qubits, self.gates + tuple(gates), self.ancillas)
 
-    def compose(self, other: "Circuit") -> "Circuit":
-        """Gates of self followed by gates of other (unitary U_other * U_self)."""
-        if other.n_qubits != self.n_qubits:
-            raise ValueError(
-                f"width mismatch: {self.n_qubits} vs {other.n_qubits}")
-        return Circuit(self.n_qubits, self.gates + other.gates,
-                       self.ancillas | other.ancillas)
-
     def inverse(self) -> "Circuit":
         return Circuit(self.n_qubits,
                        tuple(g.inverse() for g in reversed(self.gates)),
                        self.ancillas)
-
-    def expand_gms(self) -> "Circuit":
-        """Replace every GMS by its XX pair list (pairs commute, order free)."""
-        out: list[Gate] = []
-        for g in self.gates:
-            if g.kind == "GMS":
-                out.extend(xx(i, j, chi) for i, j, chi in g.pair_angles())
-            else:
-                out.append(g)
-        return Circuit(self.n_qubits, tuple(out), self.ancillas)
 
     def cost(self) -> "CostReport":
         gms_by_size: dict[int, int] = {}

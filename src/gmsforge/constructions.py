@@ -41,8 +41,8 @@ from typing import Callable, Container, Iterable, Sequence
 import numpy as np
 
 from .circuit import (ArgumentError, Circuit, Gate, PerPair, Uniform, _derived,
-                      check_register, cnot, gms, global_phase, guard, h, rx, ry,
-                      rz, xx)
+                      _nonfinite, check_register, cnot, gms, global_phase, guard, h,
+                      rx, ry, rz, xx)
 from .sim import AllOnesSign, IndexMap
 
 PI = math.pi
@@ -441,8 +441,9 @@ def _pair_table(rows: tuple) -> PerPair:
     """A ``PerPair`` of rows canonical by construction (float couplings,
     i < j, pairs ascending), built unchecked once every coupling is found
     finite, with ``PerPair``'s refusal."""
-    if not all(map(math.isfinite, [chi for _, _, chi in rows])):
-        raise ArgumentError("coupling angles must be finite")
+    chis = [chi for _, _, chi in rows]
+    if not all(map(math.isfinite, chis)):
+        raise _nonfinite(chis)
     return _derived(PerPair, table=rows)
 
 

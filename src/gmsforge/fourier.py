@@ -261,6 +261,7 @@ def optimize_powerlaw(n: int, m: int, grid_step: float = 0.1,
     multiset, K_p (K_b + 1) n of powers and terms and 3 K_b^m n for one
     enumeration.
     """
+    check_register(n, 2)
     if m not in (1, 2, 3):
         raise ArgumentError("m must be 1, 2 or 3")
     kb, kp = _multiples(*b_box, grid_step), _multiples(*p_box, grid_step)

@@ -65,21 +65,6 @@ class Gf2Matrix:
         """Column j packed into an int (bit i = entry (i, j))."""
         return sum(((r >> j) & 1) << i for i, r in enumerate(self.rows))
 
-    def mul(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        out = []
-        for r in self.rows:
-            acc = 0
-            j = 0
-            while r:
-                if r & 1:
-                    acc ^= other.rows[j]
-                r >>= 1
-                j += 1
-            out.append(acc)
-        return Gf2Matrix(self.n, tuple(out))
-
     def apply(self, x: int) -> int:
         """Matrix-vector product on a bit-packed column vector."""
         y = 0
@@ -89,18 +74,6 @@ class Gf2Matrix:
 
     def transpose(self) -> "Gf2Matrix":
         return Gf2Matrix(self.n, tuple(self.column(j) for j in range(self.n)))
-
-    def is_invertible(self) -> bool:
-        rows = list(self.rows)
-        for k in range(self.n):
-            pivot = next((i for i in range(k, self.n) if (rows[i] >> k) & 1), None)
-            if pivot is None:
-                return False
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            for i in range(self.n):
-                if i != k and (rows[i] >> k) & 1:
-                    rows[i] ^= rows[k]
-        return True
 
     def is_unit_upper(self) -> bool:
         return all(self.entry(i, i) == 1 and self.rows[i] & ((1 << i) - 1) == 0
@@ -218,17 +191,6 @@ def synthesize_linear(m: Gf2Matrix) -> tuple[list[FanLayer], tuple[int, ...]]:
 def fan_gms_cost(layers: Iterable[FanLayer]) -> int:
     """Pulse count of a fan-layer list: 2 per real fan, 1 per bare CNOT."""
     return sum(2 if len(layer.targets) >= 2 else 1 for layer in layers)
-
-
-def gms_count_linear(m: Gf2Matrix) -> int:
-    """Entangling pulses to synthesize an invertible linear transfer matrix.
-
-    Triangular factors cost at most 2n-3 each (the first nonempty column is
-    always a bare CNOT), so arbitrary invertible input stays within
-    2(2n-3); the permutation stage is free relabeling.
-    """
-    layers, _ = synthesize_linear(m)
-    return fan_gms_cost(layers)
 
 
 def stabilizer_gms_bound(n: int) -> tuple[int, dict[str, int]]:

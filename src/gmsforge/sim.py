@@ -6,12 +6,13 @@ index sum(q_k * 2**(n-1-k)).
 
 Every dense check runs the basis columns |x>|0...0> of its d data wires
 through the circuit at once, 2^n x 2^d entries (d = n for a unitary), and
-compares them with a phased permutation (``IndexMap``) in place, with a
-dense reference matrix otherwise.  One byte budget covers them all and
-``fourier``'s search and scans too: the bytes of a dense unitary at the
-qubit guard, 12 by default (256 MiB), so n + d may not exceed 24; override
-the 12 with the GMSFORGE_MAX_DENSE_QUBITS environment variable, a positive
-integer (any other value raises ArgumentError).  A request above it raises
+compares them with the reference in place: lam times a phased
+permutation (``IndexMap``) or a dense reference matrix is subtracted from
+their data rows.  One byte budget covers them all and ``fourier``'s
+search and scans too: the bytes of a dense unitary at the qubit guard, 12
+by default (256 MiB), so n + d may not exceed 24; override the 12 with the
+GMSFORGE_MAX_DENSE_QUBITS environment variable, a positive integer (any
+other value raises ArgumentError).  A request above it raises
 ``circuit.GuardError``.  The statevector path has no such guard and is
 used for wide-register parity checks.
 
@@ -480,12 +481,6 @@ def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
     return st.reshape(dim)
 
 
-def basis_state(n_qubits: int, index: int) -> np.ndarray:
-    state = np.zeros(1 << n_qubits, dtype=np.complex128)
-    state[index] = 1.0
-    return state
-
-
 @dataclass(frozen=True)
 class PhaseMatch:
     ok: bool
@@ -501,62 +496,39 @@ def _row_blocks(a: np.ndarray):
     return [a[r:r + step] for r in range(0, len(a), step)]
 
 
-def _peak(blocks) -> float:
-    """The largest |entry| of ``blocks``, made one at a time."""
-    return float(np.max([np.abs(b).max() for b in blocks]))
-
-
-def _max_deviation(u: np.ndarray, v: np.ndarray, lam) -> float:
-    """max |u - lam * v| with temporaries of one row block."""
-    return _peak(a - lam * b for a, b in zip(_row_blocks(u), _row_blocks(v)))
+def _pivot(v, at) -> tuple[bool, complex]:
+    """The phase lam of u = lam * V, read at V's pivot and renormalized to
+    unit modulus; u's entry there is ``at(row, column)``.  The pivot is V's
+    first largest-magnitude entry in row-major order, so lam never divides
+    by a near-zero.  A matrix is scanned for it one row block at a time; an
+    ``IndexMap``, one entry per row, has it at its largest |phase| on the
+    lowest destination row.  (False, 1) when u or V is 0 there: there is
+    no phase to read."""
+    if isinstance(v, IndexMap):
+        c = int(np.lexsort((v.dest, -np.abs(v.phase)))[0])
+        r, b = v.dest[c], np.complex128(v.phase[c])
+    else:
+        blocks = _row_blocks(v)
+        k = int(np.argmax([np.abs(blk).max() for blk in blocks]))
+        i, c = divmod(int(np.argmax(np.abs(blocks[k]))), blocks[k].shape[1])
+        r, b = k * len(blocks[0]) + i, blocks[k][i, c]
+    lam = at(r, c) / b if b else 0.0
+    if abs(lam) == 0.0:
+        return False, 1.0 + 0j
+    return True, lam / abs(lam)
 
 
 def equiv_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> PhaseMatch:
-    """Test u == phase * v entrywise within tol.
-
-    The candidate phase is read off at v's largest-magnitude entry, the
-    first in row-major order (avoids dividing by near-zeros), and
-    renormalized to unit modulus.  Both scans run over blocks of rows, so
-    their temporaries are one block, not the size of u.
+    """Test u == phase * v entrywise within tol, the phase read at v's
+    pivot (``_pivot``).  Both scans run over blocks of rows, so their
+    temporaries are one block, not the size of u.
     """
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    peaks, flats, start = [], [], 0
-    for b in _row_blocks(v):
-        mag = np.abs(b)
-        i = int(np.argmax(mag))
-        peaks.append(mag.flat[i])
-        flats.append(start + i)
-        start += b.size
-    flat = flats[int(np.argmax(peaks))]
-    pivot = v.reshape(-1)[flat]
-    if abs(pivot) == 0.0:
-        return PhaseMatch(False, 1.0 + 0j, float("inf"))
-    lam = u.reshape(-1)[flat] / pivot
-    if abs(lam) == 0.0:
-        return PhaseMatch(False, 1.0 + 0j, _max_deviation(u, v, 1.0))
-    lam /= abs(lam)
-    dev = _max_deviation(u, v, lam)
-    return PhaseMatch(dev <= tol, lam, dev)
-
-
-def _equiv_in_place(cols: np.ndarray, rows: np.ndarray, v: IndexMap,
-                    tol: float) -> tuple[PhaseMatch, float]:
-    """``equiv_phase(cols[rows], v.matrix(), tol)`` bit for bit, and the
-    leakage off the data ``rows``, overwriting ``cols``: lam, read at the
-    same pivot, times phase[x] is subtracted at (rows[dest[x]], x), where
-    the dense check's lam * 0 elsewhere changes no bit; one pass of row
-    maxima then gives the deviation (data rows) and the leakage (the rest)."""
-    x0 = np.lexsort((v.dest, -np.abs(v.phase)))[0]  # largest |phase|, lowest row
-    lam = cols[rows[v.dest[x0]], x0] / np.complex128(v.phase[x0])
-    ok = float(abs(lam)) != 0.0
-    lam = lam / abs(lam) if ok else 1.0
-    cols[rows[v.dest], np.arange(len(v.dest))] -= lam * v.phase
-    peaks = np.concatenate([np.abs(b).max(axis=1) for b in _row_blocks(cols)])
-    dev = float(peaks[rows].max())
-    peaks[rows] = 0.0
-    return (PhaseMatch(ok and dev <= tol, lam if ok else 1.0 + 0j, dev),
-            float(peaks.max()))
+    ok, lam = _pivot(v, lambda r, c: u.reshape(len(u), -1)[r, c])
+    dev = float(np.max([np.abs(a - lam * b).max()
+                        for a, b in zip(_row_blocks(u), _row_blocks(v))]))
+    return PhaseMatch(ok and dev <= tol, lam, dev)
 
 
 @dataclass(frozen=True)
@@ -572,17 +544,20 @@ class AncillaMatch:
 
 def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaMatch:
     """Check the circuit acts as ``reference``, a 2^d x 2^d unitary or an
-    ``IndexMap`` (compared in place), on the data register.
+    ``IndexMap``, on the data register.
 
     The data register is the circuit's non-ancilla wires, or the whole
-    register when ``reference`` is as wide as the circuit (then this is
-    ``equiv_phase(unitary_of(circuit), reference)`` and leakage is 0).
-    Every data basis state |x>|0...0> is run through the circuit; the result
-    must be (V|x>)|0...0> with one common global phase.  Residual population
-    on the ancilla-neq-0 rows above tol is reported as the distinct
-    "leakage" failure.  The columns are held at once under the dense guard
-    (with a copy of their data rows for a dense reference with ancillas);
-    every other temporary is at most a row block, 2^d entries or a row's float.
+    register when ``reference`` is as wide as the circuit (then there is
+    no leakage).  Every data basis state |x>|0...0> is run through the
+    circuit; the result must be (V|x>)|0...0> with one common global phase
+    lam, read at V's pivot (``_pivot``).  lam * V is subtracted from the
+    data rows of the columns in place: an ``IndexMap`` at its one entry per
+    column, a matrix one row block at a time.  One pass of row maxima then
+    gives the deviation from the data rows and the residual population on
+    the ancilla-neq-0 rows, which above tol is reported as the distinct
+    "leakage" failure.  The columns are held at once under the dense
+    guard; every other temporary is at most a row block, 2^d entries or a
+    row's float.
     """
     n = circuit.n_qubits
     full = reference.shape == (1 << n, 1 << n)
@@ -594,20 +569,22 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
             f"dimension {ddim}, the whole register {1 << n}")
     cols, rows, passes = _columns(circuit, data)
     plan_bytes = _plan(circuit).nbytes
+    ok, lam = _pivot(reference, lambda r, c: cols[rows[r], c])
     if isinstance(reference, IndexMap):
-        pm, leakage = _equiv_in_place(cols, rows, reference, tol)
+        cols[rows[reference.dest], np.arange(ddim)] -= lam * reference.phase
     else:
-        w, leakage = cols, 0.0  # a view when every wire is data
-        if not full:
-            w = cols[rows]
-            cols[rows] = 0.0
-            leakage = _peak(_row_blocks(cols))
-        pm = equiv_phase(w, reference, tol) if leakage <= tol else None
+        step = max(1, CHUNK // ddim)
+        for r in range(0, ddim, step):
+            cols[rows[r:r + step]] -= lam * reference[r:r + step]
+    peaks = np.concatenate([np.abs(b).max(axis=1) for b in _row_blocks(cols)])
+    dev = float(peaks[rows].max())
+    peaks[rows] = 0.0
+    leakage = float(peaks.max())
     if leakage > tol:
         return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
                             passes, plan_bytes)
-    failure = None if pm.ok else "mismatch"
-    return AncillaMatch(pm.ok, failure, pm.phase, pm.max_deviation, leakage,
+    ok = ok and dev <= tol
+    return AncillaMatch(ok, None if ok else "mismatch", lam, dev, leakage,
                         passes, plan_bytes)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from gmsforge.circuit import (Circuit, Exponential, PerPair, Uniform, cnot,
                               cp, gms, h, rx, ry, rz, xx)
-from gmsforge.gf2 import Gf2Matrix
+from gmsforge.gf2 import Gf2Matrix, fan_gms_cost, synthesize_linear
 
 
 def random_gate(rng: random.Random, n: int):
@@ -65,8 +65,72 @@ def random_invertible_gf2(rng: random.Random, n: int) -> Gf2Matrix:
     while True:
         rows = tuple(rng.randrange(1, 1 << n) for _ in range(n))
         m = Gf2Matrix(n, rows)
-        if m.is_invertible():
+        if is_invertible(m):
             return m
+
+
+# -- oracles on the IR -----------------------------------------------------------
+
+def compose(a: Circuit, b: Circuit) -> Circuit:
+    """Gates of a followed by gates of b (unitary U_b U_a)."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"width mismatch: {a.n_qubits} vs {b.n_qubits}")
+    return Circuit(a.n_qubits, a.gates + b.gates, a.ancillas | b.ancillas)
+
+
+def expand_gms(c: Circuit) -> Circuit:
+    """Every GMS replaced by its XX pair list (pairs commute, order free)."""
+    gates = []
+    for g in c.gates:
+        if g.kind == "GMS":
+            gates.extend(xx(i, j, chi) for i, j, chi in g.pair_angles())
+        else:
+            gates.append(g)
+    return Circuit(c.n_qubits, tuple(gates), c.ancillas)
+
+
+def basis_state(n_qubits: int, index: int) -> np.ndarray:
+    state = np.zeros(1 << n_qubits, dtype=np.complex128)
+    state[index] = 1.0
+    return state
+
+
+# -- oracles over GF(2) ----------------------------------------------------------
+
+def gf2_mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
+    """The product a . b: row i of a selects the rows of b it XORs."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    out = []
+    for r in a.rows:
+        acc, j = 0, 0
+        while r:
+            if r & 1:
+                acc ^= b.rows[j]
+            r >>= 1
+            j += 1
+        out.append(acc)
+    return Gf2Matrix(a.n, tuple(out))
+
+
+def is_invertible(m: Gf2Matrix) -> bool:
+    rows = list(m.rows)
+    for k in range(m.n):
+        pivot = next((i for i in range(k, m.n) if (rows[i] >> k) & 1), None)
+        if pivot is None:
+            return False
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        for i in range(m.n):
+            if i != k and (rows[i] >> k) & 1:
+                rows[i] ^= rows[k]
+    return True
+
+
+def gms_count_linear(m: Gf2Matrix) -> int:
+    """Entangling pulses to synthesize an invertible linear transfer matrix:
+    at most 2n-3 per triangular factor, so 2(2n-3) in all; the permutation
+    stage is free relabeling."""
+    return fan_gms_cost(synthesize_linear(m)[0])
 
 
 def random_state(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -12,8 +12,8 @@ import time
 
 import numpy as np
 
-from conftest import (random_circuit, random_echo_circuit,
-                      random_invertible_gf2)
+from conftest import (basis_state, gf2_mul, gms_count_linear, random_circuit,
+                      random_echo_circuit, random_invertible_gf2)
 from gmsforge import constructions as cons
 from gmsforge import fourier, gf2, sim
 from gmsforge.circuit import Circuit, Exponential, PowerLawSum, Uniform, gms, xx
@@ -109,9 +109,9 @@ def test_criterion_4_stabilizer_counts():
     for _ in range(100):
         n = rng.choice([3, 4, 5, 6, 7, 8])
         m = random_invertible_gf2(rng, n)
-        ok &= gf2.gms_count_linear(m) <= 4 * n - 6
+        ok &= gms_count_linear(m) <= 4 * n - 6
         layers, perm = gf2.synthesize_linear(m)
-        resynth = gf2.permutation_matrix(perm).mul(gf2.linear_simulate(layers, n))
+        resynth = gf2_mul(gf2.permutation_matrix(perm), gf2.linear_simulate(layers, n))
         ok &= resynth == m
 
     for n in (2, 3, 7, 15, 40):
@@ -134,7 +134,7 @@ def test_criterion_5_fourier_exactness():
         for a in range(1 << n):
             for b in range(1 << n):
                 idx = _adder_index(n, a, b)
-                out = sim.apply(circ, sim.basis_state(tot, idx))
+                out = sim.apply(circ, basis_state(tot, idx))
                 hit = int(np.argmax(np.abs(out)))
                 want = _adder_index(n, a, (a + b) % (1 << n))
                 ok &= hit == want and abs(abs(out[hit]) - 1) <= TOL

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import basis_state
 from gmsforge import constructions as cons
 from gmsforge import fourier, gf2, sim
 from gmsforge.circuit import Circuit, GuardError, cnot
@@ -73,7 +74,7 @@ def test_tdistill_action_is_the_34_cnots():
     dest = cons.tdistill().act.dest
     assert sorted(dest) == list(range(1 << 15))
     for x in random.Random(15).sample(range(1 << 15), 12) + [0, (1 << 15) - 1]:
-        out = sim.apply(circuit, sim.basis_state(15, x))
+        out = sim.apply(circuit, basis_state(15, x))
         assert abs(out[dest[x]] - 1) <= EXACT
 
 

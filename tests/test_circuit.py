@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_circuit
+from conftest import compose, expand_gms, gf2_mul, random_circuit
 from gmsforge.circuit import (ArgumentError, Circuit, Exponential, Gate,
                               PerPair, PowerLawSum, SchemaError, Uniform, cnot,
                               deserialize, empty, global_phase, gms, h, rx,
@@ -39,18 +39,18 @@ def test_append_out_of_range():
 
 def test_compose_identity_element():
     c = fanout(3).generated
-    assert c.compose(empty(3)).gates == c.gates
+    assert compose(c, empty(3)).gates == c.gates
 
 
 def test_compose_with_inverse_is_identity():
     c = fanout(4).generated
-    u = unitary_of(c.compose(c.inverse()))
+    u = unitary_of(compose(c, c.inverse()))
     assert np.max(np.abs(u - np.eye(16))) < 1e-10
 
 
 def test_compose_width_mismatch():
     with pytest.raises(ValueError):
-        empty(3).compose(empty(4))
+        compose(empty(3), empty(4))
 
 
 def test_inverse_cancels_random_circuits():
@@ -92,13 +92,13 @@ def test_inverse_involution_on_gate_lists():
 
 
 def test_expand_gms_single_pair():
-    c = Circuit(2, (gms((0, 1), Uniform(0.3)),)).expand_gms()
+    c = expand_gms(Circuit(2, (gms((0, 1), Uniform(0.3)),)))
     assert c.gates == (xx(0, 1, 0.3),)
 
 
 def test_expand_gms4_six_xx_same_unitary():
     c = Circuit(4, (gms(range(4), Uniform(0.9)),))
-    expanded = c.expand_gms()
+    expanded = expand_gms(c)
     assert sum(1 for g in expanded.gates if g.kind == "XX") == 6
     assert np.max(np.abs(unitary_of(c) - unitary_of(expanded))) < 1e-12
 
@@ -107,8 +107,8 @@ def test_expand_gms_pair_order_free():
     # XX factors commute: any pair ordering gives the same unitary
     rng = random.Random(3)
     c = Circuit(4, (gms(range(4), Uniform(1.1)),))
-    base = unitary_of(c.expand_gms())
-    pairs = list(c.expand_gms().gates)
+    base = unitary_of(expand_gms(c))
+    pairs = list(expand_gms(c).gates)
     for _ in range(5):
         rng.shuffle(pairs)
         u = unitary_of(Circuit(4, tuple(pairs)))
@@ -116,14 +116,14 @@ def test_expand_gms_pair_order_free():
 
 
 def test_expand_gms_exponential_angles():
-    c = Circuit(3, (gms((0, 1, 2), Exponential()),)).expand_gms()
+    c = expand_gms(Circuit(3, (gms((0, 1, 2), Exponential()),)))
     angles = {(g.qubits[0], g.qubits[1]): g.theta for g in c.gates}
     assert angles == {(0, 1): PI / 2, (0, 2): PI / 4, (1, 2): PI / 2}
 
 
 def test_expand_gms_power_law_angles():
     prof = PowerLawSum(((0.5, 2.0), (-0.25, 1.0)), offset=1)
-    c = Circuit(3, (gms((0, 2), prof),)).expand_gms()
+    c = expand_gms(Circuit(3, (gms((0, 2), prof),)))
     want = PI / (0.5 * 3.0**2) + PI / (-0.25 * 3.0)  # distance 2, offset 1
     assert c.gates[0] == xx(0, 2, want)
 
@@ -152,7 +152,7 @@ def test_cost_additive_under_compose():
     rng = random.Random(11)
     a = random_circuit(rng, 4, 9)
     b = random_circuit(rng, 4, 7)
-    ca, cb, cc = a.cost(), b.cost(), a.compose(b).cost()
+    ca, cb, cc = a.cost(), b.cost(), compose(a, b).cost()
     assert cc.gms_pulses == ca.gms_pulses + cb.gms_pulses
     assert cc.local_entangling == ca.local_entangling + cb.local_entangling
     assert cc.single_qubit == ca.single_qubit + cb.single_qubit
@@ -180,7 +180,8 @@ def test_gate_validation():
         (lambda: gms((0, 1), PerPair(((0, 1, 0.5), (1, 2, 0.5)))), "cover exactly"),  # extra
         (lambda: gms((0, 1), PerPair(((0, 1, 0.5), (1, 1, 0.5)))), "cover exactly"),  # (i, i)
         (lambda: PerPair(((0, 1, 0.5), (1, 0, 0.5))), "duplicate pair in coupling table"),
-        (lambda: PerPair(((0, 1, 0.5), (1, 2, float("nan")))), "coupling angles must be finite"),
+        (lambda: PerPair(((0, 1, 0.5), (1, 2, float("nan")))),
+         "coupling angles must be finite, not nan"),
         # a wire past the register given to the constructor names the first
         # offending gate, not a later one
         (lambda: Circuit(2, (h(0), global_phase(0.5), cnot(0, 2), h(3))),
@@ -190,7 +191,7 @@ def test_gate_validation():
         (lambda: h(0).pair_angles(), "pair_angles is defined for GMS gates only"),
         (lambda: Gf2Matrix(2, (1,)), "row count does not match dimension"),
         (lambda: Gf2Matrix(2, (1, 4)), "row has bits outside the matrix width"),
-        (lambda: Gf2Matrix.identity(2).mul(Gf2Matrix.identity(3)), "dimension mismatch"),
+        (lambda: gf2_mul(Gf2Matrix.identity(2), Gf2Matrix.identity(3)), "dimension mismatch"),
         (lambda: FanLayer(0, frozenset({0, 1})), "fan control cannot be one of its targets"),
         (lambda: FanLayer(0, frozenset()), "fan layer needs at least one target"),
         (lambda: linear_simulate([(0, 2)], 2), r"bad CNOT \(0, 2\) on 2 wires"),
@@ -205,6 +206,10 @@ def test_gate_validation():
                       lambda x: PowerLawSum(((x, 2.5),))):
             with pytest.raises(ArgumentError, match="finite"):
                 build(bad)
+    # a non-finite coupling has one wording, as a uniform angle or a table
+    for build in (Uniform, lambda x: PerPair(((0, 1, 0.5), (0, 2, x)))):
+        with pytest.raises(ArgumentError, match="^coupling angles must be finite, not -inf$"):
+            build(-float("inf"))
     with pytest.raises(SchemaError):
         deserialize('{"n_qubits": 3, "gates": '
                     '[{"kind": "CNOT", "qubits": [0, 1, 2]}]}')

@@ -466,6 +466,17 @@ def test_bad_construction_arguments_exit2(tmp_path, capsys):
             assert code == 2 and out == "" and "step" in err
 
 
+def test_optimize_refuses_a_short_register(tmp_path, capsys):
+    # n = 0 with m = 2 or 3, and any negative n, reached a reshape of the
+    # empty grid, an internal error on the verification-failure exit 1
+    for n in ("0", "-3"):
+        for m in ("1", "2", "3"):
+            code, out, err = run(capsys, "optimize-powerlaw", "--n", n, "--m", m,
+                                 "--out-dir", str(tmp_path / "o"))
+            assert (code, out, err) == (2, "", "error: need n >= 2\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_power_law_adder_offset(capsys):
     # offset 0 put the adder's nearest coupling at 0**p: a ZeroDivisionError
     terms = ["qfa-gms", "--n", "3", "--profile", "power-law", "--terms", "0.4:2.5"]

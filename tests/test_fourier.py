@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import basis_state
 from gmsforge import fourier, sim
 from gmsforge.circuit import ArgumentError, Exponential, GuardError, PowerLawSum, Uniform
 
@@ -72,7 +73,7 @@ def _adder_index(n, a, b):
 
 
 def assert_adds(circ, n, a, b):
-    out = sim.apply(circ, sim.basis_state(2 * n, _adder_index(n, a, b)))
+    out = sim.apply(circ, basis_state(2 * n, _adder_index(n, a, b)))
     hit = int(np.argmax(np.abs(out)))
     assert hit == _adder_index(n, a, (a + b) % (1 << n)), (a, b)
     assert abs(abs(out[hit]) - 1) < 1e-9

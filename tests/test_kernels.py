@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import basis_state, random_state
 from gmsforge import constructions as cons
 from gmsforge import kernels, sim
 from gmsforge.circuit import (Circuit, Exponential, PerPair, PowerLawSum,
@@ -148,7 +148,7 @@ def test_pulse_makes_no_xx_pass(monkeypatch):
     circuits += [random_pulse_circuit(rng, n, 14) for n in (2, 3, 5, 7) for _ in range(5)]
     counts = count_kernels(monkeypatch)
     for circ in circuits:
-        sim.apply(circ, sim.basis_state(circ.n_qubits, 0))
+        sim.apply(circ, basis_state(circ.n_qubits, 0))
         sim.unitary_of(circ)
     assert counts["apply_1q"] == counts["apply_xx"] == counts["apply_cp"] == 0
     assert counts["apply_scale"] > 0
@@ -328,7 +328,7 @@ def assert_kernels_match_passes(counts, passes):
 def test_lone_pulse_pass_budget(monkeypatch):
     counts = count_kernels(monkeypatch)
     n = 13
-    sim.apply(Circuit(n, (gms(range(n), Uniform(0.3)),)), sim.basis_state(n, 0))
+    sim.apply(Circuit(n, (gms(range(n), Uniform(0.3)),)), basis_state(n, 0))
     assert counts["apply_block"] <= 2 * math.ceil(n / sim.WINDOW)
     assert counts["apply_scale"] == 1
     assert counts["apply_1q"] == 0 and counts["apply_xx"] == 0
@@ -399,7 +399,7 @@ def test_fold_rx_runs(monkeypatch):
                               [rx(1, 0.5), rx(1, -1.2), rx(4, 2.0)]])
     folds = folded_wires(monkeypatch)
     counts = count_kernels(monkeypatch)
-    sim.apply(circ, sim.basis_state(n, 0))
+    sim.apply(circ, basis_state(n, 0))
     assert folds == [set(range(n))]
     assert counts["apply_block"] == 2 * math.ceil(n / sim.WINDOW)
     monkeypatch.undo()
@@ -413,7 +413,7 @@ def test_fold_h_rz_h_sandwiches(monkeypatch):
     run = [g for q in range(n) for g in (h(q), rz(q, 0.4 * q - 0.9), h(q))]
     circ = pulses_between(n, [run, run[:6]])
     folds = folded_wires(monkeypatch)
-    sim.apply(circ, sim.basis_state(n, 0))
+    sim.apply(circ, basis_state(n, 0))
     assert folds == [set(range(n))]
     monkeypatch.undo()
     assert_matches_oracle(circ, np.random.default_rng(2))
@@ -425,7 +425,7 @@ def test_fold_carries_a_global_phase(monkeypatch):
     n = 4
     circ = pulses_between(n, [[global_phase(0.8), rx(0, 0.6)]])
     folds = folded_wires(monkeypatch)
-    sim.apply(circ, sim.basis_state(n, 0))
+    sim.apply(circ, basis_state(n, 0))
     assert folds == [{0}]
     monkeypatch.undo()
     assert_matches_oracle(circ, np.random.default_rng(3))
@@ -443,7 +443,7 @@ def test_fold_beside_a_flushed_wire(monkeypatch):
                        gms((5, 3, 4, 2), PROFILES[2]), rx(3, 0.2)))
     folds = folded_wires(monkeypatch)
     counts = count_kernels(monkeypatch)
-    sim.apply(circ, sim.basis_state(n, 0))
+    sim.apply(circ, basis_state(n, 0))
     assert folds == [{2}, {2, 3, 4}]
     assert counts["apply_block"] == 4  # one per pulse, two at the end
     monkeypatch.undo()
@@ -494,7 +494,7 @@ def test_block_pass_budget(name, monkeypatch):
     build, budget = BLOCK_BUDGET[name]
     circ = build()
     counts = count_kernels(monkeypatch)
-    st = sim.basis_state(circ.n_qubits, 0).reshape(-1, 1)
+    st = basis_state(circ.n_qubits, 0).reshape(-1, 1)
     passes = sim._run(circ, st)
     assert counts["apply_block"] <= budget
     assert counts["apply_scale"] == PHASE_BUDGET[name]
@@ -535,7 +535,7 @@ def test_end_join_keeps_to_the_last_table():
 
 def assert_phase_passes(circ, want, monkeypatch):
     counts = count_kernels(monkeypatch)
-    sim.apply(circ, sim.basis_state(circ.n_qubits, 0))
+    sim.apply(circ, basis_state(circ.n_qubits, 0))
     assert counts["apply_scale"] == want
     monkeypatch.undo()
 
@@ -621,7 +621,7 @@ def test_second_run_reuses_the_plan(monkeypatch):
 
 def test_cached_run_passes_through_the_backend(monkeypatch):
     circ = qfa_gms(4, Exponential())
-    st = sim.basis_state(circ.n_qubits, 3).reshape(-1, 1)
+    st = basis_state(circ.n_qubits, 3).reshape(-1, 1)
     cold = sim._run(circ, st.copy())
     counts = count_kernels(monkeypatch)
     passes = sim._run(circ, st)
@@ -632,7 +632,7 @@ def test_cached_run_passes_through_the_backend(monkeypatch):
 def test_returned_passes_are_a_copy():
     spec = cons.toffoli_n(5)
     circ, ref = spec.generated, spec.act.matrix()
-    st = sim.basis_state(circ.n_qubits, 0).reshape(-1, 1)
+    st = basis_state(circ.n_qubits, 0).reshape(-1, 1)
     want = dict(sim._run(circ, st))
     sim._run(circ, st)["phase"] += 100
     sim.equiv_on_ancilla(circ, ref, 1e-9).passes.clear()

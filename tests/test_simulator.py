@@ -6,8 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (HADAMARD, I2, PAULI_Z, controlled_z_matrix, kron_all,
-                      random_circuit, random_state, toffoli_matrix, xx_matrix)
+from conftest import (HADAMARD, I2, PAULI_Z, basis_state, controlled_z_matrix,
+                      kron_all, random_circuit, random_state, toffoli_matrix,
+                      xx_matrix)
 from gmsforge import constructions as cons
 from gmsforge import sim
 from gmsforge.circuit import (ArgumentError, Circuit, GuardError, Uniform, cp, empty,
@@ -48,13 +49,13 @@ def test_gms3_equals_xx_product():
 
 
 def test_apply_h_on_zero():
-    out = sim.apply(Circuit(1, (h(0),)), sim.basis_state(1, 0))
+    out = sim.apply(Circuit(1, (h(0),)), basis_state(1, 0))
     assert np.allclose(out, np.array([1, 1]) / math.sqrt(2))
 
 
 def test_fanout_copies_basis_state():
     circ = fanout(4).generated
-    out = sim.apply(circ, sim.basis_state(4, 0b1000))
+    out = sim.apply(circ, basis_state(4, 0b1000))
     hit = int(np.argmax(np.abs(out)))
     assert hit == 0b1111 and abs(abs(out[hit]) - 1) < 1e-9
 
@@ -66,7 +67,7 @@ def test_tdistill_statevector_matches_gf2():
     m = linear_simulate(layers, 15)
     for _ in range(5):
         x = rng.randrange(1 << 15)
-        out = sim.apply(circ, sim.basis_state(15, x))
+        out = sim.apply(circ, basis_state(15, x))
         hit = int(np.argmax(np.abs(out)))
         # wire k holds bit (14 - k) of the basis index
         x_bits = sum(((x >> (14 - k)) & 1) << k for k in range(15))
@@ -209,25 +210,52 @@ PERMUTATIONS = {
 }
 
 
+def copied_rows_match(circuit, v, tol=1e-9):
+    """The dense check as it was before the in-place compare: copy the data
+    rows out, zero them, take the largest |entry| left as the leakage, then
+    ``equiv_phase`` on the copy."""
+    n = circuit.n_qubits
+    data = range(n) if v.shape == (1 << n, 1 << n) else circuit.data_qubits
+    cols, rows, passes = sim._columns(circuit, data)
+    plan_bytes = sim._plan(circuit).nbytes
+    w = cols[rows]
+    cols[rows] = 0.0
+    leakage = float(np.abs(cols).max())
+    if leakage > tol:
+        return sim.AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
+                                passes, plan_bytes)
+    pm = sim.equiv_phase(w, v, tol)
+    return sim.AncillaMatch(pm.ok, None if pm.ok else "mismatch", pm.phase,
+                            pm.max_deviation, leakage, passes, plan_bytes)
+
+
 def same_match(circuit, act):
-    """The in-place compare against ``act`` and the dense one against
-    ``act.matrix()`` agree on every AncillaMatch field, bit for bit: repr
-    keeps a float's every bit and a zero's sign."""
+    """The compare against ``act``, against ``act.matrix()`` when ``act`` is
+    an ``IndexMap``, and ``copied_rows_match`` against that matrix agree on
+    every AncillaMatch field, bit for bit: repr keeps a float's every bit
+    and a zero's sign."""
+    v = act.matrix() if isinstance(act, sim.IndexMap) else act
     got = sim.equiv_on_ancilla(circuit, act)
-    want = sim.equiv_on_ancilla(circuit, act.matrix())
-    assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
+    for want in (sim.equiv_on_ancilla(circuit, v), copied_rows_match(circuit, v)):
+        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
     return got
 
 
 @pytest.mark.parametrize("make", PERMUTATIONS.values(), ids=PERMUTATIONS)
 def test_in_place_compare_is_the_dense_compare(make):
-    # the generated circuit passes; an RZ(0.1) mutant on each data wire fails
+    # the generated circuit passes; an RZ(0.1) mutant on each data wire
+    # fails.  On an ancilla, which leaves in |0>, RZ(1e-5) is a global phase
+    # and passes, and H leaks
     spec = make()
     assert isinstance(spec.act, sim.IndexMap)
     assert same_match(spec.generated, spec.act).ok
     for q in spec.generated.data_qubits:
         r = same_match(spec.generated.append(rz(q, 0.1)), spec.act)
         assert not r.ok and r.failure == "mismatch"
+    for a in sorted(spec.generated.ancillas)[:1]:
+        assert same_match(spec.generated.append(rz(a, 1e-5)), spec.act).ok
+        r = same_match(spec.generated.append(h(a)), spec.act)
+        assert not r.ok and r.failure == "leakage"
 
 
 def test_in_place_compare_on_the_whole_register():
@@ -237,6 +265,12 @@ def test_in_place_compare_on_the_whole_register():
     n = spec.generated.n_qubits
     act = sim.IndexMap(n, lambda: np.arange(1 << n))
     r = same_match(spec.generated, act)
+    assert not r.ok and r.failure == "mismatch" and r.leakage == 0.0
+    # a circuit's own unitary as the reference: the shrunk Toffoli-5 passes
+    # at a phase, and an RZ(0.1) mutant of it fails
+    shrunk, u = cons.gms_shrink(spec.generated), sim.unitary_of(spec.generated)
+    assert same_match(shrunk, u).ok
+    r = same_match(shrunk.append(rz(0, 0.1)), u)
     assert not r.ok and r.failure == "mismatch" and r.leakage == 0.0
 
 
@@ -290,21 +324,39 @@ def test_in_place_compare_with_unit_phases():
     assert same_match(c.append(rz(2, 0.1)), act).failure == "mismatch"
 
 
+def held_beyond_the_columns(c, reference):
+    """The check's result and the bytes it holds at its peak beyond the
+    2^n x 2^d columns, under tracemalloc; the plan is built before."""
+    sim._plan(c)
+    tracemalloc.start()
+    try:
+        r = sim.equiv_on_ancilla(c, reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return r, peak - (16 << (c.n_qubits + len(c.data_qubits)))
+
+
 def test_in_place_compare_holds_no_copy_of_the_data_rows():
     # Toffoli-8: 11 qubits, 8 data wires, 8 MiB of columns.  Beyond them the
     # check holds about 0.26 MiB, the run's own temporaries; a copy of the
     # data rows alone took 16 * 4^8 bytes (1 MiB)
     spec = cons.toffoli_n(8)
-    c, d = spec.generated, len(spec.generated.data_qubits)
-    sim._plan(c), spec.act.dest, spec.act.phase  # built before the count
-    tracemalloc.start()
-    try:
-        r = sim.equiv_on_ancilla(c, spec.act)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    spec.act.dest, spec.act.phase  # built before the count
+    r, held = held_beyond_the_columns(spec.generated, spec.act)
     assert r.ok and r.failure is None
-    assert peak - (16 << (c.n_qubits + d)) < 16 * 4**d // 2
+    assert held < 16 * 4**8 // 2
+
+
+def test_dense_compare_holds_no_copy_of_the_data_rows():
+    # the same check against V itself, 16 * 4^8 bytes (1 MiB): subtracted
+    # one row block at a time, it holds less beyond the columns than V
+    # (about 0.5 MiB), where a copy of the data rows held 1.9 MiB
+    spec = cons.toffoli_n(8)
+    v = spec.act.matrix()
+    r, held = held_beyond_the_columns(spec.generated, v)
+    assert r.ok and r.failure is None
+    assert held < v.nbytes
 
 
 def test_all_ones_sign_is_an_index_map():
