@@ -23,7 +23,8 @@ Conventions fixed here and relied on everywhere else:
   all in ``constructions``, and the check each keeps: ``embed`` checks its
   wire map once, distinct and non-negative on the wires its gates use;
   ``_grow`` and ``_echo_collapse`` build canonical tables and check every
-  coupling they compute finite; ``toffoli_n``, ``gms_shrink`` and
+  coupling they compute finite; ``_rz_match`` checks the summed angle
+  of the RZ it merges finite; ``toffoli_n``, ``gms_shrink`` and
   ``_stack_pass`` emit circuits on their input's register with no new
   wire.
 """

@@ -168,7 +168,8 @@ def cmd_verify(args) -> int:
              "deviation": res.max_deviation, "phase": [res.phase.real, res.phase.imag],
              "leakage": res.leakage, "failure": res.failure,
              "method": "dense" if d == n else "ancilla", "reference": how,
-             "columns_bytes": 16 << (n + d), "passes": res.passes,
+             "moved_wires": res.moved_wires,
+             "columns_bytes": 16 << (len(res.moved_wires) + d), "passes": res.passes,
              "plan_bytes": res.plan_bytes,
              "reference_s": round(built - read, 6),
              "reference_bytes": 0 if isinstance(reference, IndexMap) else reference.nbytes,

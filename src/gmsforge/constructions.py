@@ -650,14 +650,19 @@ def cancel_inverse_gms(circuit: Circuit) -> Circuit:
 
 def _rz_match(out: list, stacks: list[list[int]], gate: Gate):
     """An RZ merges into an RZ that is the last gate on its wire; the sum
-    is dropped only when the angles cancel exactly."""
+    is dropped only when the angles cancel exactly, and is built unchecked
+    but for its finiteness."""
     if not stacks[q := gate.qubits[0]]:
         return None
     left = stacks[q][-1]
     if out[left].kind != "RZ":
         return None
     theta = out[left].theta + gate.theta
-    return left, None if theta == 0.0 else rz(q, theta)
+    if theta == 0.0:
+        return left, None
+    if not math.isfinite(theta):
+        raise ValueError("angle must be finite")
+    return left, _derived(Gate, kind="RZ", qubits=gate.qubits, theta=theta, profile=None)
 
 
 def merge_rz(circuit: Circuit) -> Circuit:

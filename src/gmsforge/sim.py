@@ -5,16 +5,19 @@ the most significant bit of the basis index, so |q0 q1 ... q_{n-1}> has
 index sum(q_k * 2**(n-1-k)).
 
 Every dense check runs the basis columns |x>|0...0> of its d data wires
-through the circuit at once, 2^n x 2^d entries (d = n for a unitary), and
-compares them with the reference in place: lam times a phased
-permutation (``IndexMap``) or a dense reference matrix is subtracted from
-their data rows.  One byte budget covers them all and ``fourier``'s
-search and scans too: the bytes of a dense unitary at the qubit guard, 12
-by default (256 MiB), so n + d may not exceed 24; override the 12 with the
-GMSFORGE_MAX_DENSE_QUBITS environment variable, a positive integer (any
-other value raises ArgumentError).  A request above it raises
-``circuit.GuardError``.  The statevector path has no such guard and is
-used for wide-register parity checks.
+through the circuit at once (d = n for a unitary), on the circuit's moved
+wires M alone: the wires its compiled block and CNOT passes touch.  Every
+other wire meets only diagonal phase tables, so a basis column keeps its
+bit there, and the columns are 2^|M| x 2^d entries.  They are compared
+with the reference in place: lam times a phased permutation
+(``IndexMap``) or a dense reference matrix is subtracted from their data
+rows.  One byte budget covers them all and ``fourier``'s search and scans
+too: the bytes of a dense unitary at the qubit guard, 12 by default (256
+MiB), so |M| + d may not exceed 24, and a unitary's 2n may not either;
+override the 12 with the GMSFORGE_MAX_DENSE_QUBITS environment variable,
+a positive integer (any other value raises ArgumentError).  A request
+above it raises ``circuit.GuardError``.  The statevector path has no such
+guard and is used for wide-register parity checks.
 
 Every path runs through ``_run`` on the numpy kernels, three of them.
 Every multi-qubit gate but CNOT is one diagonal phase table between
@@ -54,7 +57,7 @@ only executes it.  The plan's tables are the memory this costs, about
 2.5 MiB for ``qft_gms(16)`` and 2 MiB for
 ``phase_polynomial_identity(17)``.
 ``_run`` returns the passes by kind, and ``equiv_on_ancilla`` reports them
-with the plan's bytes.
+with the plan's bytes and moved wires.
 
 The textbook references a check compares against are given by their
 action on a state (the classes ``IndexMap``, which ``AllOnesSign``
@@ -251,12 +254,18 @@ class Plan:
     ``BACKEND``, the view the kernel takes of a (dim, batch) state (a shape
     less its batch axis, or None for the state as it is) and the kernel's
     arguments.  ``passes`` counts them by kind, and ``nbytes`` is what the
-    plan's phase tables and blocks hold.
+    plan's phase tables and blocks hold.  ``wires`` are the wires each step
+    acts on, in order (a CNOT's control first, a phase table's padding
+    included), and ``moved`` the sorted wires of the block and CNOT passes:
+    every other wire meets only diagonal tables, so a basis state keeps its
+    bit there.
     """
 
     steps: tuple[tuple[str, tuple | None, tuple], ...]
     passes: dict[str, int]
     nbytes: int
+    wires: tuple[tuple[int, ...], ...]
+    moved: tuple[int, ...]
 
 
 def _compile(circuit: Circuit) -> Plan:
@@ -300,7 +309,7 @@ def _compile(circuit: Circuit) -> Plan:
     """
     n = circuit.n_qubits
     pending: dict[int, tuple] = {}
-    steps = []
+    steps, touched = [], []
     passes = dict.fromkeys(("block", "phase", "cnot"), 0)
     run, folded = [], {}  # the open table: its pulses and folded factors
     span = set()  # the wires of the open table's pulses and factors
@@ -309,14 +318,16 @@ def _compile(circuit: Circuit) -> Plan:
         if span:
             view, phases = _pulse_phases(run, n, folded)
             steps.append(("apply_scale", view, (phases,)))
+            touched.append(tuple(sorted(_table_wires(span, n, bool(run)))))
             passes["phase"] += 1
             run.clear()
             folded.clear()
             span.clear()
 
-    def emit(kind, name, *args):
+    def emit(kind, name, wires, *args):
         close_run()
         steps.append((name, None, args))
+        touched.append(tuple(wires))
         passes[kind] += 1
 
     def push(q, m):
@@ -373,7 +384,7 @@ def _compile(circuit: Circuit) -> Plan:
             for m in mats[1:].reshape(-1, 2, 2):
                 size = 2 * len(blk)
                 blk = (blk[:, None, :, None] * m[None, :, None, :]).reshape(size, size)
-            blocks.append((blk, top))
+            blocks.append((range(top, hi), blk, top))
         join(rights)
         for args in blocks:
             emit("block", "apply_block", *args)
@@ -392,7 +403,7 @@ def _compile(circuit: Circuit) -> Plan:
         elif kind == "CNOT":
             join(diagonals(wires))
             flush(wires)
-            emit("cnot", "apply_cnot", *(_mask(n, q) for q in wires))
+            emit("cnot", "apply_cnot", wires, *(_mask(n, q) for q in wires))
         else:
             if kind != "CP":  # the frame: Hadamards on the gate's wires
                 for q in wires:
@@ -419,7 +430,10 @@ def _compile(circuit: Circuit) -> Plan:
     arrays = [a for _, _, args in steps for a in args if isinstance(a, np.ndarray)]
     for a in arrays:
         a.flags.writeable = False  # shared by every run of the plan
-    return Plan(tuple(steps), passes, sum(a.nbytes for a in arrays))
+    moved = {q for (name, _, _), wires in zip(steps, touched) if name != "apply_scale"
+             for q in wires}
+    return Plan(tuple(steps), passes, sum(a.nbytes for a in arrays), tuple(touched),
+                tuple(sorted(moved)))
 
 
 def _plan(circuit: Circuit) -> Plan:
@@ -432,13 +446,13 @@ def _plan(circuit: Circuit) -> Plan:
     return plan
 
 
-def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
+def _run(circuit: Circuit, st: np.ndarray, steps=None) -> dict[str, int]:
     """Apply every gate of ``circuit`` to the (dim, batch) array in place,
-    through the circuit's plan; return the passes over the state by kind
-    (block, phase, cnot), a copy the caller may keep.  The kernels
-    are looked up on ``BACKEND`` at every pass."""
+    through the circuit's plan or ``steps`` made from it; return the passes
+    over the state by kind (block, phase, cnot), a copy the caller may
+    keep.  The kernels are looked up on ``BACKEND`` at every pass."""
     plan, batch = _plan(circuit), st.shape[1]
-    for name, view, args in plan.steps:
+    for name, view, args in plan.steps if steps is None else steps:
         getattr(BACKEND, name)(st if view is None else st.reshape(*view, batch), *args)
     return dict(plan.passes)
 
@@ -449,25 +463,81 @@ def _dense_zeros(n: int, d: int) -> np.ndarray:
     return np.zeros((1 << n, 1 << d), dtype=np.complex128)
 
 
+def _spread(k: int, masks: Sequence[int]) -> np.ndarray:
+    """Every k-bit index with bit p, first most significant, moved to
+    ``masks[p]`` (dropped where that is 0)."""
+    x = np.arange(1 << k)
+    out = np.zeros_like(x)
+    for p, m in enumerate(masks):
+        out |= (x >> (k - 1 - p) & 1) * m
+    return out
+
+
+def _reduced(plan: Plan, data: Sequence[int]):
+    """``plan``'s steps for the basis columns of the ``data`` wires held
+    as one state of |M| + d wires: the moved wires M, then the column
+    index.  A block runs at its wires' position among M and a CNOT on its
+    wires' masks there; a phase table keeps its axes on M and on the data
+    wires, where it takes each column's own bit, and its entry at 0 on an
+    ancilla outside M, which no pass moves from |0>."""
+    at = {q: p for p, q in enumerate(plan.moved)}
+    for p, q in enumerate(data):
+        at.setdefault(q, len(plan.moved) + p)
+    width = len(plan.moved) + len(data)
+    for (name, view, args), wires in zip(plan.steps, plan.wires):
+        if name == "apply_block":
+            yield name, None, (args[0], at[args[1]])
+        elif name == "apply_cnot":
+            yield name, None, tuple(1 << (width - 1 - at[q]) for q in wires)
+        else:
+            table = args[0].reshape((2,) * len(wires))[
+                tuple(slice(None) if q in at else 0 for q in wires)]
+            kept = sorted((at[q], a) for a, q in enumerate(q for q in wires if q in at))
+            _, view, shape = _layout(tuple(p for p, _ in kept), width, False)
+            yield name, view, (table.transpose([a for _, a in kept]).reshape(*shape, 1),)
+
+
 def _columns(circuit: Circuit, data: Sequence[int]
-             ) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int]]:
     """Run the basis columns |x>|0...0> of the ``data`` wires through the
-    circuit; return the 2^n x 2^d outputs, the row each column started in
-    and the passes over the columns by kind.
+    circuit on its moved wires M (``Plan.moved``), the only wires where a
+    column leaves its bits; return the 2^|M| x 2^d outputs, for each data
+    state y the row of its bits on M (``rows``) and its bits on the data
+    wires outside M (``keys``), and the passes over the columns by kind.
+    Column x's row r stands for the register state with r's bits on M and
+    x's elsewhere, so column x holds V's data row y only where keys[y] ==
+    keys[x].  When M is the whole register the plan's steps run as they
+    are (``_reduced`` otherwise); the columns are held under the dense
+    guard, 16 << (|M| + d) bytes.
     """
-    n, d = circuit.n_qubits, len(data)
-    cols = _dense_zeros(n, d)
-    x = np.arange(1 << d)
-    rows = np.zeros_like(x)
-    for pos, q in enumerate(data):
-        rows |= (x >> (d - 1 - pos) & 1) * _mask(n, q)
-    cols[rows, x] = 1.0
-    return cols, rows, _run(circuit, cols)
+    plan, d = _plan(circuit), len(data)
+    k = len(plan.moved)
+    at = {q: 1 << (k - 1 - p) for p, q in enumerate(plan.moved)}
+    rows = _spread(d, [at.get(q, 0) for q in data])
+    keys = _spread(d, [0 if q in at else 1 << (d - 1 - p) for p, q in enumerate(data)])
+    cols = _dense_zeros(k, d)
+    cols[rows, np.arange(1 << d)] = 1.0
+    if k == circuit.n_qubits:
+        return cols, rows, keys, _run(circuit, cols)
+    return cols, rows, keys, _run(circuit, cols.reshape(-1, 1), _reduced(plan, data))
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the circuit (product of gate matrices in order)."""
-    return _columns(circuit, range(circuit.n_qubits))[0]
+    """Dense unitary of the circuit (product of gate matrices in order),
+    held under the dense guard: its columns run on the moved wires
+    (``_columns``) and are scattered into the 2^n x 2^n output."""
+    n = circuit.n_qubits
+    guard_bytes("dense", 16 << 2 * n)
+    cols, _, keys, _ = _columns(circuit, range(n))
+    moved = _plan(circuit).moved
+    if len(moved) == n:
+        return cols
+    out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    rows = _spread(len(moved), [_mask(n, q) for q in moved])  # cols' rows, 0 off M
+    x, step = np.arange(1 << n), max(1, CHUNK >> n)
+    for r in range(0, len(cols), step):
+        out[rows[r:r + step, None] | keys, x] = cols[r:r + step]
+    return out
 
 
 def apply(circuit: Circuit, state: np.ndarray) -> np.ndarray:
@@ -540,6 +610,7 @@ class AncillaMatch:
     leakage: float
     passes: dict[str, int]  # passes over the columns by kind, from ``_run``
     plan_bytes: int  # held in the circuit's plan, ``Plan.nbytes``
+    moved_wires: tuple[int, ...]  # the wires the columns ran on, ``Plan.moved``
 
 
 def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaMatch:
@@ -549,15 +620,19 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
     The data register is the circuit's non-ancilla wires, or the whole
     register when ``reference`` is as wide as the circuit (then there is
     no leakage).  Every data basis state |x>|0...0> is run through the
-    circuit; the result must be (V|x>)|0...0> with one common global phase
-    lam, read at V's pivot (``_pivot``).  lam * V is subtracted from the
-    data rows of the columns in place: an ``IndexMap`` at its one entry per
-    column, a matrix one row block at a time.  One pass of row maxima then
-    gives the deviation from the data rows and the residual population on
-    the ancilla-neq-0 rows, which above tol is reported as the distinct
-    "leakage" failure.  The columns are held at once under the dense
-    guard; every other temporary is at most a row block, 2^d entries or a
-    row's float.
+    circuit on its moved wires M (``_columns``); the result must be
+    (V|x>)|0...0> with one common global phase lam, read at V's pivot
+    (``_pivot``), and "no phase" when column x's run does not hold the
+    pivot's row.  lam * V is subtracted in place from the data rows of
+    the columns, where column x holds V's rows that keep x's bits outside
+    M: an ``IndexMap`` at its one entry per column, a matrix one row block
+    at a time.  V's entries on the other data rows count toward the
+    deviation as |lam * V|.  One pass of row maxima then gives the
+    deviation from the data rows and the residual population on the rows
+    with an ancilla bit of M set, which above tol is reported as the
+    distinct "leakage" failure; an ancilla outside M stays in |0>.  The
+    columns are held at once under the dense guard; every other temporary
+    is at most a row block, 2^d entries or a row's float.
     """
     n = circuit.n_qubits
     full = reference.shape == (1 << n, 1 << n)
@@ -567,25 +642,37 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
         raise ArgumentError(
             f"reference acts on {reference.shape}; the data register has "
             f"dimension {ddim}, the whole register {1 << n}")
-    cols, rows, passes = _columns(circuit, data)
-    plan_bytes = _plan(circuit).nbytes
-    ok, lam = _pivot(reference, lambda r, c: cols[rows[r], c])
+    cols, rows, keys, passes = _columns(circuit, data)
+    plan = _plan(circuit)
+    ok, lam = _pivot(reference, lambda r, c: cols[rows[r], c] if keys[r] == keys[c] else 0)
     if isinstance(reference, IndexMap):
-        cols[rows[reference.dest], np.arange(ddim)] -= lam * reference.phase
+        sub, dest = lam * reference.phase, reference.dest
+        held = keys[dest] == keys
+        cols[rows[dest[held]], np.arange(ddim)[held]] -= sub[held]
+        off = np.abs(sub[~held]).max(initial=0.0)
     else:
-        step = max(1, CHUNK // ddim)
+        step, off, split = max(1, CHUNK // ddim), 0.0, keys.any()
         for r in range(0, ddim, step):
-            cols[rows[r:r + step]] -= lam * reference[r:r + step]
+            sub = lam * reference[r:r + step]
+            if split:  # a row of the block is held by some columns only
+                held = keys[r:r + step, None] == keys
+                far = np.abs(sub)
+                far[held] = 0.0
+                off = max(off, far.max())
+                i, j = np.nonzero(held)
+                cols[rows[r + i], j] -= sub[i, j]
+            else:  # every data wire moves: each data row is one row of cols
+                cols[rows[r:r + step]] -= sub
     peaks = np.concatenate([np.abs(b).max(axis=1) for b in _row_blocks(cols)])
-    dev = float(peaks[rows].max())
+    dev = max(float(peaks[rows].max()), float(off))
     peaks[rows] = 0.0
     leakage = float(peaks.max())
     if leakage > tol:
         return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
-                            passes, plan_bytes)
+                            passes, plan.nbytes, plan.moved)
     ok = ok and dev <= tol
     return AncillaMatch(ok, None if ok else "mismatch", lam, dev, leakage,
-                        passes, plan_bytes)
+                        passes, plan.nbytes, plan.moved)
 
 
 # ---------------------------------------------------------------------------

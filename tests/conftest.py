@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
 import numpy as np
 
+from gmsforge import kernels, sim
 from gmsforge.circuit import (Circuit, Exponential, PerPair, Uniform, cnot,
                               cp, gms, h, rx, ry, rz, xx)
 from gmsforge.gf2 import Gf2Matrix, fan_gms_cost, synthesize_linear
@@ -93,6 +95,40 @@ def basis_state(n_qubits: int, index: int) -> np.ndarray:
     state = np.zeros(1 << n_qubits, dtype=np.complex128)
     state[index] = 1.0
     return state
+
+
+# -- the engine's oracle: one kernel pass per gate -------------------------------
+
+def pairwise_run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
+    """Oracle: every gate applied on its own, a GMS as one XX pass per pair."""
+    be = kernels.BACKEND
+    n = circuit.n_qubits
+
+    def mask(q):
+        return 1 << (n - 1 - q)
+
+    for g in circuit.gates:
+        if g.kind == "GMS":
+            for i, j, chi in g.pair_angles():
+                be.apply_xx(st, math.cos(chi / 2) + 0j, math.sin(chi / 2) + 0j,
+                            mask(i), mask(j))
+        elif g.kind == "XX":
+            be.apply_xx(st, math.cos(g.theta / 2) + 0j, math.sin(g.theta / 2) + 0j,
+                        mask(g.qubits[0]), mask(g.qubits[1]))
+        elif g.kind == "CNOT":
+            be.apply_cnot(st, mask(g.qubits[0]), mask(g.qubits[1]))
+        elif g.kind == "CP":
+            be.apply_cp(st, mask(g.qubits[0]), mask(g.qubits[1]),
+                        cmath.exp(1j * g.theta))
+        elif g.kind == "PHASE":
+            be.apply_scale(st, cmath.exp(1j * g.theta))
+        else:
+            be.apply_1q(st, *sim._one_qubit_matrix(g), mask(g.qubits[0]))
+    return st
+
+
+def oracle_unitary(circuit):
+    return pairwise_run(circuit, np.eye(1 << circuit.n_qubits, dtype=complex))
 
 
 # -- oracles over GF(2) ----------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from gmsforge import cli, fourier, sim
 from gmsforge import constructions as cons
 from gmsforge.circuit import (Exponential, GuardError, PowerLawSum, deserialize, rx,
-                              serialize)
+                              rz, serialize)
 from gmsforge.constructions import fanin, fanout, toffoli_n
 
 
@@ -149,18 +149,19 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
     # fanin-5's two pulses meet the state with no pass between them and
     # share one phase pass; each of toffoli-5's nine pulses takes its own
     # a permutation is compared in place and holds no reference bytes; a
-    # circuit file's unitary holds 16 bytes an entry
-    cases = (((t5, "toffoli", "--n", "5"), "ancilla", "oracle", 7 + 5, 9, 0),
-             ((f5, "fanin", "--n", "5"), "dense", "oracle", 5 + 5, 1, 0),
-             ((t5, str(t5)), "dense", "circuit", 7 + 7, 9, 16 << 14))
-    for (path, *against), method, how, width, phase, ref_bytes in cases:
+    # circuit file's unitary holds 16 bytes an entry.  The columns run on
+    # the moved wires only: toffoli-5's bottom three, fanin-5's target
+    cases = (((t5, "toffoli", "--n", "5"), "ancilla", "oracle", [4, 5, 6], 3 + 5, 9, 0),
+             ((f5, "fanin", "--n", "5"), "dense", "oracle", [0], 1 + 5, 1, 0),
+             ((t5, str(t5)), "dense", "circuit", [4, 5, 6], 3 + 7, 9, 16 << 14))
+    for (path, *against), method, how, moved, width, phase, ref_bytes in cases:
         _, plain, _ = run(capsys, "verify", str(path), "--against", *against)
         code, out, _ = run(capsys, "verify", str(path), "--against", *against, "--json")
         text, doc = out.splitlines()
         c = json.loads(doc)["checks"][0]
         assert code == 0 and plain == text + "\n"
         assert c["method"] == method and c["reference"] == how
-        assert c["columns_bytes"] == 16 << width
+        assert c["moved_wires"] == moved and c["columns_bytes"] == 16 << width
         assert 0 <= c["reference_s"] and 0 <= c["check_s"]
         assert c["reference_bytes"] == ref_bytes
         # the passes _run made over the columns, one phase pass per run of
@@ -201,7 +202,22 @@ def test_verify_toffoli_simulates_no_reference_circuit(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(sim, "_dense_zeros", columns_only)
     code, out, _ = run(capsys, "verify", str(path), "--against", "toffoli", "--n", "5")
-    assert code == 0 and out.startswith("PASS") and dense == [(7, 5)]
+    assert code == 0 and out.startswith("PASS") and dense == [(3, 5)]
+
+
+def test_verify_toffoli_11(tmp_path, capsys):
+    # 16 qubits, past the guard on the whole register, but 8 moved wires:
+    # 2^8 x 2^11 columns.  An RZ(0.1) on a data wire is a mismatch, an
+    # RX(pi) on the last ancilla leaks
+    circuit = toffoli_n(11).generated
+    last = max(circuit.ancillas)
+    for variant, code, verdict in (
+            (circuit, 0, "PASS"), (circuit.append(rz(3, 0.1)), 1, "FAIL (mismatch)"),
+            (circuit.append(rx(last, math.pi)), 1, "FAIL (leakage)")):
+        path = tmp_path / "t11.json"
+        path.write_text(serialize(variant))
+        got, out, _ = run(capsys, "verify", str(path), "--against", "toffoli", "--n", "11")
+        assert got == code and out.startswith(verdict)
 
 
 def test_verify_permutation_holds_only_the_columns(tmp_path, capsys):
@@ -241,17 +257,17 @@ def test_verify_guard_exit3(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_ancilla_columns_guard_exit3(tmp_path, capsys, monkeypatch):
-    # Toffoli-5 runs on 7 qubits: 2^7 x 2^5 columns pass a 6-qubit guard's
-    # 2^12 entries, a 5-qubit guard's 2^10 do not (the reference still fits)
+    # Toffoli-5 runs on 7 qubits, 3 of them moved: 2^3 x 2^5 columns pass a
+    # 4-qubit guard's 2^8 entries, a 3-qubit guard's 2^6 do not
     path = tmp_path / "t5.json"
     run(capsys, "synth", "toffoli", "--n", "5", "--out", str(path))
-    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", "6")
+    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", "4")
     code, out, _ = run(capsys, "verify", str(path), "--against", "toffoli", "--n", "5")
     assert code == 0 and out.startswith("PASS")
-    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", "5")
+    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", "3")
     code, out, err = run(capsys, "verify", str(path), "--against", "toffoli", "--n", "5")
     assert code == 3 and out == ""
-    assert "guard" in err and str(16 << 12) in err and str(16 << 10) in err
+    assert "guard" in err and str(16 << 8) in err and str(16 << 6) in err
 
 
 def test_verify_emit_unitary(tmp_path, capsys, monkeypatch):
@@ -656,10 +672,11 @@ SCAN = ["fidelity-scan", "--axis", "p1", "--n", "10", "--params", "0.4,-0.5,2.5,
 # a command line whose {file} is synthesized from TRIP_FILES first, a callable a
 # library call; each request trips its guard exactly when it asks above the limit
 GUARDS = [
+    # tdistill moves 12 of its 15 wires, toffoli-5 3 of its 7
     ("dense", None, ["verify", "{tdistill}", "--against", "tdistill"],
-     16 << 30, 16 << 24, "bytes"),
-    ("dense", "6", TOFFOLI5, 16 << 12, 16 << 12, "bytes"),
-    ("dense", "5", TOFFOLI5, 16 << 12, 16 << 10, "bytes"),
+     16 << 27, 16 << 24, "bytes"),
+    ("dense", "4", TOFFOLI5, 16 << 8, 16 << 8, "bytes"),
+    ("dense", "3", TOFFOLI5, 16 << 8, 16 << 6, "bytes"),
     ("lattice", None, LATTICE, LATTICE_ASKED, 16 << 24, "bytes"),
     ("scan", None, SCAN, 136 * 2500000000, 16 << 24, "bytes"),
     # 481 and 482 points of 136 bytes about a 65536-byte budget

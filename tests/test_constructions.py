@@ -689,6 +689,21 @@ def test_construction_budget(monkeypatch):
     assert checked[0] == 2 * 8
 
 
+def test_merge_rz_checks_no_gate(monkeypatch):
+    # the RZ merge after a shrink, echo and inverse round trip builds each
+    # summed RZ from its fields (594 checked gates when each was checked);
+    # a sum past the largest float is still refused with Gate's message
+    original = qft_gms(8, PowerLawSum(((0.4, 2.5),)))
+    back = cons.cancel_inverse_gms(cons.spin_echo_cancel(cons.gms_shrink(original)))
+    checked = count_post_inits(monkeypatch, Gate)
+    derived = count_derived(monkeypatch)
+    merged = cons.merge_rz(back)
+    assert checked[0] == 0 and derived["Gate"] == 594
+    assert_checked(merged)
+    with pytest.raises(ValueError, match="angle must be finite"):
+        cons.merge_rz(Circuit(1, (rz(0, 1e308), rz(0, 1e308))))
+
+
 def assert_checked(circuit):
     """Every gate of ``circuit`` equals its checked construction, a pulse
     with its table re-checked (a list takes ``PerPair``'s sorting path) and

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import basis_state, random_state
+from conftest import basis_state, oracle_unitary, pairwise_run, random_state
 from gmsforge import constructions as cons
 from gmsforge import kernels, sim
 from gmsforge.circuit import (Circuit, Exponential, PerPair, PowerLawSum,
@@ -17,40 +17,8 @@ from gmsforge.circuit import (Circuit, Exponential, PerPair, PowerLawSum,
 from gmsforge.fourier import qfa_gms, qft_gms
 
 
-def pairwise_run(circuit: Circuit, st: np.ndarray) -> np.ndarray:
-    """Oracle: every gate applied on its own, a GMS as one XX pass per pair."""
-    be = kernels.BACKEND
-    n = circuit.n_qubits
-
-    def mask(q):
-        return 1 << (n - 1 - q)
-
-    for g in circuit.gates:
-        if g.kind == "GMS":
-            for i, j, chi in g.pair_angles():
-                be.apply_xx(st, math.cos(chi / 2) + 0j, math.sin(chi / 2) + 0j,
-                            mask(i), mask(j))
-        elif g.kind == "XX":
-            be.apply_xx(st, math.cos(g.theta / 2) + 0j, math.sin(g.theta / 2) + 0j,
-                        mask(g.qubits[0]), mask(g.qubits[1]))
-        elif g.kind == "CNOT":
-            be.apply_cnot(st, mask(g.qubits[0]), mask(g.qubits[1]))
-        elif g.kind == "CP":
-            be.apply_cp(st, mask(g.qubits[0]), mask(g.qubits[1]),
-                        cmath.exp(1j * g.theta))
-        elif g.kind == "PHASE":
-            be.apply_scale(st, cmath.exp(1j * g.theta))
-        else:
-            be.apply_1q(st, *sim._one_qubit_matrix(g), mask(g.qubits[0]))
-    return st
-
-
 def oracle_state(circuit, psi):
     return pairwise_run(circuit, psi.reshape(-1, 1).copy()).reshape(-1)
-
-
-def oracle_unitary(circuit):
-    return pairwise_run(circuit, np.eye(1 << circuit.n_qubits, dtype=complex))
 
 
 def random_profile(rng, wires):
@@ -100,9 +68,14 @@ def test_engine_matches_pairwise_oracle_on_states():
 
 def test_engine_matches_pairwise_oracle_on_unitaries():
     rng = random.Random(29)
-    for _ in range(20):
-        n = rng.choice([3, 4, 5])
-        circ = random_pulse_circuit(rng, n, 12)
+    circuits = [random_pulse_circuit(rng, rng.choice([3, 4, 5]), 12) for _ in range(20)]
+    # constructions whose columns run on fewer wires than the register's
+    # and are scattered into the unitary
+    for spec in (cons.toffoli_n(5), cons.fanin(6), cons.ccz_3gms()):
+        circ = spec.generated
+        assert len(sim._plan(circ).moved) < circ.n_qubits
+        circuits.append(circ)
+    for circ in circuits:
         assert np.max(np.abs(sim.unitary_of(circ) - oracle_unitary(circ))) < 1e-12
 
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import (HADAMARD, I2, PAULI_Z, basis_state, controlled_z_matrix,
-                      kron_all, random_circuit, random_state, toffoli_matrix,
-                      xx_matrix)
+                      kron_all, oracle_unitary, random_circuit, random_state,
+                      toffoli_matrix, xx_matrix)
 from gmsforge import constructions as cons
 from gmsforge import sim
-from gmsforge.circuit import (ArgumentError, Circuit, GuardError, Uniform, cp, empty,
+from gmsforge.circuit import (ArgumentError, Circuit, GuardError, Uniform, cnot, cp, empty,
                               gms, h, rx, ry, rz, xx)
 from gmsforge.constructions import (TDISTILL_FANS, fanout, tdistill,
                                     toffoli3_gms, toffoli_n)
@@ -210,34 +210,49 @@ PERMUTATIONS = {
 }
 
 
-def copied_rows_match(circuit, v, tol=1e-9):
-    """The dense check as it was before the in-place compare: copy the data
-    rows out, zero them, take the largest |entry| left as the leakage, then
-    ``equiv_phase`` on the copy."""
+def data_rows(n, data):
+    """The register index of every basis state of the ``data`` wires, the
+    other wires 0."""
+    d = len(data)
+    return sum((np.arange(1 << d) >> (d - 1 - p) & 1) << (n - 1 - q)
+               for p, q in enumerate(data))
+
+
+def copied_rows_match(circuit, v, tol=1e-9, zeroed=None):
+    """The dense check as it was before the in-place compare, on columns the
+    engine does not make: the pairwise oracle's unitary, restricted to the
+    data columns (column ``zeroed`` set to 0).  Copy the data rows out, zero
+    them, take the largest |entry| left as the leakage, then ``equiv_phase``
+    on the copy.  Returns (ok, failure, phase, deviation, leakage)."""
     n = circuit.n_qubits
     data = range(n) if v.shape == (1 << n, 1 << n) else circuit.data_qubits
-    cols, rows, passes = sim._columns(circuit, data)
-    plan_bytes = sim._plan(circuit).nbytes
+    rows = data_rows(n, data)
+    cols = oracle_unitary(circuit)[:, rows]
+    if zeroed is not None:
+        cols[:, zeroed] = 0.0
     w = cols[rows]
     cols[rows] = 0.0
     leakage = float(np.abs(cols).max())
     if leakage > tol:
-        return sim.AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
-                                passes, plan_bytes)
+        return False, "leakage", 1.0 + 0j, float("inf"), leakage
     pm = sim.equiv_phase(w, v, tol)
-    return sim.AncillaMatch(pm.ok, None if pm.ok else "mismatch", pm.phase,
-                            pm.max_deviation, leakage, passes, plan_bytes)
+    return pm.ok, None if pm.ok else "mismatch", pm.phase, pm.max_deviation, leakage
 
 
-def same_match(circuit, act):
-    """The compare against ``act``, against ``act.matrix()`` when ``act`` is
-    an ``IndexMap``, and ``copied_rows_match`` against that matrix agree on
-    every AncillaMatch field, bit for bit: repr keeps a float's every bit
-    and a zero's sign."""
+def same_match(circuit, act, zeroed=None):
+    """The compare against ``act`` and against ``act.matrix()`` when ``act``
+    is an ``IndexMap`` agree on every AncillaMatch field, bit for bit: repr
+    keeps a float's every bit and a zero's sign.  ``copied_rows_match``
+    against that matrix gives the same verdict, and the same phase,
+    deviation and leakage within the oracle's 1e-12."""
     v = act.matrix() if isinstance(act, sim.IndexMap) else act
     got = sim.equiv_on_ancilla(circuit, act)
-    for want in (sim.equiv_on_ancilla(circuit, v), copied_rows_match(circuit, v)):
-        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
+    assert repr(dataclasses.astuple(got)) == repr(
+        dataclasses.astuple(sim.equiv_on_ancilla(circuit, v)))
+    ok, failure, phase, dev, leakage = copied_rows_match(circuit, v, zeroed=zeroed)
+    assert (got.ok, got.failure) == (ok, failure)
+    assert abs(got.phase - phase) < 1e-12 and abs(got.leakage - leakage) < 1e-12
+    assert math.isclose(got.max_deviation, dev, rel_tol=0.0, abs_tol=1e-12)
     return got
 
 
@@ -298,12 +313,12 @@ def test_in_place_compare_with_no_phase_at_the_pivot(make, monkeypatch):
     columns, pivot = sim._columns, int(np.argmin(spec.act.dest))
 
     def zeroed(circuit, data):
-        cols, rows, passes = columns(circuit, data)
+        cols, *rest = columns(circuit, data)
         cols[:, pivot] = 0.0
-        return cols, rows, passes
+        return cols, *rest
 
     monkeypatch.setattr(sim, "_columns", zeroed)
-    r = same_match(spec.generated, spec.act)
+    r = same_match(spec.generated, spec.act, zeroed=pivot)
     assert not r.ok and r.phase == 1.0 and r.failure == "mismatch"
 
 
@@ -324,23 +339,73 @@ def test_in_place_compare_with_unit_phases():
     assert same_match(c.append(rz(2, 0.1)), act).failure == "mismatch"
 
 
+def basis_keeping_circuit(rng, n, n_gates):
+    """Gates that keep the wires above the bottom window in the
+    computational basis: there only RZ, CP and pulses in a Hadamard frame
+    (which the pulse's own frame cancels); anything on the bottom window,
+    CNOTs included.  So the plan moves the bottom window's wires alone."""
+    low = range(n - sim.WINDOW, n)
+    gates = []
+    for _ in range(n_gates):
+        r, theta = rng.random(), rng.uniform(-PI, PI)
+        if r < 0.3:
+            wires = rng.sample(range(n), rng.randint(2, n))
+            frame = [h(q) for q in wires if q not in low]
+            gates += frame + [gms(wires, Uniform(theta))] + frame
+        elif r < 0.5:
+            gates.append(cp(*rng.sample(range(n), 2), theta))
+        elif r < 0.6:
+            gates.append(cnot(*rng.sample(low, 2)))
+        else:
+            q = rng.randrange(n)
+            gates.append(rng.choice([h(q), rx(q, theta), ry(q, theta)]) if q in low
+                         else rz(q, theta))
+    return gates
+
+
+def test_in_place_compare_on_unmoved_wires():
+    # data wires and ancillas the plan never moves, under tables that span
+    # moved and unmoved wires alike: against the oracle's own data block
+    # (passes unless a moved ancilla leaks) and a phased permutation.  Every
+    # other case draws its ancillas from the unmoved wires alone
+    rng, nrng = random.Random(41), np.random.default_rng(41)
+    for case in range(12):
+        n = rng.randint(5, 8)
+        gates = basis_keeping_circuit(rng, n, 14)
+        pool = range(n - sim.WINDOW if case % 2 else n)
+        ancillas = frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        c = Circuit(n, tuple(gates), ancillas)
+        moved = sim._plan(c).moved
+        assert set(moved) <= set(range(n - sim.WINDOW, n)), case
+        d, rows = len(c.data_qubits), data_rows(n, c.data_qubits)
+        v = oracle_unitary(c)[np.ix_(rows, rows)]
+        r = same_match(c, v)
+        assert r.ok or r.failure == "leakage"
+        assert r.ok or not set(ancillas).isdisjoint(moved)
+        act = sim.IndexMap(d, lambda: nrng.permutation(1 << d),
+                           lambda: np.exp(1j * nrng.uniform(-PI, PI, 1 << d)))
+        assert not same_match(c, act).ok
+        assert not same_match(c.append(rz(c.data_qubits[0], 0.1)), v).ok
+
+
 def held_beyond_the_columns(c, reference):
     """The check's result and the bytes it holds at its peak beyond the
-    2^n x 2^d columns, under tracemalloc; the plan is built before."""
-    sim._plan(c)
+    2^|M| x 2^d columns on the moved wires M, under tracemalloc; the plan
+    is built before."""
+    moved = sim._plan(c).moved
     tracemalloc.start()
     try:
         r = sim.equiv_on_ancilla(c, reference)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return r, peak - (16 << (c.n_qubits + len(c.data_qubits)))
+    return r, peak - (16 << (len(moved) + len(c.data_qubits)))
 
 
 def test_in_place_compare_holds_no_copy_of_the_data_rows():
-    # Toffoli-8: 11 qubits, 8 data wires, 8 MiB of columns.  Beyond them the
-    # check holds about 0.26 MiB, the run's own temporaries; a copy of the
-    # data rows alone took 16 * 4^8 bytes (1 MiB)
+    # Toffoli-8: 11 qubits, 8 data wires, 4 moved wires, 64 KiB of columns.
+    # Beyond them the check holds about 80 KiB, the run's own temporaries; a
+    # copy of the data rows alone took 16 * 4^8 bytes (1 MiB)
     spec = cons.toffoli_n(8)
     spec.act.dest, spec.act.phase  # built before the count
     r, held = held_beyond_the_columns(spec.generated, spec.act)
@@ -351,7 +416,8 @@ def test_in_place_compare_holds_no_copy_of_the_data_rows():
 def test_dense_compare_holds_no_copy_of_the_data_rows():
     # the same check against V itself, 16 * 4^8 bytes (1 MiB): subtracted
     # one row block at a time, it holds less beyond the columns than V
-    # (about 0.5 MiB), where a copy of the data rows held 1.9 MiB
+    # (about 0.66 MiB, two row blocks and one block's magnitudes), where a
+    # copy of the data rows held 1.9 MiB
     spec = cons.toffoli_n(8)
     v = spec.act.matrix()
     r, held = held_beyond_the_columns(spec.generated, v)
@@ -500,3 +566,18 @@ def test_benchmark_plans_are_unchanged_by_pulse_only_padding(monkeypatch):
             got = sim._compile(circuit)
         assert same_steps(got, want) and got.nbytes == want.nbytes
     assert tables and 0 not in tables
+
+
+def test_benchmark_circuits_move_few_wires():
+    # the checks run on the moved wires alone, so a compile change that
+    # widens them shows here: the Toffoli chain and the fan-in keep their
+    # controls in the Z frame around every pulse, the transform and the
+    # encoder's fans move most of their wires
+    for circuit, moved in ((toffoli_n(7).generated, 4), (cons.fanin(9).generated, 1),
+                           (qft_gms(8, Exponential()), 8), (tdistill().generated, 12)):
+        plan = sim._plan(circuit)
+        assert len(plan.moved) == moved
+        # a table spans the wires recorded for it, one axis of 2 each
+        assert all(args[0].size == 1 << len(wires)
+                   for (name, _, args), wires in zip(plan.steps, plan.wires)
+                   if name == "apply_scale")
