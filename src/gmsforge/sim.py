@@ -720,15 +720,6 @@ def AllOnesSign(d: int) -> IndexMap:
                     lambda: np.append(np.ones((1 << d) - 1), -1.0))
 
 
-def _bit_reversal(d: int) -> np.ndarray:
-    """The index of every d-bit basis state with its bits reversed."""
-    x = np.arange(1 << d)
-    rev = np.zeros_like(x)
-    for k in range(d):
-        rev |= (x >> k & 1) << (d - 1 - k)
-    return rev
-
-
 class BitReversedIFFT:
     """V|k> = sum_j exp(2 pi i j rev(k) / 2^d) |j> / sqrt(2^d): the
     transform with bit-reversed input, as a normalised inverse FFT of the
@@ -736,7 +727,8 @@ class BitReversedIFFT:
 
     def __init__(self, d: int):
         self.d = d
-        self.reverse = IndexMap(d, lambda: _bit_reversal(d))
+        # bit p, first most significant, moves to bit p: the bits reversed
+        self.reverse = IndexMap(d, lambda: _spread(d, [1 << p for p in range(d)]))
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         return np.fft.ifft(self.reverse(cols), axis=0, norm="ortho")

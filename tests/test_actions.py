@@ -96,7 +96,7 @@ def test_specs_build_no_action(monkeypatch):
 
     monkeypatch.setattr(cons, "_cnot_map", forbidden)
     monkeypatch.setattr(cons, "_toffoli_map", forbidden)
-    monkeypatch.setattr(sim, "_bit_reversal", forbidden)
+    monkeypatch.setattr(sim, "_spread", forbidden)  # the bit reversal
     table1_rows()
     for n in range(4, 13):
         cons.toffoli_n(n)
