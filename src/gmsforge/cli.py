@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
              "method": "dense" if d == n else "ancilla", "reference": how,
              "moved_wires": res.moved_wires,
              "columns_bytes": 16 << (len(res.moved_wires) + d), "passes": res.passes,
-             "plan_bytes": res.plan_bytes,
+             "plan_bytes": res.plan_bytes, "compile_s": round(res.compile_s, 6),
              "reference_s": round(built - read, 6),
              "reference_bytes": 0 if isinstance(reference, IndexMap) else reference.nbytes,
              "check_s": round(checked - built, 6)}])))

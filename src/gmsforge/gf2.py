@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .circuit import ArgumentError, check_register
+from .circuit import ArgumentError
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,6 @@ class Gf2Matrix:
         for i, r in enumerate(self.rows):
             y |= (bin(r & x).count("1") & 1) << i
         return y
-
-    def transpose(self) -> "Gf2Matrix":
-        return Gf2Matrix(self.n, tuple(self.column(j) for j in range(self.n)))
 
     def is_unit_upper(self) -> bool:
         return all(self.entry(i, i) == 1 and self.rows[i] & ((1 << i) - 1) == 0
@@ -186,29 +183,3 @@ def synthesize_linear(m: Gf2Matrix) -> tuple[list[FanLayer], tuple[int, ...]]:
     """
     p, lmat, umat = plu_decompose(m)
     return triangular_to_fans(umat) + triangular_to_fans(lmat), p
-
-
-def fan_gms_cost(layers: Iterable[FanLayer]) -> int:
-    """Pulse count of a fan-layer list: 2 per real fan, 1 per bare CNOT."""
-    return sum(2 if len(layer.targets) >= 2 else 1 for layer in layers)
-
-
-def stabilizer_gms_bound(n: int) -> tuple[int, dict[str, int]]:
-    """Pulse budget for an n-qubit stabilizer unitary via its 9-stage
-    layered form: two triangular CNOT stages and two general ones.
-
-    Pure count arithmetic (12n - 18 total); this does not synthesize a
-    tableau.
-    """
-    check_register(n, 2)
-    triangular = 2 * n - 3
-    general = 2 * triangular
-    breakdown = {
-        "cnot_stage_triangular_1": triangular,
-        "cnot_stage_triangular_2": triangular,
-        "cnot_stage_general_1": general,
-        "cnot_stage_general_2": general,
-    }
-    total = sum(breakdown.values())
-    assert total == 12 * n - 18
-    return total, breakdown

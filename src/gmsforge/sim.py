@@ -6,7 +6,7 @@ index sum(q_k * 2**(n-1-k)).
 
 Every dense check runs the basis columns |x>|0...0> of its d data wires
 through the circuit at once (d = n for a unitary), on the circuit's moved
-wires M alone: the wires its compiled block and CNOT passes touch.  Every
+wires M alone: the wires its compiled block and CNOT passes move.  Every
 other wire meets only diagonal phase tables, so a basis column keeps its
 bit there, and the columns are 2^|M| x 2^d entries.  They are compared
 with the reference in place: lam times a phased permutation
@@ -44,20 +44,22 @@ open table spans its wires, or can widen to them within ``CHUNK``
 entries, is made real: each pending matrix is split as diag(p1, p2) @
 [[c, -s], [s, c]] @ diag(1, psi) (``_zyz``), the right diagonal joins the
 closing table, the left one stays pending for the next table and the
-block holds only the real rotations.  The bottom window's block starts at its first wire with
-a pending matrix.  ``kernels.apply_block`` runs a block in one of three
-forms: one state's bottom wires as float rows times the block's real
-form, a real block on the float view, or a complex block on the complex
-view.
+block holds only the real rotations.  The bottom window's block starts
+at its first wire with a pending matrix; a block above it spans its
+window but moves only the wires from its first pending one.
+``kernels.apply_block`` runs a block in one of three forms: one state's
+bottom wires as float rows times the block's real form, a real block on
+the float view, or a complex block on the complex view.
 
-Each ``Circuit`` is fused, folded and tabled once: ``_compile`` turns it
-into a ``Plan`` of passes on its first run, the plan is kept on the
-circuit (an immutable value) for the circuit's lifetime, and every run
-only executes it.  The plan's tables are the memory this costs, about
-2.5 MiB for ``qft_gms(16)`` and 2 MiB for
-``phase_polynomial_identity(17)``.
-``_run`` returns the passes by kind, and ``equiv_on_ancilla`` reports them
-with the plan's bytes and moved wires.
+Each ``Circuit`` is fused and folded once, in one pass over its gates,
+and its tables are built after that pass, the tables of one width in one
+vectorised sweep: ``_compile`` turns it into a ``Plan`` of passes on its
+first run, the plan is kept on the circuit (an immutable value) for the
+circuit's lifetime, and every run only executes it.  The plan's tables are
+the memory this costs, about 2.5 MiB for ``qft_gms(16)`` and 2 MiB for
+``phase_polynomial_identity(17)``.  ``_run`` returns the passes by kind,
+and ``equiv_on_ancilla`` reports them with the plan's bytes, moved wires
+and compile time.
 
 The textbook references a check compares against are given by their
 action on a state (the classes ``IndexMap``, which ``AllOnesSign``
@@ -69,13 +71,14 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .circuit import ArgumentError, Circuit, Uniform, gms, guard
+from .circuit import ArgumentError, Circuit, guard
 from .kernels import BACKEND, CHUNK
 
 DEFAULT_DENSE_GUARD = 12
@@ -161,13 +164,10 @@ def _table_wires(wires, n: int, pulsed: bool) -> set[int]:
 
 
 @lru_cache(maxsize=4096)
-def _layout(core: tuple, n: int, pulsed: bool) -> tuple[tuple, tuple, tuple]:
-    """For a table over the sorted ``core`` wires: the axes that spread it
-    over ``_table_wires(core, n, pulsed)`` (1 on an added wire), a view
-    shape for a (dim, batch) state less its batch axis, and the table's
-    shape against that view less the batch.  Runs of neighbouring wires
-    share one axis."""
-    wires = _table_wires(core, n, pulsed)
+def _layout(wires: tuple, n: int) -> tuple[tuple, tuple]:
+    """For a table over the sorted ``wires``: a view shape for a (dim,
+    batch) state less its batch axis, and the table's shape against that
+    view less the batch.  Runs of neighbouring wires share one axis."""
     view, table = [], []
     for q in range(n):
         inside = q in wires
@@ -177,59 +177,82 @@ def _layout(core: tuple, n: int, pulsed: bool) -> tuple[tuple, tuple, tuple]:
         else:
             view.append(2)
             table.append(1 + inside)
-    axes = tuple(2 if q in core else 1 for q in sorted(wires))
-    return axes, tuple(view), tuple(table)
+    return tuple(view), tuple(table)
 
 
-def _pulse_phases(pulses: Sequence, n: int, diag: dict) -> tuple[tuple, np.ndarray]:
-    """A run of GMS pulses in the X basis, the product of their
-    exp(-i/2 sum_{i<j} chi_ij z_i z_j), times the diagonal matrices ``diag``
-    maps wires to.  Diagonal factors commute, so the run is one table over
-    the union of the pulses' wires and ``diag``'s, and the bottom window
-    when there is a pulse and that is small enough (``_table_wires``),
-    built from the summed pair angles; with no pulse every chi is 0, and
-    the table is the Kronecker product of the diagonals.
+def _sweep(tables: Sequence[tuple], k: int) -> np.ndarray:
+    """The phase tables of ``tables``, records (wires, pairs, diag) over k
+    wires each, built in one recurrence as a (len(tables), 2^k) array.
 
-    Returns a view shape for a (dim, batch) state and the table, repeated
-    over the wires ``_table_wires`` adds, to broadcast against it with the
-    batch appended (``_layout``).  z = 1 - 2b over the bits b of the
-    table's own wires, first wire most significant.  The 2^k-entry table is
-    built from the pair factors exp(-i chi_ij / 2), one vectorised exp of
-    the k x k angle matrix, and filled in place with a few numpy calls per
-    wire: no transcendental call per entry.
+    A record is a run of GMS pulses in the X basis, the product of their
+    exp(-i/2 sum_{i<j} chi_ij z_i z_j) given by their pair angles (i, j,
+    chi), times the diagonal matrices ``diag`` maps wires to: diagonal
+    factors commute, so the run is one table.  Its sorted ``wires`` are the
+    ones ``_table_wires`` gives, padding included: a wire neither coupled
+    nor folded brings the factor 1, so the table comes out repeated over it.
+    With no pulse every chi is 0, and the table is the Kronecker product of
+    the diagonals.  z = 1 - 2b over the bits b of the wires, first wire most
+    significant.  Each table is built from its pair factors exp(-i chi_ij /
+    2), one vectorised exp of every table's summed k x k angle matrix, and
+    filled in place with a few numpy calls per wire for all the tables at
+    once: no transcendental call per entry.  Every entry takes the products
+    it takes in a table built alone, in the same order; numpy rounds a
+    complex product on arrays of another length in its own way, so the two
+    agree to an ulp or two.
     """
-    wires = sorted({q for g in pulses for q in g.qubits}.union(diag))
-    k = len(wires)
-    pos = {q: a for a, q in enumerate(wires)}
-    chi = np.zeros((k, k))
-    for g in pulses:
-        for i, j, c in g.pair_angles():
-            chi[pos[i], pos[j]] += c
-    # pair[i, j, b], the factor exp(-i chi_ij z_i z_j / 2) at z_i z_j = 1 - 2b
-    pair = np.exp(np.multiply.outer(chi + chi.T, [-0.5j, 0.5j]))
-    # field[j] is the factor wire j brings at z_j = +1, its conjugate at
-    # z_j = -1: the product of its couplings to the wires already in the
-    # table.  A diagonal diag(m00, m11) is e u^z_j with u = sqrt(m00 / m11),
-    # of unit modulus, and e = m00 / u: u starts wire j's field, e the table.
-    field = np.ones((k, 1), dtype=np.complex128)
-    phases = np.empty(1 << k, dtype=np.complex128)
-    e = 1.0
-    for q, (a, _, _, b) in diag.items():
-        field[pos[q]] = u = cmath.sqrt(a / b)
-        e *= a / u
-    phases[0] = e
-    # each wire w, last first, becomes the table's new most significant bit
+    size = len(tables)
+    idx, chis, slots, fields, es = [], [], [], [], []
+    for t, (wires, pairs, diag) in enumerate(tables):
+        row = t * k
+        pos = {q: row + a for a, q in enumerate(wires)}  # q's flat index in field
+        idx += [pos[i] * k + pos[j] - row for i, j, _ in pairs]  # (t, i, j) in chi
+        chis += [c for _, _, c in pairs]
+        # field[j] is the factor wire j brings at z_j = +1, its conjugate at
+        # z_j = -1: the product of its couplings to the wires already in
+        # the table.  A diagonal diag(m00, m11) is e u^z_j with u = sqrt(m00
+        # / m11), of unit modulus, and e = m00 / u: u starts wire j's field,
+        # e the table.
+        e = 1.0
+        for q, (a, _, _, b) in diag.items():
+            u = cmath.sqrt(a / b)
+            slots.append(pos[q])
+            fields.append(u)
+            e *= a / u
+        es.append(e)
+    # chi summed over each table's pulses, pair by pair in order
+    chi = np.bincount(np.array(idx, np.intp), chis, size * k * k).reshape(size, k, k)
+    # pair[t, i, j, b], the factor exp(-i chi_ij z_i z_j / 2) at z_i z_j = 1 - 2b
+    pair = np.exp(np.multiply.outer(chi + chi.transpose(0, 2, 1), [-0.5j, 0.5j]))
+    field = np.ones(size * k, dtype=np.complex128)
+    field[np.array(slots, np.intp)] = fields
+    field = field.reshape(size, k, 1)
+    phases = np.empty((size, 1 << k), dtype=np.complex128)
+    phases[:, 0] = es
+    # each wire w, last first, becomes the tables' new most significant bit
     for w in reversed(range(k)):
         s = 1 << (k - 1 - w)
-        np.multiply(phases[:s], field[w].conj(), out=phases[s:2 * s])
-        phases[:s] *= field[w]
-        field = (field[:w, None] * pair[w, :w, :, None]).reshape(w, 2 * s)
-    axes, view, table = _layout(tuple(wires), n, bool(pulses))
-    if 1 in axes:
-        full = np.empty((2,) * len(axes), dtype=np.complex128)
-        full[...] = phases.reshape(axes)
-        phases = full
-    return view, phases.reshape(*table, 1)
+        low, f = phases[:, :s], field[:, w]
+        np.multiply(low, f.conj(), out=phases[:, s:2 * s])
+        low *= f
+        field = (field[:, :w, None] * pair[:, w, :w, :, None]).reshape(size, w, 2 * s)
+    return phases
+
+
+def _phase_tables(tables: Sequence[tuple], n: int) -> list[tuple[tuple, np.ndarray]]:
+    """For each record (wires, pairs, diag) of ``tables`` (``_sweep``), a
+    view shape for a (dim, batch) state and its table, to broadcast against
+    it with the batch appended (``_layout``).  The tables of one width are
+    one ``_sweep``, and each is a row of its sweep's array, which they hold
+    exactly."""
+    widths: dict[int, list[int]] = {}
+    for t, (wires, _, _) in enumerate(tables):
+        widths.setdefault(len(wires), []).append(t)
+    out = [None] * len(tables)
+    for k, group in widths.items():
+        for t, phases in zip(group, _sweep([tables[t] for t in group], k)):
+            view, shape = _layout(tables[t][0], n)
+            out[t] = view, phases.reshape(*shape, 1)
+    return out
 
 
 def _zyz(m: tuple) -> tuple[tuple, tuple, complex]:
@@ -256,9 +279,11 @@ class Plan:
     arguments.  ``passes`` counts them by kind, and ``nbytes`` is what the
     plan's phase tables and blocks hold.  ``wires`` are the wires each step
     acts on, in order (a CNOT's control first, a phase table's padding
-    included), and ``moved`` the sorted wires of the block and CNOT passes:
-    every other wire meets only diagonal tables, so a basis state keeps its
-    bit there.
+    included, a block's from its first pending wire, so that a block wider
+    than its pending wires is the identity on the wires above them), and
+    ``moved`` the sorted wires of the block and CNOT passes: every other
+    wire meets only diagonal tables, so a basis state keeps its bit there.
+    ``compile_s`` is the seconds ``_compile`` took.
     """
 
     steps: tuple[tuple[str, tuple | None, tuple], ...]
@@ -266,6 +291,7 @@ class Plan:
     nbytes: int
     wires: tuple[tuple[int, ...], ...]
     moved: tuple[int, ...]
+    compile_s: float
 
 
 def _compile(circuit: Circuit) -> Plan:
@@ -292,10 +318,13 @@ def _compile(circuit: Circuit) -> Plan:
     wire the open table spans when a window is flushed.  At the end a
     diagonal one rides in its window's block when the window has one and
     the last table does not span the wire, and joins the last table
-    otherwise.  The table, with or without pulses, is one pass
-    (``_pulse_phases``) when another pass or the end closes it.  So a run
-    of pulses costs one phase pass plus one block pass per window that
-    holds a non-diagonal pending matrix.
+    otherwise.  The table, with or without pulses, is one pass when another
+    pass or the end closes it.  So a run of pulses costs one phase pass
+    plus one block pass per window that holds a non-diagonal pending
+    matrix.  The pass records each table's inputs as it closes, its wires
+    (``_table_wires``), its pulses' pair angles and its folded diagonals,
+    and leaves a placeholder step; after the pass every table is built at
+    once, one ``_sweep`` per table width (``_phase_tables``).
 
     A window flushed for a pulse, XX or CP while the open table spans its
     pending wires, or can widen to them within ``CHUNK`` entries, becomes a
@@ -305,20 +334,26 @@ def _compile(circuit: Circuit) -> Plan:
     gate's own table folds when the wire is one of the gate's.  Before a
     CNOT or at the end no table follows the block, so nothing is split
     there.  The bottom window's block starts at its first pending wire,
-    which on one state makes it a narrower product.
+    which on one state makes it a narrower product.  Every other block
+    spans its window, the identity on the wires above its first pending
+    one, and acts on the wires from that one (``Plan.wires``).
     """
+    start = time.perf_counter()
     n = circuit.n_qubits
     pending: dict[int, tuple] = {}
     steps, touched = [], []
     passes = dict.fromkeys(("block", "phase", "cnot"), 0)
-    run, folded = [], {}  # the open table: its pulses and folded factors
+    tables, slots = [], []  # each closed table's record and its step's index
+    run, folded = [], {}  # the open table: its pulses' pair angles and folded factors
     span = set()  # the wires of the open table's pulses and factors
 
     def close_run():
         if span:
-            view, phases = _pulse_phases(run, n, folded)
-            steps.append(("apply_scale", view, (phases,)))
-            touched.append(tuple(sorted(_table_wires(span, n, bool(run)))))
+            wires = tuple(sorted(_table_wires(span, n, bool(run))))
+            tables.append((wires, list(run), dict(folded)))
+            slots.append(len(steps))
+            steps.append(None)  # its table is built after the pass
+            touched.append(wires)
             passes["phase"] += 1
             run.clear()
             folded.clear()
@@ -377,14 +412,16 @@ def _compile(circuit: Circuit) -> Plan:
                         rights[q] = (1.0, 0.0, 0.0, psi)
                     if p1 != 1 or p2 != 1:
                         lefts[q] = (p1, 0.0, 0.0, p2)
-            # the bottom window's block starts at its first factor
-            top = min(factors) if w == 0 else max(0, hi - WINDOW)
+            # the bottom window's block starts at its first factor; another
+            # spans its window, but acts on the wires from its first factor
+            first = min(factors)
+            top = first if w == 0 else max(0, hi - WINDOW)
             mats = np.array([factors.get(q, _I) for q in range(top, hi)])
             blk = mats[0].reshape(2, 2)
             for m in mats[1:].reshape(-1, 2, 2):
                 size = 2 * len(blk)
                 blk = (blk[:, None, :, None] * m[None, :, None, :]).reshape(size, size)
-            blocks.append((range(top, hi), blk, top))
+            blocks.append((range(first, hi), blk, top))
         join(rights)
         for args in blocks:
             emit("block", "apply_block", *args)
@@ -412,13 +449,15 @@ def _compile(circuit: Circuit) -> Plan:
             flush(wires, split=True)
             diag.update(diagonals(wires))  # the left diagonals of a split
             join(diag)
+            if kind == "GMS":
+                run.extend(g.pair_angles())
+            else:  # XX, or CP as the pair angle -theta/2, on the sorted pair
+                run.append((*sorted(wires), g.theta if kind == "XX" else -g.theta / 2))
             if kind == "CP":
                 t = 0.25j * g.theta
-                run.append(gms(wires, Uniform(-g.theta / 2)))
                 join({wires[0]: (cmath.exp(-t), 0.0, 0.0, cmath.exp(t)),
                       wires[1]: (1.0, 0.0, 0.0, cmath.exp(2 * t))})
             else:
-                run.append(g if kind == "GMS" else gms(wires, Uniform(g.theta)))
                 pending.update(dict.fromkeys(wires, _H))
             span.update(wires)
     # at the end a diagonal matrix rides in its window's block when the
@@ -427,13 +466,15 @@ def _compile(circuit: Circuit) -> Plan:
     join(diagonals([q for q in pending if (n - 1 - q) // WINDOW not in blocked]))
     flush(list(pending))
     close_run()
+    for i, (view, phases) in zip(slots, _phase_tables(tables, n)):
+        steps[i] = ("apply_scale", view, (phases,))
     arrays = [a for _, _, args in steps for a in args if isinstance(a, np.ndarray)]
     for a in arrays:
         a.flags.writeable = False  # shared by every run of the plan
     moved = {q for (name, _, _), wires in zip(steps, touched) if name != "apply_scale"
              for q in wires}
     return Plan(tuple(steps), passes, sum(a.nbytes for a in arrays), tuple(touched),
-                tuple(sorted(moved)))
+                tuple(sorted(moved)), time.perf_counter() - start)
 
 
 def _plan(circuit: Circuit) -> Plan:
@@ -477,23 +518,26 @@ def _reduced(plan: Plan, data: Sequence[int]):
     """``plan``'s steps for the basis columns of the ``data`` wires held
     as one state of |M| + d wires: the moved wires M, then the column
     index.  A block runs at its wires' position among M and a CNOT on its
-    wires' masks there; a phase table keeps its axes on M and on the data
-    wires, where it takes each column's own bit, and its entry at 0 on an
-    ancilla outside M, which no pass moves from |0>."""
+    wires' masks there.  A block that spans wires above its own (``Plan``)
+    is kron(I, B), block diagonal, so its top left sub-block B runs alone.
+    A phase table keeps its axes on M and on the data wires, where it takes
+    each column's own bit, and its entry at 0 on an ancilla outside M,
+    which no pass moves from |0>."""
     at = {q: p for p, q in enumerate(plan.moved)}
     for p, q in enumerate(data):
         at.setdefault(q, len(plan.moved) + p)
     width = len(plan.moved) + len(data)
     for (name, view, args), wires in zip(plan.steps, plan.wires):
         if name == "apply_block":
-            yield name, None, (args[0], at[args[1]])
+            size = 1 << len(wires)
+            yield name, None, (args[0][:size, :size], at[wires[0]])
         elif name == "apply_cnot":
             yield name, None, tuple(1 << (width - 1 - at[q]) for q in wires)
         else:
             table = args[0].reshape((2,) * len(wires))[
                 tuple(slice(None) if q in at else 0 for q in wires)]
             kept = sorted((at[q], a) for a, q in enumerate(q for q in wires if q in at))
-            _, view, shape = _layout(tuple(p for p, _ in kept), width, False)
+            view, shape = _layout(tuple(p for p, _ in kept), width)
             yield name, view, (table.transpose([a for _, a in kept]).reshape(*shape, 1),)
 
 
@@ -611,6 +655,7 @@ class AncillaMatch:
     passes: dict[str, int]  # passes over the columns by kind, from ``_run``
     plan_bytes: int  # held in the circuit's plan, ``Plan.nbytes``
     moved_wires: tuple[int, ...]  # the wires the columns ran on, ``Plan.moved``
+    compile_s: float  # the seconds the plan's compile took, ``Plan.compile_s``
 
 
 def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaMatch:
@@ -669,10 +714,10 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
     leakage = float(peaks.max())
     if leakage > tol:
         return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
-                            passes, plan.nbytes, plan.moved)
+                            passes, plan.nbytes, plan.moved, plan.compile_s)
     ok = ok and dev <= tol
     return AncillaMatch(ok, None if ok else "mismatch", lam, dev, leakage,
-                        passes, plan.nbytes, plan.moved)
+                        passes, plan.nbytes, plan.moved, plan.compile_s)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections.abc import Iterable
 
 import numpy as np
 
 from gmsforge import kernels, sim
-from gmsforge.circuit import (Circuit, Exponential, PerPair, Uniform, cnot,
-                              cp, gms, h, rx, ry, rz, xx)
-from gmsforge.gf2 import Gf2Matrix, fan_gms_cost, synthesize_linear
+from gmsforge.circuit import (Circuit, Exponential, PerPair, Uniform,
+                              check_register, cnot, cp, gms, h, rx, ry, rz, xx)
+from gmsforge.gf2 import FanLayer, Gf2Matrix, synthesize_linear
 
 
 def random_gate(rng: random.Random, n: int):
@@ -131,6 +132,34 @@ def oracle_unitary(circuit):
     return pairwise_run(circuit, np.eye(1 << circuit.n_qubits, dtype=complex))
 
 
+def one_table(wires, pairs, diag) -> np.ndarray:
+    """Oracle: the phase table of one record (wires, pairs, diag) of
+    ``sim._sweep``, built alone by the one-table recurrence over the wires
+    its pairs and diagonals touch and repeated over the rest of ``wires``;
+    flat over the bits of ``wires``, first most significant."""
+    core = sorted({q for i, j, _ in pairs for q in (i, j)}.union(diag))
+    k = len(core)
+    pos = {q: a for a, q in enumerate(core)}
+    chi = np.zeros((k, k))
+    for i, j, c in pairs:
+        chi[pos[i], pos[j]] += c
+    pair = np.exp(np.multiply.outer(chi + chi.T, [-0.5j, 0.5j]))
+    field = np.ones((k, 1), dtype=np.complex128)
+    phases = np.empty(1 << k, dtype=np.complex128)
+    e = 1.0
+    for q, (a, _, _, b) in diag.items():
+        field[pos[q]] = u = cmath.sqrt(a / b)
+        e *= a / u
+    phases[0] = e
+    for w in reversed(range(k)):
+        s = 1 << (k - 1 - w)
+        np.multiply(phases[:s], field[w].conj(), out=phases[s:2 * s])
+        phases[:s] *= field[w]
+        field = (field[:w, None] * pair[w, :w, :, None]).reshape(w, 2 * s)
+    axes = [2 if q in pos else 1 for q in wires]
+    return np.broadcast_to(phases.reshape(axes), (2,) * len(wires)).reshape(-1)
+
+
 # -- oracles over GF(2) ----------------------------------------------------------
 
 def gf2_mul(a: Gf2Matrix, b: Gf2Matrix) -> Gf2Matrix:
@@ -160,6 +189,36 @@ def is_invertible(m: Gf2Matrix) -> bool:
             if i != k and (rows[i] >> k) & 1:
                 rows[i] ^= rows[k]
     return True
+
+
+def gf2_transpose(m: Gf2Matrix) -> Gf2Matrix:
+    return Gf2Matrix(m.n, tuple(m.column(j) for j in range(m.n)))
+
+
+def fan_gms_cost(layers: Iterable[FanLayer]) -> int:
+    """Pulse count of a fan-layer list: 2 per real fan, 1 per bare CNOT."""
+    return sum(2 if len(layer.targets) >= 2 else 1 for layer in layers)
+
+
+def stabilizer_gms_bound(n: int) -> tuple[int, dict[str, int]]:
+    """Pulse budget for an n-qubit stabilizer unitary via its 9-stage
+    layered form: two triangular CNOT stages and two general ones.
+
+    Pure count arithmetic (12n - 18 total); this does not synthesize a
+    tableau.
+    """
+    check_register(n, 2)
+    triangular = 2 * n - 3
+    general = 2 * triangular
+    breakdown = {
+        "cnot_stage_triangular_1": triangular,
+        "cnot_stage_triangular_2": triangular,
+        "cnot_stage_general_1": general,
+        "cnot_stage_general_2": general,
+    }
+    total = sum(breakdown.values())
+    assert total == 12 * n - 18
+    return total, breakdown
 
 
 def gms_count_linear(m: Gf2Matrix) -> int:

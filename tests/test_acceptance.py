@@ -12,8 +12,9 @@ import time
 
 import numpy as np
 
-from conftest import (basis_state, gf2_mul, gms_count_linear, random_circuit,
-                      random_echo_circuit, random_invertible_gf2)
+from conftest import (basis_state, fan_gms_cost, gf2_mul, gf2_transpose,
+                      gms_count_linear, random_circuit, random_echo_circuit,
+                      random_invertible_gf2, stabilizer_gms_bound)
 from gmsforge import constructions as cons
 from gmsforge import fourier, gf2, sim
 from gmsforge.circuit import Circuit, Exponential, PowerLawSum, Uniform, gms, xx
@@ -106,8 +107,8 @@ def test_criterion_4_stabilizer_counts():
                 if (bits >> k) & 1:
                     rows[i][j] = 1
             upper = gf2.Gf2Matrix.from_rows(rows)
-            for t in (upper, upper.transpose()):
-                ok &= gf2.fan_gms_cost(gf2.triangular_to_fans(t)) <= 2 * n - 3
+            for t in (upper, gf2_transpose(upper)):
+                ok &= fan_gms_cost(gf2.triangular_to_fans(t)) <= 2 * n - 3
 
     rng = random.Random(4100)
     for _ in range(100):
@@ -119,7 +120,7 @@ def test_criterion_4_stabilizer_counts():
         ok &= resynth == m
 
     for n in (2, 3, 7, 15, 40):
-        total, breakdown = gf2.stabilizer_gms_bound(n)
+        total, breakdown = stabilizer_gms_bound(n)
         ok &= total == 12 * n - 18 and sum(breakdown.values()) == total
 
     _verdict(4, "stabilizer counts", ok)

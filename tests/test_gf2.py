@@ -2,12 +2,11 @@ import random
 
 import pytest
 
-from conftest import gf2_mul, gms_count_linear, random_invertible_gf2
+from conftest import (fan_gms_cost, gf2_mul, gf2_transpose, gms_count_linear,
+                      random_invertible_gf2, stabilizer_gms_bound)
 from gmsforge.constructions import TDISTILL_FANS, tdistill
-from gmsforge.gf2 import (FanLayer, Gf2Matrix, fan_gms_cost, linear_simulate,
-                          permutation_matrix, plu_decompose,
-                          stabilizer_gms_bound, synthesize_linear,
-                          triangular_to_fans)
+from gmsforge.gf2 import (FanLayer, Gf2Matrix, linear_simulate, permutation_matrix,
+                          plu_decompose, synthesize_linear, triangular_to_fans)
 
 
 def all_ones_lower(n):
@@ -85,7 +84,7 @@ def test_fans_exhaustive_unit_triangular():
                 if (bits >> k) & 1:
                     rows[i][j] = 1
             upper = Gf2Matrix.from_rows(rows)
-            lower = upper.transpose()
+            lower = gf2_transpose(upper)
             for t in (upper, lower):
                 layers = triangular_to_fans(t)
                 assert linear_simulate(layers, n) == t

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import basis_state, oracle_unitary, pairwise_run, random_state
+from conftest import (basis_state, one_table, oracle_unitary, pairwise_run,
+                      random_circuit, random_state)
 from gmsforge import constructions as cons
 from gmsforge import kernels, sim
 from gmsforge.circuit import (Circuit, Exponential, PerPair, PowerLawSum,
@@ -243,11 +244,13 @@ def test_diagonal_table_is_the_kronecker_product():
             for q in range(n):
                 m = diag.get(q, (1, 0, 0, 1))
                 want = np.multiply.outer(want, [m[0], m[3]]).reshape(-1)
-            st = random_state(nrng, n)
-            got = st.reshape(-1, 1).copy()
-            view, table = sim._pulse_phases((), n, diag)
-            kernels.BACKEND.apply_scale(got.reshape(*view, 1), table)
-            assert np.max(np.abs(got[:, 0] - want * st)) < 1e-15
+            # the table on its own wires, as between CNOTs, and padded
+            for wires in (diag, sim._table_wires(diag, n, True)):
+                st = random_state(nrng, n)
+                got = st.reshape(-1, 1).copy()
+                [(view, table)] = sim._phase_tables([(tuple(sorted(wires)), [], diag)], n)
+                kernels.BACKEND.apply_scale(got.reshape(*view, 1), table)
+                assert np.max(np.abs(got[:, 0] - want * st)) < 1e-15
 
 
 def test_window_edges_and_early_flush():
@@ -338,12 +341,12 @@ def test_tracing_sim_names_are_functions_of_sim():
 def folded_wires(monkeypatch) -> list[set]:
     """The wires folded into each phase table built from now on."""
     folds = []
-    real = sim._pulse_phases
+    real = sim._phase_tables
 
-    def recording(pulses, n, diag):
-        folds.append(set(diag))
-        return real(pulses, n, diag)
-    monkeypatch.setattr(sim, "_pulse_phases", recording)
+    def recording(tables, n):
+        folds.extend(set(diag) for _, _, diag in tables)
+        return real(tables, n)
+    monkeypatch.setattr(sim, "_phase_tables", recording)
     return folds
 
 
@@ -584,12 +587,68 @@ def test_second_run_reuses_the_plan(monkeypatch):
     psi = random_state(np.random.default_rng(9), circ.n_qubits)
     first = sim.apply(circ, psi)
     compiles = calls_of(monkeypatch, "_compile")
-    tables = calls_of(monkeypatch, "_pulse_phases")
+    tables = calls_of(monkeypatch, "_phase_tables")
     again = sim.apply(circ, psi)
     assert compiles == [] and tables == []
     fresh = sim.apply(qft_gms(8, Exponential()), psi)
-    assert len(compiles) == 1 and len(tables) == 7
+    assert len(compiles) == 1 and [len(records) for records, _ in tables] == [7]
     assert np.array_equal(again, fresh) and np.array_equal(again, first)
+
+
+# The tables: the pass records each table's inputs, and the tables of one
+# width are built in one sweep.
+
+def oracle_phase_tables(tables, n):
+    """``sim._phase_tables`` one table at a time, through the oracle."""
+    out = []
+    for wires, pairs, diag in tables:
+        view, shape = sim._layout(wires, n)
+        out.append((view, one_table(wires, pairs, diag).reshape(*shape, 1)))
+    return out
+
+
+def test_swept_tables_match_the_one_table_oracle(monkeypatch):
+    # the benchmark's circuits and seeded random ones: the plan with every
+    # table built alone differs only in the tables, by a batched exp's
+    # rounding; its blocks are bit for bit the same
+    rng = random.Random(31)
+    circuits = [cons.toffoli_n(7).generated, cons.fanin(9).generated,
+                qft_gms(8, Exponential()), cons.toffoli_n(11).generated,
+                qft_gms(16, Exponential()), qfa_gms(8, Exponential()),
+                cons.phase_polynomial_identity(17, 0.7), cons.tdistill().generated]
+    circuits += [random_circuit(rng, rng.randint(3, 8), 20) for _ in range(50)]
+    for circuit in circuits:
+        got = sim._compile(circuit)
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_phase_tables", oracle_phase_tables)
+            want = sim._compile(circuit)
+        assert (got.passes, got.nbytes, got.wires, got.moved) == (
+            want.passes, want.nbytes, want.wires, want.moved)
+        assert len(got.steps) == len(want.steps)
+        for (name, view, args), (name2, view2, args2) in zip(got.steps, want.steps):
+            assert (name, view) == (name2, view2)
+            if name == "apply_scale":
+                assert args[0].shape == args2[0].shape
+                assert np.max(np.abs(args[0] - args2[0])) <= 1e-15
+            elif name == "apply_block":
+                assert np.array_equal(args[0], args2[0]) and args[1:] == args2[1:]
+            else:
+                assert args == args2
+
+
+def test_one_sweep_per_table_width(monkeypatch):
+    # toffoli_n(7)'s fifteen tables are padded to one width, qft_gms(8)'s
+    # seven to three
+    for circuit, widths in ((cons.toffoli_n(7).generated, [6]),
+                            (qft_gms(8, Exponential()), [6, 7, 8])):
+        sweeps = calls_of(monkeypatch, "_sweep")
+        plan = sim._compile(circuit)
+        tables = [len(w) for (name, _, _), w in zip(plan.steps, plan.wires)
+                  if name == "apply_scale"]
+        assert sorted(k for _, k in sweeps) == sorted(set(tables)) == widths
+        assert sorted(len(records) for records, _ in sweeps) == sorted(
+            tables.count(k) for k in widths)
+        monkeypatch.undo()
 
 
 def test_cached_run_passes_through_the_backend(monkeypatch):

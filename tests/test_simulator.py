@@ -552,20 +552,20 @@ def test_benchmark_plans_are_unchanged_by_pulse_only_padding(monkeypatch):
                 toffoli_n(11).generated, qft_gms(16, Exponential()),
                 qfa_gms(8, Exponential()), cons.phase_polynomial_identity(17, 0.7),
                 tdistill().generated]
-    tables = []
-    real = sim._pulse_phases
+    pairs = []  # the pair angles of each table
+    real = sim._phase_tables
 
-    def recording(pulses, n, diag):
-        tables.append(len(pulses))
-        return real(pulses, n, diag)
+    def recording(tables, n):
+        pairs.extend(len(p) for _, p, _ in tables)
+        return real(tables, n)
 
     for circuit in circuits:
         want = compile_padding_every_table(monkeypatch, circuit)
         with monkeypatch.context() as m:
-            m.setattr(sim, "_pulse_phases", recording)
+            m.setattr(sim, "_phase_tables", recording)
             got = sim._compile(circuit)
         assert same_steps(got, want) and got.nbytes == want.nbytes
-    assert tables and 0 not in tables
+    assert pairs and 0 not in pairs
 
 
 def test_benchmark_circuits_move_few_wires():
@@ -574,10 +574,25 @@ def test_benchmark_circuits_move_few_wires():
     # controls in the Z frame around every pulse, the transform and the
     # encoder's fans move most of their wires
     for circuit, moved in ((toffoli_n(7).generated, 4), (cons.fanin(9).generated, 1),
-                           (qft_gms(8, Exponential()), 8), (tdistill().generated, 12)):
+                           (qft_gms(8, Exponential()), 8), (tdistill().generated, 11)):
         plan = sim._plan(circuit)
         assert len(plan.moved) == moved
         # a table spans the wires recorded for it, one axis of 2 each
         assert all(args[0].size == 1 << len(wires)
                    for (name, _, args), wires in zip(plan.steps, plan.wires)
                    if name == "apply_scale")
+
+
+def test_blocks_move_only_their_pending_wires():
+    # a block above the bottom window spans its window, but its wires start
+    # at its first pending matrix: on the wires above it the block is the
+    # identity, so the columns run its top left sub-block there
+    for n, moved in ((9, 5), (12, 6)):
+        plan = sim._plan(toffoli_n(n).generated)
+        assert len(plan.moved) == moved
+        for (name, _, args), wires in zip(plan.steps, plan.wires):
+            if name == "apply_block":
+                blk, size = args[0], 1 << len(wires)
+                assert wires[0] >= args[1] and len(blk) == size << wires[0] - args[1]
+                assert np.array_equal(blk, np.kron(np.eye(len(blk) // size),
+                                                   blk[:size, :size]))
