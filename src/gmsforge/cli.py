@@ -6,13 +6,16 @@ the given flags named after its parameters: its signature alone states them.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard tripped: every guard raises ``GuardError`` with one message naming
-the guard, the size asked and the limit, and ``main`` prints it.  Any other
-exception is an internal error and propagates.
+the guard, the size asked and the limit, and ``main`` prints it.  A path
+the user named that cannot be read or written is a usage error naming the
+flag and the path: every such path goes through ``_read`` or ``_write``.
+Any other exception is an internal error and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import inspect
 import json
@@ -29,6 +32,27 @@ from .circuit import (ArgumentError, Circuit, Exponential, GuardError, PowerLawS
 from .sim import IndexMap, equiv_on_ancilla, unitary_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD = 0, 1, 2, 3
+
+
+@contextlib.contextmanager
+def _user_path(flag: str, path):
+    """``path`` as the user named it with ``flag``: a failure to read or
+    write it is a usage error naming both, not a verification failure."""
+    try:
+        yield Path(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ArgumentError(f"{flag} {path}: {reason}") from None
+
+
+def _read(flag: str, path) -> str:
+    with _user_path(flag, path) as p:
+        return p.read_text()
+
+
+def _write(flag: str, path, text: str) -> None:
+    with _user_path(flag, path) as p:
+        p.write_text(text)
 
 
 def _profile_from_args(args):
@@ -55,8 +79,9 @@ def _power_law(terms, offset: int, flag: str) -> PowerLawSum:
 
 def _synth_linear(matrix: str) -> Circuit:
     """Fan circuit of the GF(2) matrix whose 0/1 rows the JSON file holds."""
+    text = _read("--matrix", matrix)
     try:
-        m = gf2.Gf2Matrix.from_rows(json.loads(Path(matrix).read_text()))
+        m = gf2.Gf2Matrix.from_rows(json.loads(text))
     except (json.JSONDecodeError, ArgumentError) as exc:
         raise ArgumentError(f"--matrix {matrix}: {exc}") from None
     layers, perm = gf2.synthesize_linear(m)
@@ -95,16 +120,16 @@ SYNTH = {
 }
 
 
-def _resolve(target: str, args) -> Circuit | cons.ConstructionSpec:
+def _resolve(target: str, args, flag: str) -> Circuit | cons.ConstructionSpec:
     """A construction name always means the construction: its builder gets
     the given flags named after its parameters, with ``profile`` built from
     --profile, --terms and --offset.  Any other string is a circuit JSON
-    path."""
+    path, which ``flag`` named."""
     if target not in SYNTH:
         if not Path(target).exists():
             raise ArgumentError(f"{target!r} is neither a file nor one of: "
                                 + " ".join(sorted(SYNTH)))
-        return deserialize(Path(target).read_text())
+        return deserialize(_read(flag, target))
     module, attr = SYNTH[target]
     build = getattr(module, attr)
     kwargs = {}
@@ -130,9 +155,9 @@ def _emitted(built, args) -> Circuit:
 
 
 def cmd_synth(args) -> int:
-    text = serialize(_emitted(_resolve(args.name, args), args))
+    text = serialize(_emitted(_resolve(args.name, args, "name"), args))
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write("--out", args.out, text + "\n")
     else:
         print(text)
     return EXIT_OK
@@ -142,11 +167,11 @@ def cmd_verify(args) -> int:
     start = time.perf_counter()
     if not 0 < args.tol < math.inf:
         raise ArgumentError(f"--tol must be finite and above 0, not {args.tol}")
-    circuit = deserialize(Path(args.file).read_text())
+    circuit = deserialize(_read("file", args.file))
     if args.emit_unitary:
         guard("dump", circuit.n_qubits, 6, "qubits")
     read = time.perf_counter()
-    ref = _resolve(args.against, args)
+    ref = _resolve(args.against, args, "--against")
     # a construction's action (a permutation is compared in place), or a circuit
     reference, how = ((ref.act, "oracle") if isinstance(ref, cons.ConstructionSpec)
                       else (unitary_of(ref), "circuit"))
@@ -182,11 +207,11 @@ def _dump_unitary(u: np.ndarray, path: str) -> None:
     lines = []
     for row in u:
         lines.append(",".join(f"{z.real:.17g},{z.imag:.17g}" for z in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write("--emit-unitary", path, "\n".join(lines) + "\n")
 
 
 def cmd_count(args) -> int:
-    circuit = _emitted(_resolve(args.source, args), args)
+    circuit = _emitted(_resolve(args.source, args, "target"), args)
     report = circuit.cost()
     if args.json:
         print(json.dumps(report.as_dict()))
@@ -278,15 +303,16 @@ def cmd_table1(args) -> int:
 def cmd_optimize(args) -> int:
     start = time.perf_counter()
     res = fourier.optimize_powerlaw(args.n, args.m, args.step, offset=args.offset)
+    with _user_path("--out-dir", args.out_dir) as outdir:
+        outdir.mkdir(parents=True, exist_ok=True)
     terms = " ".join(f"b{i+1}={b:g} p{i+1}={p:g}"
                      for i, (b, p) in enumerate(res.params.terms))
     print(f"best: {terms}  fidelity={res.fidelity:.9f}  "
           f"evaluations={res.evaluations}")
-    outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for scan in res.scans:
-        (outdir / f"scan_{scan.axis}.csv").write_text(_scan_csv(scan))
-        print(f"wrote {outdir / f'scan_{scan.axis}.csv'}")
+        path = outdir / f"scan_{scan.axis}.csv"
+        _write("--out-dir", path, _scan_csv(scan))
+        print(f"wrote {path}")
     if args.json:
         print(json.dumps(_manifest("optimize-powerlaw", vars(args), start, [
             {"name": "grid_search", "outcome": "PASS", "deviation": None,
@@ -314,7 +340,7 @@ def cmd_fidelity_scan(args) -> int:
         raise ArgumentError(f"--axis must be one of b1..b{m}, p1..p{m}")
     scan = fourier.scan_axis(args.n, params, args.axis, args.step)
     if args.out:
-        Path(args.out).write_text(_scan_csv(scan))
+        _write("--out", args.out, _scan_csv(scan))
     else:
         print(_scan_csv(scan), end="")
     return EXIT_OK
@@ -418,7 +444,7 @@ def main(argv=None) -> int:
     try:
         # looked up when the command runs, so a replaced cmd_* is the one run
         return globals()[args.func](args)
-    except (ArgumentError, FileNotFoundError) as exc:
+    except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SchemaError as exc:

@@ -5,11 +5,15 @@ the most significant bit of the basis index, so |q0 q1 ... q_{n-1}> has
 index sum(q_k * 2**(n-1-k)).
 
 Every dense check runs the basis columns |x>|0...0> of its d data wires
-through the circuit at once (d = n for a unitary), on the circuit's moved
-wires M alone: the wires its compiled block and CNOT passes move.  Every
-other wire meets only diagonal phase tables, so a basis column keeps its
-bit there, and the columns are 2^|M| x 2^d entries.  They are compared
-with the reference in place: lam times a phased permutation
+through the circuit at once (d = n for a unitary), on one path: the
+columns are one state of |M| + d wires, the circuit's moved wires M (the
+wires its compiled block and CNOT passes move) and the column index, and
+the plan's passes run re-indexed onto it (``_reduced``).  Every other wire
+meets only diagonal phase tables, so a basis column keeps its bit there,
+and the columns are 2^|M| x 2^d entries.  When M is the whole register,
+as in a QFT, that state is laid out as the plan's own batch of columns;
+the plan's steps as they are serve ``apply`` alone.  The columns are
+compared with the reference in place: lam times a phased permutation
 (``IndexMap``) or a dense reference matrix is subtracted from their data
 rows.  One byte budget covers them all and ``fourier``'s search and scans
 too: the bytes of a dense unitary at the qubit guard, 12 by default (256
@@ -394,7 +398,7 @@ def _compile(circuit: Circuit) -> Plan:
         if not any(q in pending for q in wires):
             return
         # the wires the open table spans when it closes: padded only if it
-        # holds a pulse, as ``_pulse_phases`` builds it
+        # holds a pulse, as ``close_run`` records it
         table = _table_wires(span, n, bool(run)) if span else set()
         join(diagonals(table))
         blocks, lefts, rights = [], {}, {}
@@ -550,9 +554,11 @@ def _columns(circuit: Circuit, data: Sequence[int]
     wires outside M (``keys``), and the passes over the columns by kind.
     Column x's row r stands for the register state with r's bits on M and
     x's elsewhere, so column x holds V's data row y only where keys[y] ==
-    keys[x].  When M is the whole register the plan's steps run as they
-    are (``_reduced`` otherwise); the columns are held under the dense
-    guard, 16 << (|M| + d) bytes.
+    keys[x].  The columns run as one state of |M| + d wires through
+    ``_reduced``, whatever M is: when M is the whole register that state
+    is laid out as the plan's own (2^n, 2^d) batch, and every pass makes
+    the same products.  They are held under the dense guard, 16 << (|M| +
+    d) bytes.
     """
     plan, d = _plan(circuit), len(data)
     k = len(plan.moved)
@@ -561,8 +567,6 @@ def _columns(circuit: Circuit, data: Sequence[int]
     keys = _spread(d, [0 if q in at else 1 << (d - 1 - p) for p, q in enumerate(data)])
     cols = _dense_zeros(k, d)
     cols[rows, np.arange(1 << d)] = 1.0
-    if k == circuit.n_qubits:
-        return cols, rows, keys, _run(circuit, cols)
     return cols, rows, keys, _run(circuit, cols.reshape(-1, 1), _reduced(plan, data))
 
 
@@ -610,14 +614,18 @@ def _row_blocks(a: np.ndarray):
     return [a[r:r + step] for r in range(0, len(a), step)]
 
 
-def _pivot(v, at) -> tuple[bool, complex]:
+def _pivot(v, at, tol: float) -> tuple[bool, complex]:
     """The phase lam of u = lam * V, read at V's pivot and renormalized to
     unit modulus; u's entry there is ``at(row, column)``.  The pivot is V's
     first largest-magnitude entry in row-major order, so lam never divides
     by a near-zero.  A matrix is scanned for it one row block at a time; an
     ``IndexMap``, one entry per row, has it at its largest |phase| on the
-    lowest destination row.  (False, 1) when u or V is 0 there: there is
-    no phase to read."""
+    lowest destination row.  (False, 1) when V is 0 there or |u| is at
+    most ``tol``: there is no phase to read, only rounding.  A unitary V on
+    d wires has |V| >= 2^(-d/2) at its pivot, so a pass needs |u| >=
+    2^(-d/2) - tol there, and at the default tol of 1e-9 this rule fails
+    no check that would pass; under a tol near 2^(-d/2) an entry within
+    tol of 0 fails, as an exact 0 does."""
     if isinstance(v, IndexMap):
         c = int(np.lexsort((v.dest, -np.abs(v.phase)))[0])
         r, b = v.dest[c], np.complex128(v.phase[c])
@@ -626,10 +634,10 @@ def _pivot(v, at) -> tuple[bool, complex]:
         k = int(np.argmax([np.abs(blk).max() for blk in blocks]))
         i, c = divmod(int(np.argmax(np.abs(blocks[k]))), blocks[k].shape[1])
         r, b = k * len(blocks[0]) + i, blocks[k][i, c]
-    lam = at(r, c) / b if b else 0.0
-    if abs(lam) == 0.0:
+    u = at(r, c)
+    if not b or abs(u) <= tol:
         return False, 1.0 + 0j
-    return True, lam / abs(lam)
+    return True, u / b / abs(u / b)
 
 
 def equiv_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> PhaseMatch:
@@ -639,7 +647,7 @@ def equiv_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> PhaseMatch:
     """
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    ok, lam = _pivot(v, lambda r, c: u.reshape(len(u), -1)[r, c])
+    ok, lam = _pivot(v, lambda r, c: u.reshape(len(u), -1)[r, c], tol)
     dev = float(np.max([np.abs(a - lam * b).max()
                         for a, b in zip(_row_blocks(u), _row_blocks(v))]))
     return PhaseMatch(ok and dev <= tol, lam, dev)
@@ -668,10 +676,10 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
     circuit on its moved wires M (``_columns``); the result must be
     (V|x>)|0...0> with one common global phase lam, read at V's pivot
     (``_pivot``), and "no phase" when column x's run does not hold the
-    pivot's row.  lam * V is subtracted in place from the data rows of
-    the columns, where column x holds V's rows that keep x's bits outside
-    M: an ``IndexMap`` at its one entry per column, a matrix one row block
-    at a time.  V's entries on the other data rows count toward the
+    pivot's row or holds it within tol of 0.  lam * V is subtracted in
+    place from the data rows of the columns, where column x holds V's rows
+    that keep x's bits outside M: an ``IndexMap`` at its one entry per
+    column, a matrix one row block at a time.  V's entries on the other data rows count toward the
     deviation as |lam * V|.  One pass of row maxima then gives the
     deviation from the data rows and the residual population on the rows
     with an ancilla bit of M set, which above tol is reported as the
@@ -689,7 +697,7 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
             f"dimension {ddim}, the whole register {1 << n}")
     cols, rows, keys, passes = _columns(circuit, data)
     plan = _plan(circuit)
-    ok, lam = _pivot(reference, lambda r, c: cols[rows[r], c] if keys[r] == keys[c] else 0)
+    ok, lam = _pivot(reference, lambda r, c: cols[rows[r], c] if keys[r] == keys[c] else 0, tol)
     if isinstance(reference, IndexMap):
         sub, dest = lam * reference.phase, reference.dest
         held = keys[dest] == keys

@@ -447,6 +447,45 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
         cli.main(["synth", "fanout", "--n", "4"])
 
 
+# {dir} is a directory, {bin} holds bytes that are not UTF-8, {file} is a
+# plain file and {ok} a circuit that passes against fanout --n 3
+UNUSABLE_PATHS = {
+    "verify a directory": ("verify {dir} --against fanout --n 3", "dir"),
+    "verify non-utf8": ("verify {bin} --against fanout --n 3", "bin"),
+    "against a directory": ("verify {ok} --against {dir} --n 3", "dir"),
+    "against non-utf8": ("verify {ok} --against {bin}", "bin"),
+    "emit-unitary to a directory": ("verify {ok} --against fanout --n 3 "
+                                    "--emit-unitary {dir}", "dir"),
+    "count a directory": ("count {dir}", "dir"),
+    "synth out to a directory": ("synth fanout --n 3 --out {dir}", "dir"),
+    "matrix a directory": ("synth linear --matrix {dir}", "dir"),
+    "matrix non-utf8": ("synth linear --matrix {bin}", "bin"),
+    "scan out to a directory": ("fidelity-scan --axis p1 --n 4 --params 0.4,2.5 "
+                                "--out {dir}", "dir"),
+    "out-dir a file": ("optimize-powerlaw --n 4 --m 1 --out-dir {file}", "file"),
+}
+
+
+@pytest.mark.parametrize("argv, named", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS)
+def test_unusable_user_path_is_a_usage_error(argv, named, tmp_path, capsys):
+    # exit 1 means the check failed: a path that cannot be read or written
+    # exits 2, with the path named and no traceback
+    paths = {"dir": tmp_path / "d", "bin": tmp_path / "b.json",
+             "file": tmp_path / "f", "ok": tmp_path / "ok.json"}
+    paths["dir"].mkdir()
+    paths["bin"].write_bytes(b"\xff\xfe{}")
+    paths["file"].write_text("x")
+    paths["ok"].write_text(serialize(fanout(3).generated))
+    code, out, err = run(capsys, *argv.format(**paths).split())
+    assert code == 2
+    if "--emit-unitary" in argv:  # verify printed its verdict before the write
+        assert out.startswith("PASS") and len(out.splitlines()) == 1
+    else:
+        assert out == ""
+    assert err.startswith("error: ") and str(paths[named]) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_bad_construction_arguments_exit2(tmp_path, capsys):
     code, out, err = run(capsys, "synth", "toffoli", "--n", "2")
     assert code == 2 and out == "" and "n >=" in err
@@ -736,6 +775,17 @@ def test_every_guard(name, qubits, ask, asked, limit, unit, tmp_path, capsys, mo
             assert code == 0, err
         else:
             assert code == 3 and out == "" and err.startswith(f"error: {message}")
+
+
+def test_readme_construction_table_is_synth():
+    # the README's table of constructions names cli.SYNTH's entries and
+    # their builders, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| name | builder | flags (default) | required |"
+    table = readme.split(header, 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]] for line in table]
+    assert rows == [[name, f"{module.__name__.rsplit('.', 1)[-1]}.{attr}"]
+                    for name, (module, attr) in cli.SYNTH.items()]
 
 
 def test_every_builder_parameter_is_a_flag():

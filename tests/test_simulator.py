@@ -223,7 +223,8 @@ def copied_rows_match(circuit, v, tol=1e-9, zeroed=None):
     engine does not make: the pairwise oracle's unitary, restricted to the
     data columns (column ``zeroed`` set to 0).  Copy the data rows out, zero
     them, take the largest |entry| left as the leakage, then ``equiv_phase``
-    on the copy.  Returns (ok, failure, phase, deviation, leakage)."""
+    on the copy, which reads no phase from a pivot entry within tol of 0.
+    Returns (ok, failure, phase, deviation, leakage)."""
     n = circuit.n_qubits
     data = range(n) if v.shape == (1 << n, 1 << n) else circuit.data_qubits
     rows = data_rows(n, data)
@@ -320,6 +321,64 @@ def test_in_place_compare_with_no_phase_at_the_pivot(make, monkeypatch):
     monkeypatch.setattr(sim, "_columns", zeroed)
     r = same_match(spec.generated, spec.act, zeroed=pivot)
     assert not r.ok and r.phase == 1.0 and r.failure == "mismatch"
+
+
+@pytest.mark.parametrize("make", [cons.toffoli3_gms, cons.toffoli4_7gms,
+                                  lambda: cons.toffoli_n(9)],
+                         ids=["toffoli3_gms", "toffoli4_7gms", "toffoli_n(9)"])
+def test_no_phase_is_read_from_a_rounding_level_pivot(make):
+    # RX(pi) on the last data wire moves V's pivot row out of the pivot's
+    # column, which keeps only a rounding residue there, a few 1e-16: no
+    # phase is read from it, as from an exact 0
+    spec = make()
+    mutant = spec.generated.append(rx(spec.generated.data_qubits[-1], PI))
+    cols, rows, keys, _ = sim._columns(mutant, mutant.data_qubits)
+    pivot = int(np.argmin(spec.act.dest))
+    assert keys[0] == keys[pivot] and 0 < abs(cols[rows[0], pivot]) < 1e-15
+    for reference in (spec.act, spec.act.matrix()):
+        r = sim.equiv_on_ancilla(mutant, reference)
+        assert not r.ok and r.failure == "mismatch" and r.phase == 1 + 0j
+
+
+def plan_run_columns(circuit, data):
+    """A whole-register plan's columns run by its own steps on the (2^n,
+    2^d) batch, the path such a plan took before every check ran through
+    ``sim._reduced``."""
+    n, d = circuit.n_qubits, len(data)
+    cols = np.zeros((1 << n, 1 << d), dtype=np.complex128)
+    cols[data_rows(n, data), np.arange(1 << d)] = 1.0
+    sim._run(circuit, cols)
+    return cols
+
+
+def test_every_plan_runs_its_columns_through_reduced(monkeypatch):
+    # one column path: ``_columns`` re-indexes every plan once, one that
+    # moves every wire included, and such a plan's columns keep the bits of
+    # its own steps run on the batch
+    reduced, calls = sim._reduced, []
+
+    def counted(plan, data):
+        calls.append(plan)
+        return reduced(plan, data)
+
+    monkeypatch.setattr(sim, "_reduced", counted)
+    whole = [qft_gms(n, Exponential()) for n in range(2, 9)]
+    rng = random.Random(31)
+    while len(whole) < 47:
+        n = rng.randint(2, 6)
+        c = Circuit(n, random_circuit(rng, n, rng.randint(1, 14)).gates,
+                    frozenset(rng.sample(range(n), rng.randint(0, n - 1))))
+        if len(sim._plan(c).moved) == n:
+            whole.append(c)
+    for c in whole + [cons.toffoli_n(6).generated, cons.fanin(6).generated]:
+        calls.clear()
+        cols, rows, keys, _ = sim._columns(c, c.data_qubits)
+        assert len(calls) == 1 and calls[0] is sim._plan(c)
+        if len(sim._plan(c).moved) == c.n_qubits:
+            want = plan_run_columns(c, c.data_qubits)
+            assert cols.tobytes() == want.tobytes()
+            assert np.array_equal(rows, data_rows(c.n_qubits, c.data_qubits))
+            assert not keys.any()
 
 
 def test_in_place_compare_with_unit_phases():
