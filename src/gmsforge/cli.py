@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 guard tripped: every guard raises ``GuardError`` with one message naming
 the guard, the size asked and the limit, and ``main`` prints it.  A path
 the user named that cannot be read or written is a usage error naming the
-flag and the path: every such path goes through ``_read`` or ``_write``.
+flag and the path: every such path goes through ``_user_path``, which
+``_read`` and ``_write`` wrap, and an output path is tried before the work
+whose result it would hold.
 Any other exception is an internal error and propagates.
 """
 
@@ -20,6 +22,7 @@ import functools
 import inspect
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -170,6 +173,8 @@ def cmd_verify(args) -> int:
     circuit = deserialize(_read("file", args.file))
     if args.emit_unitary:
         guard("dump", circuit.n_qubits, 6, "qubits")
+        with _user_path("--emit-unitary", args.emit_unitary) as path:
+            path.open("a").close()  # writable, before the work; no text is lost
     read = time.perf_counter()
     ref = _resolve(args.against, args, "--against")
     # a construction's action (a permutation is compared in place), or a circuit
@@ -302,8 +307,15 @@ def cmd_table1(args) -> int:
 
 def cmd_optimize(args) -> int:
     start = time.perf_counter()
-    res = fourier.optimize_powerlaw(args.n, args.m, args.step, offset=args.offset)
+    # refused before the search unless it, or its nearest existing parent
+    # when it is missing, is a directory we may write; made only after the
+    # search, so a refused argument creates nothing
     with _user_path("--out-dir", args.out_dir) as outdir:
+        near = next(p for p in (outdir, *outdir.absolute().parents) if p.exists())
+        if not (near.is_dir() and os.access(near, os.W_OK | os.X_OK)):
+            raise NotADirectoryError(f"{near} is not a directory we may write")
+    res = fourier.optimize_powerlaw(args.n, args.m, args.step, offset=args.offset)
+    with _user_path("--out-dir", args.out_dir):
         outdir.mkdir(parents=True, exist_ok=True)
     terms = " ".join(f"b{i+1}={b:g} p{i+1}={p:g}"
                      for i, (b, p) in enumerate(res.params.terms))

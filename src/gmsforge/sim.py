@@ -4,23 +4,23 @@ Basis convention (fixed once, all verifications depend on it): qubit 0 is
 the most significant bit of the basis index, so |q0 q1 ... q_{n-1}> has
 index sum(q_k * 2**(n-1-k)).
 
-Every dense check runs the basis columns |x>|0...0> of its d data wires
-through the circuit at once (d = n for a unitary), on one path: the
-columns are one state of |M| + d wires, the circuit's moved wires M (the
-wires its compiled block and CNOT passes move) and the column index, and
-the plan's passes run re-indexed onto it (``_reduced``).  Every other wire
-meets only diagonal phase tables, so a basis column keeps its bit there,
-and the columns are 2^|M| x 2^d entries.  When M is the whole register,
-as in a QFT, that state is laid out as the plan's own batch of columns;
-the plan's steps as they are serve ``apply`` alone.  The columns are
-compared with the reference in place: lam times a phased permutation
-(``IndexMap``) or a dense reference matrix is subtracted from their data
-rows.  One byte budget covers them all and ``fourier``'s search and scans
-too: the bytes of a dense unitary at the qubit guard, 12 by default (256
-MiB), so |M| + d may not exceed 24, and a unitary's 2n may not either;
-override the 12 with the GMSFORGE_MAX_DENSE_QUBITS environment variable,
-a positive integer (any other value raises ArgumentError).  A request
-above it raises ``circuit.GuardError``.  The statevector path has no such
+A compiled plan keeps its passes by wire, and one function, ``_placed``,
+lays them onto a state that holds each wire at a given position: ``apply``
+runs the register's own placement, kept on the plan, and every dense
+check the placement on its columns.  A check runs the basis columns
+|x>|0...0> of its d data wires through the circuit at once (d = n for a
+unitary) as one state of |M| + d wires, the circuit's moved wires M (the
+wires its compiled block and CNOT passes move) followed by the column
+index.  Every other wire meets only diagonal phase tables, so a basis
+column keeps its bit there, and the columns are 2^|M| x 2^d entries.  The
+columns are compared with the reference in place: lam times a phased
+permutation (``IndexMap``) or a dense reference matrix is subtracted from
+their data rows.  One byte budget covers them all and ``fourier``'s
+search and scans too: the bytes of a dense unitary at the qubit guard, 12
+by default (256 MiB), so |M| + d may not exceed 24, and a unitary's 2n
+may not either; override the 12 with the GMSFORGE_MAX_DENSE_QUBITS
+environment variable, a positive integer (any other value raises
+ArgumentError).  A request above it raises ``circuit.GuardError``.  The statevector path has no such
 guard and is used for wide-register parity checks.
 
 Every path runs through ``_run`` on the numpy kernels, three of them.
@@ -123,10 +123,6 @@ def guard_bytes(name: str, asked: int) -> None:
     qubits = max_dense_qubits()
     guard(name, asked, 16 << 2 * qubits, "bytes", f"a dense unitary at {qubits} "
           "qubits; set GMSFORGE_MAX_DENSE_QUBITS to raise it")
-
-
-def _mask(n: int, q: int) -> int:
-    return 1 << (n - 1 - q)
 
 
 # A single-qubit matrix [[m00, m01], [m10, m11]] is the tuple (m00, m01,
@@ -242,20 +238,15 @@ def _sweep(tables: Sequence[tuple], k: int) -> np.ndarray:
     return phases
 
 
-def _phase_tables(tables: Sequence[tuple], n: int) -> list[tuple[tuple, np.ndarray]]:
-    """For each record (wires, pairs, diag) of ``tables`` (``_sweep``), a
-    view shape for a (dim, batch) state and its table, to broadcast against
-    it with the batch appended (``_layout``).  The tables of one width are
-    one ``_sweep``, and each is a row of its sweep's array, which they hold
-    exactly."""
-    widths: dict[int, list[int]] = {}
-    for t, (wires, _, _) in enumerate(tables):
-        widths.setdefault(len(wires), []).append(t)
+def _phase_tables(tables: Sequence[tuple]) -> list[np.ndarray]:
+    """For each record (wires, pairs, diag) of ``tables`` (``_sweep``), its
+    flat table of 2^k entries over its k wires.  The tables of one width
+    are one ``_sweep``, and each is a row of its sweep's array."""
     out = [None] * len(tables)
-    for k, group in widths.items():
+    for k in {len(wires) for wires, _, _ in tables}:
+        group = [t for t, (wires, _, _) in enumerate(tables) if len(wires) == k]
         for t, phases in zip(group, _sweep([tables[t] for t in group], k)):
-            view, shape = _layout(tables[t][0], n)
-            out[t] = view, phases.reshape(*shape, 1)
+            out[t] = phases
     return out
 
 
@@ -275,27 +266,32 @@ def _zyz(m: tuple) -> tuple[tuple, tuple, complex]:
 
 @dataclass(frozen=True)
 class Plan:
-    """A circuit compiled for ``_run``.
+    """A circuit of ``n`` wires compiled for ``_run``.
 
-    ``steps`` are the passes over the state in order, each a kernel name on
-    ``BACKEND``, the view the kernel takes of a (dim, batch) state (a shape
-    less its batch axis, or None for the state as it is) and the kernel's
-    arguments.  ``passes`` counts them by kind, and ``nbytes`` is what the
-    plan's phase tables and blocks hold.  ``wires`` are the wires each step
-    acts on, in order (a CNOT's control first, a phase table's padding
-    included, a block's from its first pending wire, so that a block wider
-    than its pending wires is the identity on the wires above them), and
-    ``moved`` the sorted wires of the block and CNOT passes: every other
-    wire meets only diagonal tables, so a basis state keeps its bit there.
-    ``compile_s`` is the seconds ``_compile`` took.
+    ``steps`` are the passes over the state in order, each held by wire as
+    (kernel, wires, array), the kernel a name on ``BACKEND``: a block its
+    wires from its first pending wire and its array over its whole window,
+    the identity on the window's wires above them; a CNOT (control,
+    target) and no array; a phase table its sorted wires, padding
+    included, and its flat 2^k table.  ``_placed`` alone lays them onto a
+    state.  ``passes`` counts them by kind, and ``nbytes`` is what the
+    plan's phase tables and blocks hold.  ``moved`` are the sorted wires of
+    the block and CNOT passes: every other wire meets only diagonal tables,
+    so a basis state keeps its bit there.  ``compile_s`` is the seconds
+    ``_compile`` took.
     """
 
-    steps: tuple[tuple[str, tuple | None, tuple], ...]
+    n: int
+    steps: tuple[tuple[str, tuple[int, ...], np.ndarray | None], ...]
     passes: dict[str, int]
     nbytes: int
-    wires: tuple[tuple[int, ...], ...]
     moved: tuple[int, ...]
     compile_s: float
+
+    @cached_property
+    def register(self) -> list[tuple]:
+        """The steps placed on the plan's own register, built on first use."""
+        return list(_placed(self, range(self.n), self.n))
 
 
 def _compile(circuit: Circuit) -> Plan:
@@ -325,10 +321,10 @@ def _compile(circuit: Circuit) -> Plan:
     otherwise.  The table, with or without pulses, is one pass when another
     pass or the end closes it.  So a run of pulses costs one phase pass
     plus one block pass per window that holds a non-diagonal pending
-    matrix.  The pass records each table's inputs as it closes, its wires
-    (``_table_wires``), its pulses' pair angles and its folded diagonals,
-    and leaves a placeholder step; after the pass every table is built at
-    once, one ``_sweep`` per table width (``_phase_tables``).
+    matrix.  The pass records each table's inputs in its step as it
+    closes, its wires (``_table_wires``), its pulses' pair angles and its
+    folded diagonals; after the pass every table is built at once, one
+    ``_sweep`` per table width (``_phase_tables``).
 
     A window flushed for a pulse, XX or CP while the open table spans its
     pending wires, or can widen to them within ``CHUNK`` entries, becomes a
@@ -340,34 +336,24 @@ def _compile(circuit: Circuit) -> Plan:
     there.  The bottom window's block starts at its first pending wire,
     which on one state makes it a narrower product.  Every other block
     spans its window, the identity on the wires above its first pending
-    one, and acts on the wires from that one (``Plan.wires``).
+    one, and its step holds the wires from that one.  The steps are held by
+    wire (``Plan``), for ``_placed`` to lay onto a state.
     """
     start = time.perf_counter()
     n = circuit.n_qubits
     pending: dict[int, tuple] = {}
-    steps, touched = [], []
-    passes = dict.fromkeys(("block", "phase", "cnot"), 0)
-    tables, slots = [], []  # each closed table's record and its step's index
+    steps = []
     run, folded = [], {}  # the open table: its pulses' pair angles and folded factors
     span = set()  # the wires of the open table's pulses and factors
 
     def close_run():
         if span:
             wires = tuple(sorted(_table_wires(span, n, bool(run))))
-            tables.append((wires, list(run), dict(folded)))
-            slots.append(len(steps))
-            steps.append(None)  # its table is built after the pass
-            touched.append(wires)
-            passes["phase"] += 1
+            # the table's record: its table is built after the pass
+            steps.append(("apply_scale", wires, (list(run), dict(folded))))
             run.clear()
             folded.clear()
             span.clear()
-
-    def emit(kind, name, wires, *args):
-        close_run()
-        steps.append((name, None, args))
-        touched.append(tuple(wires))
-        passes[kind] += 1
 
     def push(q, m):
         prev = pending.get(q)
@@ -425,10 +411,10 @@ def _compile(circuit: Circuit) -> Plan:
             for m in mats[1:].reshape(-1, 2, 2):
                 size = 2 * len(blk)
                 blk = (blk[:, None, :, None] * m[None, :, None, :]).reshape(size, size)
-            blocks.append((range(first, hi), blk, top))
+            blocks.append(("apply_block", tuple(range(first, hi)), blk))
         join(rights)
-        for args in blocks:
-            emit("block", "apply_block", *args)
+        close_run()
+        steps.extend(blocks)
         pending.update(lefts)
 
     for g in circuit.gates:
@@ -444,7 +430,8 @@ def _compile(circuit: Circuit) -> Plan:
         elif kind == "CNOT":
             join(diagonals(wires))
             flush(wires)
-            emit("cnot", "apply_cnot", wires, *(_mask(n, q) for q in wires))
+            close_run()
+            steps.append(("apply_cnot", wires, None))
         else:
             if kind != "CP":  # the frame: Hadamards on the gate's wires
                 for q in wires:
@@ -470,14 +457,16 @@ def _compile(circuit: Circuit) -> Plan:
     join(diagonals([q for q in pending if (n - 1 - q) // WINDOW not in blocked]))
     flush(list(pending))
     close_run()
-    for i, (view, phases) in zip(slots, _phase_tables(tables, n)):
-        steps[i] = ("apply_scale", view, (phases,))
-    arrays = [a for _, _, args in steps for a in args if isinstance(a, np.ndarray)]
+    built = iter(_phase_tables([(w, *a) for name, w, a in steps if name == "apply_scale"]))
+    steps = [(name, wires, next(built) if name == "apply_scale" else a)
+             for name, wires, a in steps]
+    arrays = [a for _, _, a in steps if a is not None]
     for a in arrays:
         a.flags.writeable = False  # shared by every run of the plan
-    moved = {q for (name, _, _), wires in zip(steps, touched) if name != "apply_scale"
-             for q in wires}
-    return Plan(tuple(steps), passes, sum(a.nbytes for a in arrays), tuple(touched),
+    passes = {kind: sum(name == kernel for name, _, _ in steps) for kind, kernel in
+              (("block", "apply_block"), ("phase", "apply_scale"), ("cnot", "apply_cnot"))}
+    moved = {q for name, wires, _ in steps if name != "apply_scale" for q in wires}
+    return Plan(n, tuple(steps), passes, sum(a.nbytes for a in arrays),
                 tuple(sorted(moved)), time.perf_counter() - start)
 
 
@@ -491,13 +480,46 @@ def _plan(circuit: Circuit) -> Plan:
     return plan
 
 
-def _run(circuit: Circuit, st: np.ndarray, steps=None) -> dict[str, int]:
+def _placed(plan: Plan, at, width: int):
+    """Yield ``plan``'s steps as kernel calls on a (2^width, batch) state that
+    holds wire q at position ``at[q]``, position 0 most significant: each a
+    kernel name on ``BACKEND``, the view the kernel takes of the state (a
+    shape less its batch axis, or None for the state as it is) and its
+    arguments.  A CNOT runs on its wires' masks, and a block at its first
+    wire's position, with its wires in order below it.  A block that spans
+    idle wires above its own is kron(I, B), the identity on whatever sits
+    at those positions, so it runs over as many of them as the state has
+    above its wires: on the register its whole window, at position 0 B
+    alone.  A phase table is laid out on its wires' positions, and takes
+    its entry at 0 on a wire outside ``at``, which the state holds in |0>
+    and no pass moves."""
+    for name, wires, a in plan.steps:
+        if name == "apply_cnot":
+            yield name, None, tuple(1 << (width - 1 - at[q]) for q in wires)
+        elif name == "apply_block":
+            end = at[wires[0]] + len(wires)  # the position below its wires
+            top = max(0, end + 1 - len(a).bit_length())
+            size = 1 << (end - top)
+            yield name, None, (a[:size, :size], top)
+        else:
+            table = a.reshape((2,) * len(wires))[
+                tuple(slice(None) if q in at else 0 for q in wires)]
+            kept = sorted((at[q], i) for i, q in enumerate(q for q in wires if q in at))
+            view, shape = _layout(tuple(p for p, _ in kept), width)
+            table = table.transpose([i for _, i in kept]).reshape(*shape, 1)
+            yield name, view, (table,)
+
+
+def _run(circuit: Circuit, st: np.ndarray, at=None) -> dict[str, int]:
     """Apply every gate of ``circuit`` to the (dim, batch) array in place,
-    through the circuit's plan or ``steps`` made from it; return the passes
-    over the state by kind (block, phase, cnot), a copy the caller may
-    keep.  The kernels are looked up on ``BACKEND`` at every pass."""
+    through the circuit's plan placed on it (``_placed``): on the register,
+    the placement the plan keeps, or with wire q at position ``at[q]`` of
+    log2(dim) wires.  Return the passes over the state by kind (block,
+    phase, cnot), a copy the caller may keep.  The kernels are looked up on
+    ``BACKEND`` at every pass."""
     plan, batch = _plan(circuit), st.shape[1]
-    for name, view, args in plan.steps if steps is None else steps:
+    calls = plan.register if at is None else _placed(plan, at, len(st).bit_length() - 1)
+    for name, view, args in calls:
         getattr(BACKEND, name)(st if view is None else st.reshape(*view, batch), *args)
     return dict(plan.passes)
 
@@ -518,33 +540,6 @@ def _spread(k: int, masks: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _reduced(plan: Plan, data: Sequence[int]):
-    """``plan``'s steps for the basis columns of the ``data`` wires held
-    as one state of |M| + d wires: the moved wires M, then the column
-    index.  A block runs at its wires' position among M and a CNOT on its
-    wires' masks there.  A block that spans wires above its own (``Plan``)
-    is kron(I, B), block diagonal, so its top left sub-block B runs alone.
-    A phase table keeps its axes on M and on the data wires, where it takes
-    each column's own bit, and its entry at 0 on an ancilla outside M,
-    which no pass moves from |0>."""
-    at = {q: p for p, q in enumerate(plan.moved)}
-    for p, q in enumerate(data):
-        at.setdefault(q, len(plan.moved) + p)
-    width = len(plan.moved) + len(data)
-    for (name, view, args), wires in zip(plan.steps, plan.wires):
-        if name == "apply_block":
-            size = 1 << len(wires)
-            yield name, None, (args[0][:size, :size], at[wires[0]])
-        elif name == "apply_cnot":
-            yield name, None, tuple(1 << (width - 1 - at[q]) for q in wires)
-        else:
-            table = args[0].reshape((2,) * len(wires))[
-                tuple(slice(None) if q in at else 0 for q in wires)]
-            kept = sorted((at[q], a) for a, q in enumerate(q for q in wires if q in at))
-            view, shape = _layout(tuple(p for p, _ in kept), width)
-            yield name, view, (table.transpose([a for _, a in kept]).reshape(*shape, 1),)
-
-
 def _columns(circuit: Circuit, data: Sequence[int]
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, int]]:
     """Run the basis columns |x>|0...0> of the ``data`` wires through the
@@ -554,20 +549,20 @@ def _columns(circuit: Circuit, data: Sequence[int]
     wires outside M (``keys``), and the passes over the columns by kind.
     Column x's row r stands for the register state with r's bits on M and
     x's elsewhere, so column x holds V's data row y only where keys[y] ==
-    keys[x].  The columns run as one state of |M| + d wires through
-    ``_reduced``, whatever M is: when M is the whole register that state
-    is laid out as the plan's own (2^n, 2^d) batch, and every pass makes
-    the same products.  They are held under the dense guard, 16 << (|M| +
-    d) bytes.
+    keys[x].  The columns run as one state of |M| + d wires, M followed by
+    the column index, through the plan placed there (``_placed``): a data
+    wire outside M takes the column's own bit, an ancilla outside M stays
+    in |0>.  They are held under the dense guard, 16 << (|M| + d) bytes.
     """
     plan, d = _plan(circuit), len(data)
     k = len(plan.moved)
-    at = {q: 1 << (k - 1 - p) for p, q in enumerate(plan.moved)}
-    rows = _spread(d, [at.get(q, 0) for q in data])
+    at = {q: p for p, q in enumerate(plan.moved)}
+    rows = _spread(d, [1 << (k - 1 - at[q]) if q in at else 0 for q in data])
     keys = _spread(d, [0 if q in at else 1 << (d - 1 - p) for p, q in enumerate(data)])
     cols = _dense_zeros(k, d)
     cols[rows, np.arange(1 << d)] = 1.0
-    return cols, rows, keys, _run(circuit, cols.reshape(-1, 1), _reduced(plan, data))
+    at.update((q, k + p) for p, q in enumerate(data) if q not in at)
+    return cols, rows, keys, _run(circuit, cols.reshape(-1, 1), at)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -581,7 +576,7 @@ def unitary_of(circuit: Circuit) -> np.ndarray:
     if len(moved) == n:
         return cols
     out = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    rows = _spread(len(moved), [_mask(n, q) for q in moved])  # cols' rows, 0 off M
+    rows = _spread(len(moved), [1 << (n - 1 - q) for q in moved])  # cols' rows, 0 off M
     x, step = np.arange(1 << n), max(1, CHUNK >> n)
     for r in range(0, len(cols), step):
         out[rows[r:r + step, None] | keys, x] = cols[r:r + step]

@@ -248,8 +248,9 @@ def test_diagonal_table_is_the_kronecker_product():
             for wires in (diag, sim._table_wires(diag, n, True)):
                 st = random_state(nrng, n)
                 got = st.reshape(-1, 1).copy()
-                [(view, table)] = sim._phase_tables([(tuple(sorted(wires)), [], diag)], n)
-                kernels.BACKEND.apply_scale(got.reshape(*view, 1), table)
+                [table] = sim._phase_tables([(tuple(sorted(wires)), [], diag)])
+                view, shape = sim._layout(tuple(sorted(wires)), n)
+                kernels.BACKEND.apply_scale(got.reshape(*view, 1), table.reshape(*shape, 1))
                 assert np.max(np.abs(got[:, 0] - want * st)) < 1e-15
 
 
@@ -343,9 +344,9 @@ def folded_wires(monkeypatch) -> list[set]:
     folds = []
     real = sim._phase_tables
 
-    def recording(tables, n):
+    def recording(tables):
         folds.extend(set(diag) for _, _, diag in tables)
-        return real(tables, n)
+        return real(tables)
     monkeypatch.setattr(sim, "_phase_tables", recording)
     return folds
 
@@ -499,7 +500,7 @@ def test_end_join_keeps_to_the_last_table():
     # window's block; the last tables of these two held 512 and 65536
     # entries when every leftover joined
     for name, entries in (("toffoli_n(11)", 128), ("qfa_gms(8)", 256)):
-        tables = [args[0] for kind, _, args in sim._plan(BUILDS[name]()).steps
+        tables = [a for kind, _, a in sim._plan(BUILDS[name]()).steps
                   if kind == "apply_scale"]
         assert tables[-1].size == entries, name
 
@@ -591,20 +592,16 @@ def test_second_run_reuses_the_plan(monkeypatch):
     again = sim.apply(circ, psi)
     assert compiles == [] and tables == []
     fresh = sim.apply(qft_gms(8, Exponential()), psi)
-    assert len(compiles) == 1 and [len(records) for records, _ in tables] == [7]
+    assert len(compiles) == 1 and [len(records) for records, in tables] == [7]
     assert np.array_equal(again, fresh) and np.array_equal(again, first)
 
 
 # The tables: the pass records each table's inputs, and the tables of one
 # width are built in one sweep.
 
-def oracle_phase_tables(tables, n):
+def oracle_phase_tables(tables):
     """``sim._phase_tables`` one table at a time, through the oracle."""
-    out = []
-    for wires, pairs, diag in tables:
-        view, shape = sim._layout(wires, n)
-        out.append((view, one_table(wires, pairs, diag).reshape(*shape, 1)))
-    return out
+    return [one_table(wires, pairs, diag) for wires, pairs, diag in tables]
 
 
 def test_swept_tables_match_the_one_table_oracle(monkeypatch):
@@ -622,18 +619,17 @@ def test_swept_tables_match_the_one_table_oracle(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(sim, "_phase_tables", oracle_phase_tables)
             want = sim._compile(circuit)
-        assert (got.passes, got.nbytes, got.wires, got.moved) == (
-            want.passes, want.nbytes, want.wires, want.moved)
+        assert (got.passes, got.nbytes, got.moved) == (want.passes, want.nbytes, want.moved)
         assert len(got.steps) == len(want.steps)
-        for (name, view, args), (name2, view2, args2) in zip(got.steps, want.steps):
-            assert (name, view) == (name2, view2)
+        for (name, wires, a), (name2, wires2, a2) in zip(got.steps, want.steps):
+            assert (name, wires) == (name2, wires2)
             if name == "apply_scale":
-                assert args[0].shape == args2[0].shape
-                assert np.max(np.abs(args[0] - args2[0])) <= 1e-15
+                assert a.shape == a2.shape
+                assert np.max(np.abs(a - a2)) <= 1e-15
             elif name == "apply_block":
-                assert np.array_equal(args[0], args2[0]) and args[1:] == args2[1:]
+                assert np.array_equal(a, a2)
             else:
-                assert args == args2
+                assert a is a2 is None
 
 
 def test_one_sweep_per_table_width(monkeypatch):
@@ -643,12 +639,64 @@ def test_one_sweep_per_table_width(monkeypatch):
                             (qft_gms(8, Exponential()), [6, 7, 8])):
         sweeps = calls_of(monkeypatch, "_sweep")
         plan = sim._compile(circuit)
-        tables = [len(w) for (name, _, _), w in zip(plan.steps, plan.wires)
-                  if name == "apply_scale"]
+        tables = [len(w) for name, w, _ in plan.steps if name == "apply_scale"]
         assert sorted(k for _, k in sweeps) == sorted(set(tables)) == widths
         assert sorted(len(records) for records, _ in sweeps) == sorted(
             tables.count(k) for k in widths)
         monkeypatch.undo()
+
+
+def random_layout(rng, plan, extra):
+    """Every wire of ``plan`` at a random distinct position of a register
+    ``extra`` wires wider: the register cut into runs that no block's wires
+    cross, shuffled among the extra wires, so each block's wires stay
+    adjacent and in order, as ``_placed`` runs them."""
+    inside = {q for name, wires, _ in plan.steps if name == "apply_block"
+              for q in wires[1:]}
+    runs = []
+    for q in range(plan.n):
+        if q in inside:
+            runs[-1].append(q)
+        else:
+            runs.append([q])
+    items = runs + [[None]] * extra
+    rng.shuffle(items)
+    order = [q for run in items for q in run]
+    return {q: p for p, q in enumerate(order) if q is not None}
+
+
+def test_placed_on_random_layouts():
+    # the plan placed on a wider register whose other wires hold random
+    # states acts as ``apply`` does, on the positions it was given; blocks
+    # whose idle wires land on foreign wires, and blocks too near the top
+    # to run their whole window, included: gates on a few wires are
+    # dropped, so that a window's blocks may start below an idle wire
+    rng, nrng = random.Random(41), np.random.default_rng(41)
+    foreign = clipped = 0
+    for _ in range(80):
+        n, extra = rng.randint(2, 9), rng.randint(1, 3)
+        idle = set(rng.sample(range(n), rng.randint(0, n // 2)))
+        circ = Circuit(n, tuple(g for g in random_pulse_circuit(rng, n, 16).gates
+                                if not idle & set(g.qubits)))
+        plan = sim._plan(circ)
+        at = random_layout(rng, plan, extra)
+        width = n + extra
+        psi = nrng.normal(size=1 << width) + 1j * nrng.normal(size=1 << width)
+        got = psi.reshape(-1, 1).copy()
+        sim._run(circ, got, at)
+        # the register's wires first, in order, then the others
+        others = sorted(set(range(width)) - set(at.values()))
+        perm = [at[q] for q in range(n)] + others
+        cols = psi.reshape((2,) * width).transpose(perm).reshape(1 << n, -1)
+        want = np.stack([sim.apply(circ, col) for col in cols.T], axis=1)
+        want = want.reshape((2,) * width).transpose(np.argsort(perm)).reshape(-1)
+        assert np.max(np.abs(got[:, 0] - want)) < 1e-12
+        for (name, wires, blk), (_, _, args) in zip(plan.steps,
+                                                    sim._placed(plan, at, width)):
+            if name == "apply_block":
+                foreign += bool(set(range(args[1], at[wires[0]])) & set(others))
+                clipped += len(args[0]) < len(blk)
+    assert foreign and clipped
 
 
 def test_cached_run_passes_through_the_backend(monkeypatch):

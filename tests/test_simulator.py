@@ -341,9 +341,9 @@ def test_no_phase_is_read_from_a_rounding_level_pivot(make):
 
 
 def plan_run_columns(circuit, data):
-    """A whole-register plan's columns run by its own steps on the (2^n,
-    2^d) batch, the path such a plan took before every check ran through
-    ``sim._reduced``."""
+    """A whole-register plan's columns run by its register placement on the
+    (2^n, 2^d) batch, the path such a plan took before every check ran on
+    the moved wires followed by the column index."""
     n, d = circuit.n_qubits, len(data)
     cols = np.zeros((1 << n, 1 << d), dtype=np.complex128)
     cols[data_rows(n, data), np.arange(1 << d)] = 1.0
@@ -351,17 +351,17 @@ def plan_run_columns(circuit, data):
     return cols
 
 
-def test_every_plan_runs_its_columns_through_reduced(monkeypatch):
-    # one column path: ``_columns`` re-indexes every plan once, one that
-    # moves every wire included, and such a plan's columns keep the bits of
-    # its own steps run on the batch
-    reduced, calls = sim._reduced, []
+def test_every_plan_runs_its_columns_through_placed(monkeypatch):
+    # one column path: ``_columns`` places every plan once, one that moves
+    # every wire included, and such a plan's columns keep the bits of its
+    # register placement run on the batch
+    placed, calls = sim._placed, []
 
-    def counted(plan, data):
+    def counted(plan, at, width):
         calls.append(plan)
-        return reduced(plan, data)
+        return placed(plan, at, width)
 
-    monkeypatch.setattr(sim, "_reduced", counted)
+    monkeypatch.setattr(sim, "_placed", counted)
     whole = [qft_gms(n, Exponential()) for n in range(2, 9)]
     rng = random.Random(31)
     while len(whole) < 47:
@@ -589,8 +589,8 @@ def same_steps(a, b) -> bool:
         return x == y
 
     return len(a.steps) == len(b.steps) and all(
-        n1 == n2 and v1 == v2 and len(x1) == len(x2) and all(map(same, x1, x2))
-        for (n1, v1, x1), (n2, v2, x2) in zip(a.steps, b.steps))
+        n1 == n2 and w1 == w2 and same(x1, x2)
+        for (n1, w1, x1), (n2, w2, x2) in zip(a.steps, b.steps))
 
 
 def test_only_tables_with_a_pulse_are_padded(monkeypatch):
@@ -614,9 +614,9 @@ def test_benchmark_plans_are_unchanged_by_pulse_only_padding(monkeypatch):
     pairs = []  # the pair angles of each table
     real = sim._phase_tables
 
-    def recording(tables, n):
+    def recording(tables):
         pairs.extend(len(p) for _, p, _ in tables)
-        return real(tables, n)
+        return real(tables)
 
     for circuit in circuits:
         want = compile_padding_every_table(monkeypatch, circuit)
@@ -637,21 +637,22 @@ def test_benchmark_circuits_move_few_wires():
         plan = sim._plan(circuit)
         assert len(plan.moved) == moved
         # a table spans the wires recorded for it, one axis of 2 each
-        assert all(args[0].size == 1 << len(wires)
-                   for (name, _, args), wires in zip(plan.steps, plan.wires)
-                   if name == "apply_scale")
+        assert all(a.size == 1 << len(wires)
+                   for name, wires, a in plan.steps if name == "apply_scale")
 
 
 def test_blocks_move_only_their_pending_wires():
     # a block above the bottom window spans its window, but its wires start
     # at its first pending matrix: on the wires above it the block is the
-    # identity, so the columns run its top left sub-block there
+    # identity, so the columns may run its top left sub-block there; on
+    # the register it runs from its window's top
     for n, moved in ((9, 5), (12, 6)):
         plan = sim._plan(toffoli_n(n).generated)
         assert len(plan.moved) == moved
-        for (name, _, args), wires in zip(plan.steps, plan.wires):
+        for (name, wires, blk), (_, _, args) in zip(plan.steps, plan.register):
             if name == "apply_block":
-                blk, size = args[0], 1 << len(wires)
+                size = 1 << len(wires)
+                assert np.array_equal(args[0], blk)
                 assert wires[0] >= args[1] and len(blk) == size << wires[0] - args[1]
                 assert np.array_equal(blk, np.kron(np.eye(len(blk) // size),
                                                    blk[:size, :size]))
