@@ -9,8 +9,8 @@ guard tripped: every guard raises ``GuardError`` with one message naming
 the guard, the size asked and the limit, and ``main`` prints it.  A path
 the user named that cannot be read or written is a usage error naming the
 flag and the path: every such path goes through ``_user_path``, which
-``_read`` and ``_write`` wrap, and an output path is tried before the work
-whose result it would hold.
+``_read`` and ``_write`` wrap, and an output path is tried (``_output``),
+with nothing made, before the work whose result it would hold.
 Any other exception is an internal error and propagates.
 """
 
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__, constructions as cons, fourier, gf2
 from .circuit import (ArgumentError, Circuit, Exponential, GuardError, PowerLawSum,
                       SchemaError, deserialize, guard, serialize)
-from .sim import IndexMap, equiv_on_ancilla, unitary_of
+from .sim import equiv_on_ancilla, unitary_of
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE, EXIT_GUARD = 0, 1, 2, 3
 
@@ -56,6 +56,23 @@ def _read(flag: str, path) -> str:
 def _write(flag: str, path, text: str) -> None:
     with _user_path(flag, path) as p:
         p.write_text(text)
+
+
+def _output(flag: str, path, directory: bool = False) -> Path:
+    """``path`` tried before the work whose result it will hold, and nothing
+    made: an existing path must be a directory we may write when
+    ``directory``, else a file we may write; a missing directory needs its
+    nearest existing parent, a missing file its own parent, to be a
+    directory we may write."""
+    with _user_path(flag, path) as p:
+        if directory or not p.exists():
+            near = (next(q for q in (p, *p.absolute().parents) if q.exists())
+                    if directory else p.absolute().parent)
+            if not (near.is_dir() and os.access(near, os.W_OK | os.X_OK)):
+                raise NotADirectoryError(f"{near} is not a directory we may write")
+        elif p.is_dir() or not os.access(p, os.W_OK):
+            raise PermissionError(f"{p} is not a file we may write")
+    return p
 
 
 def _profile_from_args(args):
@@ -173,15 +190,13 @@ def cmd_verify(args) -> int:
     circuit = deserialize(_read("file", args.file))
     if args.emit_unitary:
         guard("dump", circuit.n_qubits, 6, "qubits")
-        with _user_path("--emit-unitary", args.emit_unitary) as path:
-            path.open("a").close()  # writable, before the work; no text is lost
+        _output("--emit-unitary", args.emit_unitary)  # written after the check
     read = time.perf_counter()
     ref = _resolve(args.against, args, "--against")
-    # a construction's action (a permutation is compared in place), or a circuit
+    # a construction's action, whose rows the check reads as it goes (a
+    # permutation is compared in place), or a circuit's dense unitary
     reference, how = ((ref.act, "oracle") if isinstance(ref, cons.ConstructionSpec)
                       else (unitary_of(ref), "circuit"))
-    if not isinstance(reference, (IndexMap, np.ndarray)):
-        reference = reference.matrix()
     built = time.perf_counter()
     res = equiv_on_ancilla(circuit, reference, args.tol)
     checked = time.perf_counter()
@@ -202,7 +217,7 @@ def cmd_verify(args) -> int:
              "columns_bytes": 16 << (len(res.moved_wires) + d), "passes": res.passes,
              "plan_bytes": res.plan_bytes, "compile_s": round(res.compile_s, 6),
              "reference_s": round(built - read, 6),
-             "reference_bytes": 0 if isinstance(reference, IndexMap) else reference.nbytes,
+             "reference_bytes": reference.nbytes if isinstance(reference, np.ndarray) else 0,
              "check_s": round(checked - built, 6)}])))
     return EXIT_OK if res.ok else EXIT_FAIL
 
@@ -307,13 +322,8 @@ def cmd_table1(args) -> int:
 
 def cmd_optimize(args) -> int:
     start = time.perf_counter()
-    # refused before the search unless it, or its nearest existing parent
-    # when it is missing, is a directory we may write; made only after the
-    # search, so a refused argument creates nothing
-    with _user_path("--out-dir", args.out_dir) as outdir:
-        near = next(p for p in (outdir, *outdir.absolute().parents) if p.exists())
-        if not (near.is_dir() and os.access(near, os.W_OK | os.X_OK)):
-            raise NotADirectoryError(f"{near} is not a directory we may write")
+    # made only after the search, so a refused argument creates nothing
+    outdir = _output("--out-dir", args.out_dir, directory=True)
     res = fourier.optimize_powerlaw(args.n, args.m, args.step, offset=args.offset)
     with _user_path("--out-dir", args.out_dir):
         outdir.mkdir(parents=True, exist_ok=True)

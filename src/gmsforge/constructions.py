@@ -57,9 +57,11 @@ class ConstructionSpec:
     """A generated circuit paired with the action of the unitary it must
     implement: ``act(cols)`` maps a (2^d, batch) array of data-register
     states to their images; a basis permutation up to signs is an
-    ``IndexMap``, compared in place, and ``act.matrix()``, the dense unitary,
-    serves the transform and tests.  Nothing of size 2^d is computed before
-    first use.  The builder's signature holds the construction's parameters."""
+    ``IndexMap``, compared in place, and the transform gives its rows one
+    block at a time (``sim.BitReversedIFFT``), so a check holds no 2^d x 2^d
+    reference; ``act.matrix()``, the dense unitary, serves tests.  Nothing
+    of size 2^d is computed before first use.  The builder's signature
+    holds the construction's parameters."""
 
     generated: Circuit
     act: Callable = field(compare=False, repr=False)

@@ -16,9 +16,12 @@ per term; the single-qubit dressing keeps the exact angles.
 Register encoding for the adder is little-endian: wire j of each register
 carries bit j (weight 2^j).
 
-Transforms are verified against the textbook transform's action, a
-normalised inverse FFT of the bit-reversed state (``qft_reference_spec``);
-the gate list ``qft_reference`` is what ``synth qft-ref`` prints.
+Transforms are verified against the textbook transform's action
+(``qft_reference_spec``): on states a normalised inverse FFT of the
+bit-reversed state, and to a check its rows, gathered one block at a time
+from a table of roots of unity as the check reads them, so no 2^n x 2^n
+matrix is held; the gate list ``qft_reference`` is what ``synth qft-ref``
+prints.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ def qft_reference(n: int) -> Circuit:
 
 def qft_reference_spec(n: int) -> ConstructionSpec:
     """The textbook transform circuit paired with its action: the
-    normalised inverse FFT of the bit-reversed state."""
+    normalised inverse FFT of the bit-reversed state, whose rows a check
+    reads one block at a time."""
     return ConstructionSpec(qft_reference(n), BitReversedIFFT(n))
 
 

@@ -14,14 +14,18 @@ wires its compiled block and CNOT passes move) followed by the column
 index.  Every other wire meets only diagonal phase tables, so a basis
 column keeps its bit there, and the columns are 2^|M| x 2^d entries.  The
 columns are compared with the reference in place: lam times a phased
-permutation (``IndexMap``) or a dense reference matrix is subtracted from
-their data rows.  One byte budget covers them all and ``fourier``'s
-search and scans too: the bytes of a dense unitary at the qubit guard, 12
-by default (256 MiB), so |M| + d may not exceed 24, and a unitary's 2n
-may not either; override the 12 with the GMSFORGE_MAX_DENSE_QUBITS
+permutation (``IndexMap``) is subtracted from their data rows entry by
+entry, and lam times any other reference one row block at a time, a
+matrix's rows as they are and the transform's (``BitReversedIFFT``) made
+as they are read, so a check against an action holds no 2^d x 2^d array.
+One byte budget covers the columns, dense unitaries and ``fourier``'s
+search and scans: the bytes of a dense unitary at the qubit guard, 12 by
+default (256 MiB), so |M| + d may not exceed 24, and a unitary's 2n may
+not either; override the 12 with the GMSFORGE_MAX_DENSE_QUBITS
 environment variable, a positive integer (any other value raises
-ArgumentError).  A request above it raises ``circuit.GuardError``.  The statevector path has no such
-guard and is used for wide-register parity checks.
+ArgumentError).  A request above it raises ``circuit.GuardError``.  The
+statevector path has no such guard and is used for wide-register parity
+checks.
 
 Every path runs through ``_run`` on the numpy kernels, three of them.
 Every multi-qubit gate but CNOT is one diagonal phase table between
@@ -613,22 +617,27 @@ def _pivot(v, at, tol: float) -> tuple[bool, complex]:
     """The phase lam of u = lam * V, read at V's pivot and renormalized to
     unit modulus; u's entry there is ``at(row, column)``.  The pivot is V's
     first largest-magnitude entry in row-major order, so lam never divides
-    by a near-zero.  A matrix is scanned for it one row block at a time; an
-    ``IndexMap``, one entry per row, has it at its largest |phase| on the
-    lowest destination row.  (False, 1) when V is 0 there or |u| is at
-    most ``tol``: there is no phase to read, only rounding.  A unitary V on
-    d wires has |V| >= 2^(-d/2) at its pivot, so a pass needs |u| >=
-    2^(-d/2) - tol there, and at the default tol of 1e-9 this rule fails
-    no check that would pass; under a tol near 2^(-d/2) an entry within
-    tol of 0 fails, as an exact 0 does."""
+    by a near-zero.  A 2-D ``v`` (a matrix, or a reference that makes its
+    rows as they are read) is scanned for it one row block ``v[r:r +
+    step]`` at a time, each read once; an ``IndexMap``, one entry per row,
+    has it at its largest |phase| on the lowest destination row.  (False,
+    1) when V is 0 there or |u| is at most ``tol``: there is no phase to
+    read, only rounding.  A unitary V on d wires has |V| >= 2^(-d/2) at its
+    pivot, so a pass needs |u| >= 2^(-d/2) - tol there, and at the default
+    tol of 1e-9 this rule fails no check that would pass; under a tol near
+    2^(-d/2) an entry within tol of 0 fails, as an exact 0 does."""
     if isinstance(v, IndexMap):
         c = int(np.lexsort((v.dest, -np.abs(v.phase)))[0])
         r, b = v.dest[c], np.complex128(v.phase[c])
     else:
-        blocks = _row_blocks(v)
-        k = int(np.argmax([np.abs(blk).max() for blk in blocks]))
-        i, c = divmod(int(np.argmax(np.abs(blocks[k]))), blocks[k].shape[1])
-        r, b = k * len(blocks[0]) + i, blocks[k][i, c]
+        height, width = v.shape
+        step, top = max(1, CHUNK // width), -1.0
+        for start in range(0, height, step):
+            blk = v[start:start + step]
+            mag = np.abs(blk)
+            i, j = divmod(int(np.argmax(mag)), width)
+            if mag[i, j] > top:  # the first largest block wins a tie
+                top, r, c, b = mag[i, j], start + i, j, blk[i, j]
     u = at(r, c)
     if not b or abs(u) <= tol:
         return False, 1.0 + 0j
@@ -642,7 +651,7 @@ def equiv_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> PhaseMatch:
     """
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    ok, lam = _pivot(v, lambda r, c: u.reshape(len(u), -1)[r, c], tol)
+    ok, lam = _pivot(v.reshape(len(v), -1), lambda r, c: u.reshape(len(u), -1)[r, c], tol)
     dev = float(np.max([np.abs(a - lam * b).max()
                         for a, b in zip(_row_blocks(u), _row_blocks(v))]))
     return PhaseMatch(ok and dev <= tol, lam, dev)
@@ -662,8 +671,9 @@ class AncillaMatch:
 
 
 def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaMatch:
-    """Check the circuit acts as ``reference``, a 2^d x 2^d unitary or an
-    ``IndexMap``, on the data register.
+    """Check the circuit acts as ``reference`` on the data register: a 2^d
+    x 2^d unitary, a reference that makes its rows as they are read
+    (``BitReversedIFFT``), or an ``IndexMap``.
 
     The data register is the circuit's non-ancilla wires, or the whole
     register when ``reference`` is as wide as the circuit (then there is
@@ -674,13 +684,16 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
     pivot's row or holds it within tol of 0.  lam * V is subtracted in
     place from the data rows of the columns, where column x holds V's rows
     that keep x's bits outside M: an ``IndexMap`` at its one entry per
-    column, a matrix one row block at a time.  V's entries on the other data rows count toward the
-    deviation as |lam * V|.  One pass of row maxima then gives the
-    deviation from the data rows and the residual population on the rows
-    with an ancilla bit of M set, which above tol is reported as the
-    distinct "leakage" failure; an ancilla outside M stays in |0>.  The
-    columns are held at once under the dense guard; every other temporary
-    is at most a row block, 2^d entries or a row's float.
+    column, any other reference one row block ``reference[r:r + step]`` at
+    a time, a matrix's rows as they are and a transform's made as they are
+    read.  V's entries on the other data rows count toward the deviation
+    as |lam * V|.  One pass of row maxima then gives the deviation from the
+    data rows and the residual population on the rows with an ancilla bit
+    of M set, which above tol is reported as the distinct "leakage"
+    failure; an ancilla outside M stays in |0>.  The columns are held at
+    once under the dense guard; every other temporary is at most a row
+    block, 2^d entries or a row's float, so a check against an action
+    holds no 2^d x 2^d array.
     """
     n = circuit.n_qubits
     full = reference.shape == (1 << n, 1 << n)
@@ -730,9 +743,9 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
 # Each reference below is the textbook unitary V on d data wires, given by
 # its action rather than by a gate list.  Calling it maps a (2^d, batch)
 # array of states to their images; ``matrix()`` is V itself, one 2^d x 2^d
-# array under the dense guard, for the dense references and tests (an
-# ``IndexMap`` is compared in place).  Nothing of size 2^d exists before
-# the first use.
+# array under the dense guard, for tests.  A check holds neither: it
+# compares an ``IndexMap`` in place and reads the transform's rows one
+# block at a time.  Nothing of size 2^d exists before the first use.
 
 class IndexMap:
     """V|x> = phase[x] |dest[x]>: ``build()`` returns the permutation dest
@@ -770,20 +783,36 @@ def AllOnesSign(d: int) -> IndexMap:
 
 class BitReversedIFFT:
     """V|k> = sum_j exp(2 pi i j rev(k) / 2^d) |j> / sqrt(2^d): the
-    transform with bit-reversed input, as a normalised inverse FFT of the
-    bit-reversed state, O(2^d d) per column."""
+    transform with bit-reversed input.  On states it is a normalised
+    inverse FFT of the bit-reversed state, O(2^d d) per column.  Its rows
+    are made as they are read: ``v[r0:r1]`` gathers each entry
+    V[j, k] = w^(j rev(k) mod 2^d) / sqrt(2^d), w = exp(2 pi i / 2^d), from
+    a table of the 2^d scaled roots of unity, so a check holds one row
+    block of V at a time."""
 
     def __init__(self, d: int):
-        self.d = d
+        self.d, self.shape = d, (1 << d, 1 << d)
         # bit p, first most significant, moves to bit p: the bits reversed
         self.reverse = IndexMap(d, lambda: _spread(d, [1 << p for p in range(d)]))
+
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """w^m / sqrt(2^d) for m = 0 ... 2^d - 1."""
+        dim = 1 << self.d
+        return np.exp(2j * math.pi / dim * np.arange(dim)) / math.sqrt(dim)
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         return np.fft.ifft(self.reverse(cols), axis=0, norm="ortho")
 
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        j = np.arange(self.shape[0])[rows]
+        m = np.multiply.outer(j, self.reverse.dest)
+        m &= self.shape[0] - 1
+        return self.roots[m]
+
     def matrix(self) -> np.ndarray:
-        m = self.reverse.matrix()
-        return np.fft.ifft(m, axis=0, norm="ortho", out=m)
+        guard_bytes("dense", 16 << 2 * self.d)
+        return self[:]
 
 
 def trace_fidelity(u: np.ndarray, v: np.ndarray) -> float:

@@ -126,3 +126,32 @@ def test_action_matrix_is_guarded(monkeypatch):
         fourier.qft_reference_spec(6).act.matrix()
     with pytest.raises(GuardError):
         sim.AllOnesSign(6).matrix()
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_transform_rows_are_the_fft_action(d):
+    # rows gathered from the table of roots against the FFT's action on the
+    # basis: whole row blocks as a check reads them, a short last block, a
+    # slice running past the end and a ragged step
+    act, dim = sim.BitReversedIFFT(d), 1 << d
+    want = act(np.eye(dim))
+    step = max(1, sim.CHUNK >> d)
+    slices = [slice(r, r + step) for r in range(0, dim, step)]
+    slices += [slice(dim - 1, dim), slice(dim // 2, dim + 5), slice(dim + 1, dim + 3)]
+    slices += [slice(r, r + 3) for r in range(0, dim, max(3, dim // 8))]
+    for rows in slices:
+        got = act[rows]
+        assert got.shape == want[rows].shape and got.dtype == np.complex128
+        assert np.max(np.abs(got - want[rows]), initial=0.0) <= 1e-15, rows
+    assert act.shape == want.shape
+
+
+def test_transform_matrix_is_its_full_slice(monkeypatch):
+    for d in (1, 4, 7):
+        act = sim.BitReversedIFFT(d)
+        assert act.matrix().tobytes() == act[:].tobytes()
+    monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", "3")
+    act = sim.BitReversedIFFT(4)
+    with pytest.raises(GuardError, match=f"dense guard: {16 << 8} bytes asked"):
+        act.matrix()
+    assert act[:2].shape == (2, 16)  # a row block is no dense unitary

@@ -174,12 +174,13 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
         assert passes["block"] > 0 and passes["cnot"] == 0
         steps = sim._plan(deserialize(path.read_text())).steps
         assert c["plan_bytes"] == sum(a.nbytes for _, _, a in steps if a is not None) > 0
-    # the transform is no permutation: its dense matrix, 16 << 2d bytes
+    # the transform is no permutation, but it is held as an action too: the
+    # check makes its rows as it reads them, and no reference matrix is held
     q3 = tmp_path / "q3.json"
     run(capsys, "synth", "qft-gms", "--n", "3", "--out", str(q3))
     code, out, _ = run(capsys, "verify", str(q3), "--against", "qft-ref", "--n", "3", "--json")
     c = json.loads(out.splitlines()[1])["checks"][0]
-    assert code == 0 and c["reference_bytes"] == 16 << 6
+    assert code == 0 and c["reference_bytes"] == 0
 
 
 def test_verify_toffoli_simulates_no_reference_circuit(tmp_path, capsys, monkeypatch):
@@ -237,6 +238,24 @@ def test_verify_permutation_holds_only_the_columns(tmp_path, capsys):
     assert peak <= (16 << 20) + 2 * 16 * sim.CHUNK
 
 
+def test_verify_transform_holds_no_reference_matrix(tmp_path, capsys, monkeypatch):
+    # qft-gms-10 moves every wire: its columns are 16 MiB, and the dense
+    # transform was 16 MiB more.  The check reads the transform's rows one
+    # block at a time, made as they are read, and never asks for matrix()
+    path = tmp_path / "q10.json"
+    run(capsys, "synth", "qft-gms", "--n", "10", "--out", str(path))
+    monkeypatch.setattr(sim.BitReversedIFFT, "matrix",
+                        lambda self: pytest.fail("the reference was made dense"))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", str(path), "--against", "qft-ref", "--n", "10")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.startswith("PASS")
+    assert peak < (16 << 20) + (4 << 20)
+
+
 def test_python_m_gmsforge(tmp_path, capsys):
     path = tmp_path / "t5.json"
     run(capsys, "synth", "toffoli", "--n", "5", "--out", str(path))
@@ -292,6 +311,34 @@ def test_verify_emit_unitary(tmp_path, capsys, monkeypatch):
         assert code == 3 and out == ""
         assert "dump guard: 7 qubits asked, limit is 6 qubits" in err
         assert not dump.exists()
+
+
+def test_verify_stopped_before_its_check_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # --emit-unitary is tried without being made, and written only after
+    # the check: a run that stops earlier leaves a new path missing and an
+    # existing file with its bytes
+    path = tmp_path / "cx.json"
+    run(capsys, "synth", "cnot-xx", "--out", str(path))
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"1,0\n")
+    stops = ((("--against", "nosuch"), None, 2),
+             (("--against", "fanout", "--n", "3"), None, 2),  # a reference 3 wires wide
+             (("--against", "cnot-xx"), "1", 3))  # the dense guard at 1 qubit
+    for against, qubits, want in stops:
+        if qubits:
+            monkeypatch.setenv("GMSFORGE_MAX_DENSE_QUBITS", qubits)
+        for csv in (tmp_path / "new.csv", old):
+            code, out, _ = run(capsys, "verify", str(path), *against,
+                               "--emit-unitary", str(csv))
+            assert code == want and out == ""
+        assert not (tmp_path / "new.csv").exists() and old.read_bytes() == b"1,0\n"
+    # a file whose directory is missing is refused before the check runs
+    monkeypatch.setattr(cli, "equiv_on_ancilla", lambda *a: pytest.fail("check ran"))
+    missing = tmp_path / "nosuch" / "u.csv"
+    code, out, err = run(capsys, "verify", str(path), "--against", "cnot-xx",
+                         "--emit-unitary", str(missing))
+    assert code == 2 and out == "" and str(missing) in err
+    assert not missing.parent.exists()
 
 
 def test_verify_qft_roundtrip(tmp_path, capsys):

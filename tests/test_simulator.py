@@ -138,6 +138,40 @@ def test_equiv_phase_blocks_are_bit_identical():
         assert sim.equiv_phase(u, v, 1e-2) == unblocked_equiv_phase(u, v, 1e-2)
 
 
+def row_block_pivot(v):
+    """The pivot scan that held every row block of a matrix at once: the
+    first block with the largest |entry|, then its first such entry."""
+    step = max(1, sim.CHUNK // v.shape[1])
+    blocks = [v[r:r + step] for r in range(0, len(v), step)]
+    k = int(np.argmax([np.abs(blk).max() for blk in blocks]))
+    i, c = divmod(int(np.argmax(np.abs(blocks[k]))), blocks[k].shape[1])
+    return k * len(blocks[0]) + i, c, blocks[k][i, c]
+
+
+def test_pivot_scans_each_row_block_once():
+    # ties within a block and across blocks (entries drawn from a few
+    # magnitudes), ragged last blocks, and an all-zero matrix: the same
+    # (row, column, lam) as the scan that held every block, bit for bit
+    rng = np.random.default_rng(17)
+    values = np.array([0, 1, -1, 1j, 0.5, -0.5j, 2 ** -0.5 * (1 + 1j)])
+    mats = [np.zeros((64, 64), complex), np.zeros((300, 70), complex)]
+    for shape in ((64, 64), (300, 70), (1024, 1024), (5, 4096), (2, 40000), (9, 1)):
+        mats.append(rng.choice(values, size=shape))
+        mats.append(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    for v in mats:
+        seen = []
+
+        def at(r, c):
+            seen.append((r, c))
+            return 0.3 - 0.4j
+
+        ok, lam = sim._pivot(v, at, 1e-9)
+        r, c, b = row_block_pivot(v)
+        assert seen == [(r, c)]
+        want = (0.3 - 0.4j) / b / abs((0.3 - 0.4j) / b) if b else 1.0 + 0j
+        assert (ok, repr(lam)) == (bool(b), repr(want))
+
+
 def test_equiv_phase_temporaries_are_one_block():
     u = sim.unitary_of(random_circuit(random.Random(6), 9, 12))
     v = np.exp(0.7j) * u
