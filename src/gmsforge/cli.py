@@ -214,7 +214,8 @@ def cmd_verify(args) -> int:
              "leakage": res.leakage, "failure": res.failure,
              "method": "dense" if d == n else "ancilla", "reference": how,
              "moved_wires": res.moved_wires,
-             "columns_bytes": 16 << (len(res.moved_wires) + d), "passes": res.passes,
+             "columns_bytes": 16 << (len(res.moved_wires) + d),
+             "pass_bytes": res.pass_bytes, "passes": res.passes,
              "plan_bytes": res.plan_bytes, "compile_s": round(res.compile_s, 6),
              "reference_s": round(built - read, 6),
              "reference_bytes": reference.nbytes if isinstance(reference, np.ndarray) else 0,

@@ -5,8 +5,10 @@ ConstructionSpec pairing the pulse-based circuit with the action of that
 unitary on its data register: a basis-index map (Toffoli, the CNOT fans
 and the encoder), signed on the all-ones index for the controlled-Z gates.
 An action builds its index array on first use, so making a spec costs no
-2^d work.  The verification harness checks the circuit against the action
-up to a global phase (on the data register when ancillas are involved).
+2^d work, and a spec builds its circuit on the first read of
+``generated``, so checking against the action builds no gate.  The
+verification harness checks the circuit against the action up to a
+global phase (on the data register when ancillas are involved).
 
 The local-gate references are kept as circuits that no check simulates:
 multi-controlled phases are synthesized exactly from the parity expansion
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import combinations
 from typing import Callable, Container, Iterable, Sequence
 
@@ -52,7 +54,7 @@ Toffoli-11 would emit 92160; at 13 qubits each emitted pulse held about
 0.5 kB of gates and wrote about 0.5 kB of JSON."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstructionSpec:
     """A generated circuit paired with the action of the unitary it must
     implement: ``act(cols)`` maps a (2^d, batch) array of data-register
@@ -60,11 +62,18 @@ class ConstructionSpec:
     ``IndexMap``, compared in place, and the transform gives its rows one
     block at a time (``sim.BitReversedIFFT``), so a check holds no 2^d x 2^d
     reference; ``act.matrix()``, the dense unitary, serves tests.  Nothing
-    of size 2^d is computed before first use.  The builder's signature
-    holds the construction's parameters."""
+    of size 2^d is computed before first use, and the circuit is built by
+    ``build`` on the first read of ``generated`` and kept: a check against
+    the action builds no gate.  Each construction checks its arguments
+    before it returns the spec, and its signature holds its parameters.
+    Specs compare by identity."""
 
-    generated: Circuit
-    act: Callable = field(compare=False, repr=False)
+    build: Callable[[], Circuit] = field(repr=False)
+    act: Callable = field(repr=False)
+
+    @cached_property
+    def generated(self) -> Circuit:
+        return self.build()
 
 
 def _cnot_map(d: int, cnots: Iterable[tuple[int, int]]) -> np.ndarray:
@@ -213,17 +222,20 @@ def _star_gates(qubits: Iterable[int], hub: int, chi: float) -> list[Gate]:
 def fanout(n: int, control: int = 0) -> ConstructionSpec:
     check_register(n, 2, control=control)
     targets = [q for q in range(n) if q != control]
-    generated = Circuit(n, tuple(_fan_gates(control, targets)))
-    return ConstructionSpec(generated, _cnots_action(n, [(control, t) for t in targets]))
+    return ConstructionSpec(lambda: Circuit(n, tuple(_fan_gates(control, targets))),
+                            _cnots_action(n, [(control, t) for t in targets]))
 
 
 def fanin(n: int, target: int = 0) -> ConstructionSpec:
     """Shared-target CNOT set: Hadamard conjugation of the fan-out."""
     check_register(n, 2, target=target)
     controls = [q for q in range(n) if q != target]
-    layer = [h(q) for q in range(n)]
-    generated = Circuit(n, tuple(layer + _fan_gates(target, controls) + layer))
-    return ConstructionSpec(generated, _cnots_action(n, [(c, target) for c in controls]))
+
+    def build():
+        layer = [h(q) for q in range(n)]
+        return Circuit(n, tuple(layer + _fan_gates(target, controls) + layer))
+
+    return ConstructionSpec(build, _cnots_action(n, [(c, target) for c in controls]))
 
 
 def parity_measure_prefix(n: int, target: int = 0) -> Circuit:
@@ -247,8 +259,8 @@ def cnot_via_xx(control: int = 0, target: int = 1, n: int | None = None) -> Cons
     if n is None:
         n = max(control, target) + 1
     check_register(n, control=control, target=target)
-    generated = Circuit(n, tuple(_cnot_xx_gates(control, target)))
-    return ConstructionSpec(generated, _cnots_action(n, [(control, target)]))
+    return ConstructionSpec(lambda: Circuit(n, tuple(_cnot_xx_gates(control, target))),
+                            _cnots_action(n, [(control, target)]))
 
 
 def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec:
@@ -258,13 +270,16 @@ def cnot_via_4gms(n: int, control: int = 0, target: int = 1) -> ConstructionSpec
     standard dressing.  Each isolation is a pulse on its wires and one on
     its leaves, so the pulses span n, n - 1, n - 1 and n - 2 wires."""
     check_register(n, 3, control=control, target=target)
-    keep = [q for q in range(n) if q != target]
-    gates = [ry(control, PI / 2)]
-    gates += _star_gates(range(n), control, PI / 2)
-    gates += _star_gates(keep, control, -PI / 2)
-    gates += [rx(control, -PI / 2), rx(target, -PI / 2), ry(control, -PI / 2)]
-    generated = Circuit(n, tuple(gates))
-    return ConstructionSpec(generated, _cnots_action(n, [(control, target)]))
+
+    def build():
+        keep = [q for q in range(n) if q != target]
+        gates = [ry(control, PI / 2)]
+        gates += _star_gates(range(n), control, PI / 2)
+        gates += _star_gates(keep, control, -PI / 2)
+        gates += [rx(control, -PI / 2), rx(target, -PI / 2), ry(control, -PI / 2)]
+        return Circuit(n, tuple(gates))
+
+    return ConstructionSpec(build, _cnots_action(n, [(control, target)]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +298,10 @@ TDISTILL_FANS = (
 
 def tdistill() -> ConstructionSpec:
     """The 34-CNOT encoder as five fan columns of two pulses each."""
-    gates: list[Gate] = []
-    for control, targets in TDISTILL_FANS:
-        gates += _fan_gates(control, targets)
     cnots = [(c, t) for c, ts in TDISTILL_FANS for t in ts]
-    return ConstructionSpec(Circuit(15, tuple(gates)), _cnots_action(15, cnots))
+    return ConstructionSpec(
+        lambda: Circuit(15, tuple(g for c, ts in TDISTILL_FANS for g in _fan_gates(c, ts))),
+        _cnots_action(15, cnots))
 
 
 # ---------------------------------------------------------------------------
@@ -312,87 +326,104 @@ def ccz_3gms() -> ConstructionSpec:
     leaks 0.38 of the ancilla population; see the erratum note in the test
     suite.
     """
-    a, b, c, anc = 0, 1, 2, 3
-    gates = [rz(a, PI / 4), rz(b, PI / 4), h(c),
-             ry(a, PI / 2), ry(b, PI / 2), rx(c, PI / 4),
-             gms((a, b, c, anc), Uniform(PI / 2)),
-             gms((a, b, c), Uniform(-PI / 4)), ry(anc, PI / 4),
-             gms((a, b, c, anc), Uniform(-PI / 2)),
-             ry(a, -PI / 2), ry(b, -PI / 2), h(c)]
-    generated = Circuit(4, tuple(gates), frozenset({anc}))
-    return ConstructionSpec(generated, AllOnesSign(3))
+
+    def build():
+        a, b, c, anc = 0, 1, 2, 3
+        gates = [rz(a, PI / 4), rz(b, PI / 4), h(c),
+                 ry(a, PI / 2), ry(b, PI / 2), rx(c, PI / 4),
+                 gms((a, b, c, anc), Uniform(PI / 2)),
+                 gms((a, b, c), Uniform(-PI / 4)), ry(anc, PI / 4),
+                 gms((a, b, c, anc), Uniform(-PI / 2)),
+                 ry(a, -PI / 2), ry(b, -PI / 2), h(c)]
+        return Circuit(4, tuple(gates), frozenset({anc}))
+
+    return ConstructionSpec(build, AllOnesSign(3))
 
 
 def cccz_4gms() -> ConstructionSpec:
     """Triply-controlled Z on wires 0..3 from four pulses and one ancilla."""
-    a, b, c, d, anc = 0, 1, 2, 3, 4
-    allq = (a, b, c, d, anc)
-    gates = [rz(a, PI / 8), rz(b, PI / 8), rz(c, PI / 8), h(d),
-             ry(a, PI / 2), ry(b, PI / 2), ry(c, PI / 2), rx(d, PI / 8),
-             gms(allq, Uniform(PI / 2)),
-             rz(anc, -PI / 8),
-             ry(anc, PI / 2),
-             gms(allq, Uniform(PI / 8)),
-             gms((a, b, c, d), Uniform(-PI / 4)), ry(anc, -PI / 2),
-             gms(allq, Uniform(-PI / 2)),
-             ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
-    generated = Circuit(5, tuple(gates), frozenset({anc}))
-    return ConstructionSpec(generated, AllOnesSign(4))
+
+    def build():
+        a, b, c, d, anc = 0, 1, 2, 3, 4
+        allq = (a, b, c, d, anc)
+        gates = [rz(a, PI / 8), rz(b, PI / 8), rz(c, PI / 8), h(d),
+                 ry(a, PI / 2), ry(b, PI / 2), ry(c, PI / 2), rx(d, PI / 8),
+                 gms(allq, Uniform(PI / 2)),
+                 rz(anc, -PI / 8),
+                 ry(anc, PI / 2),
+                 gms(allq, Uniform(PI / 8)),
+                 gms((a, b, c, d), Uniform(-PI / 4)), ry(anc, -PI / 2),
+                 gms(allq, Uniform(-PI / 2)),
+                 ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
+        return Circuit(5, tuple(gates), frozenset({anc}))
+
+    return ConstructionSpec(build, AllOnesSign(4))
 
 
 def cccz_3gms() -> ConstructionSpec:
     """Triply-controlled Z from three full-register pulses: the four-pulse
     form after shrinking its subset pulse and cancelling the inverse pair."""
-    a, b, c, d, anc = 0, 1, 2, 3, 4
-    allq = (a, b, c, d, anc)
-    gates = [rz(a, PI / 8), rz(b, PI / 8), rz(c, PI / 8), h(d),
-             ry(a, PI / 2), ry(b, PI / 2), ry(c, PI / 2), rx(d, PI / 8),
-             gms(allq, Uniform(PI / 2)),
-             ry(anc, -PI / 2), rx(anc, PI / 8),
-             gms(allq, Uniform(-PI / 8)),
-             ry(anc, PI / 2),
-             gms(allq, Uniform(-PI / 2)),
-             ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
-    generated = Circuit(5, tuple(gates), frozenset({anc}))
-    return ConstructionSpec(generated, AllOnesSign(4))
+
+    def build():
+        a, b, c, d, anc = 0, 1, 2, 3, 4
+        allq = (a, b, c, d, anc)
+        gates = [rz(a, PI / 8), rz(b, PI / 8), rz(c, PI / 8), h(d),
+                 ry(a, PI / 2), ry(b, PI / 2), ry(c, PI / 2), rx(d, PI / 8),
+                 gms(allq, Uniform(PI / 2)),
+                 ry(anc, -PI / 2), rx(anc, PI / 8),
+                 gms(allq, Uniform(-PI / 8)),
+                 ry(anc, PI / 2),
+                 gms(allq, Uniform(-PI / 2)),
+                 ry(a, -PI / 2), ry(b, -PI / 2), ry(c, -PI / 2), h(d)]
+        return Circuit(5, tuple(gates), frozenset({anc}))
+
+    return ConstructionSpec(build, AllOnesSign(4))
 
 
 def toffoli3_gms() -> ConstructionSpec:
     """Toffoli on 3 wires (target 2) from three size-3 pulses, no ancilla."""
-    gates = [ry(0, PI / 2), ry(1, PI / 2), ry(2, PI / 2), rz(2, PI / 4),
-             gms((0, 1, 2), Uniform(PI / 2)),
-             rx(0, -PI / 2), rx(1, -PI / 2), rx(2, -PI / 2), rz(2, -PI / 2),
-             rx(0, -PI / 4), rx(1, -PI / 4), rx(2, -PI / 4),
-             gms((0, 1, 2), Uniform(PI / 4)),
-             rz(2, PI / 2),
-             gms((0, 1, 2), Uniform(PI / 2)),
-             rx(0, PI / 2), rx(1, PI / 2), rx(2, PI / 2),
-             ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2)]
-    return ConstructionSpec(Circuit(3, tuple(gates)), _toffoli_action(3))
+
+    def build():
+        gates = [ry(0, PI / 2), ry(1, PI / 2), ry(2, PI / 2), rz(2, PI / 4),
+                 gms((0, 1, 2), Uniform(PI / 2)),
+                 rx(0, -PI / 2), rx(1, -PI / 2), rx(2, -PI / 2), rz(2, -PI / 2),
+                 rx(0, -PI / 4), rx(1, -PI / 4), rx(2, -PI / 4),
+                 gms((0, 1, 2), Uniform(PI / 4)),
+                 rz(2, PI / 2),
+                 gms((0, 1, 2), Uniform(PI / 2)),
+                 rx(0, PI / 2), rx(1, PI / 2), rx(2, PI / 2),
+                 ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2)]
+        return Circuit(3, tuple(gates))
+
+    return ConstructionSpec(build, _toffoli_action(3))
 
 
 def toffoli4_7gms() -> ConstructionSpec:
     """Ancilla-free Toffoli-4 (target 3) from seven pulses."""
-    sub = (0, 1, 2)
-    allq = (0, 1, 2, 3)
-    gates = [ry(0, PI / 2), ry(1, PI / 2), ry(2, PI / 2), ry(3, PI / 2),
-             gms(allq, Uniform(PI / 2)),
-             rx(0, -PI / 2), rx(1, -PI / 2), rx(2, -PI / 2), rx(3, -PI / 2),
-             gms(sub, Uniform(-PI / 8)), ry(3, PI / 2),
-             gms(allq, Uniform(PI / 8)),
-             ry(2, -PI / 2), ry(3, -PI / 2),
-             gms(sub, Uniform(PI / 2)),
-             rz(2, -PI / 8), rz(3, -PI / 8),
-             gms(sub, Uniform(-PI / 2)),
-             ry(2, PI / 2),
-             rx(0, PI / 2), rx(1, PI / 2), rx(2, PI / 2), rx(3, PI / 2),
-             gms(allq, Uniform(-PI / 2)),
-             ry(3, -PI / 2),
-             rx(0, PI / 8), rx(1, PI / 8), rx(2, PI / 8), rx(3, PI / 8),
-             gms(allq, Uniform(-PI / 8)),
-             ry(3, PI / 2),
-             ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2), ry(3, -PI / 2)]
-    return ConstructionSpec(Circuit(4, tuple(gates)), _toffoli_action(4))
+
+    def build():
+        sub = (0, 1, 2)
+        allq = (0, 1, 2, 3)
+        gates = [ry(0, PI / 2), ry(1, PI / 2), ry(2, PI / 2), ry(3, PI / 2),
+                 gms(allq, Uniform(PI / 2)),
+                 rx(0, -PI / 2), rx(1, -PI / 2), rx(2, -PI / 2), rx(3, -PI / 2),
+                 gms(sub, Uniform(-PI / 8)), ry(3, PI / 2),
+                 gms(allq, Uniform(PI / 8)),
+                 ry(2, -PI / 2), ry(3, -PI / 2),
+                 gms(sub, Uniform(PI / 2)),
+                 rz(2, -PI / 8), rz(3, -PI / 8),
+                 gms(sub, Uniform(-PI / 2)),
+                 ry(2, PI / 2),
+                 rx(0, PI / 2), rx(1, PI / 2), rx(2, PI / 2), rx(3, PI / 2),
+                 gms(allq, Uniform(-PI / 2)),
+                 ry(3, -PI / 2),
+                 rx(0, PI / 8), rx(1, PI / 8), rx(2, PI / 8), rx(3, PI / 8),
+                 gms(allq, Uniform(-PI / 8)),
+                 ry(3, PI / 2),
+                 ry(0, -PI / 2), ry(1, -PI / 2), ry(2, -PI / 2), ry(3, -PI / 2)]
+        return Circuit(4, tuple(gates))
+
+    return ConstructionSpec(build, _toffoli_action(4))
 
 
 @cache
@@ -417,22 +448,25 @@ def toffoli_n(n: int) -> ConstructionSpec:
     gate objects, so the chain checks no gate once the templates exist.
     """
     check_register(n, 4)
-    controls, target = list(range(n - 1)), n - 1
-    first = 3 if n % 2 == 0 else 2  # controls the first unit ANDs
-    helper = n + (n - 1 - first) // 2  # after the tree ancillas; shared by the units
-    # each unit ANDs its inputs into its last wire: the first unit's inputs
-    # are controls, each later unit's the previous output and two controls
-    inputs = [controls[:first]] + [controls[k:k + 2] for k in range(first, n - 1, 2)]
-    units, acc = [], []
-    for ins, out in zip(inputs, [*range(n, helper), target]):
-        units.append((*acc, *ins, out))
-        acc = [out]
-    mapped = [embed(_unit_gates(len(unit)), [*unit, helper]) for unit in units]
-    # the computes, the final unit, then the computes' gates again, reversed
-    gates = tuple(g for block in mapped + mapped[-2::-1] for g in block)
-    generated = _derived(Circuit, n_qubits=helper + 1, gates=gates,
-                         ancillas=frozenset(range(n, helper + 1)))
-    return ConstructionSpec(generated, _toffoli_action(n))
+
+    def build():
+        controls, target = list(range(n - 1)), n - 1
+        first = 3 if n % 2 == 0 else 2  # controls the first unit ANDs
+        helper = n + (n - 1 - first) // 2  # after the tree ancillas; shared by the units
+        # each unit ANDs its inputs into its last wire: the first unit's inputs
+        # are controls, each later unit's the previous output and two controls
+        inputs = [controls[:first]] + [controls[k:k + 2] for k in range(first, n - 1, 2)]
+        units, acc = [], []
+        for ins, out in zip(inputs, [*range(n, helper), target]):
+            units.append((*acc, *ins, out))
+            acc = [out]
+        mapped = [embed(_unit_gates(len(unit)), [*unit, helper]) for unit in units]
+        # the computes, the final unit, then the computes' gates again, reversed
+        gates = tuple(g for block in mapped + mapped[-2::-1] for g in block)
+        return _derived(Circuit, n_qubits=helper + 1, gates=gates,
+                        ancillas=frozenset(range(n, helper + 1)))
+
+    return ConstructionSpec(build, _toffoli_action(n))
 
 
 # ---------------------------------------------------------------------------

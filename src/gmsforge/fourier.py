@@ -59,10 +59,11 @@ def qft_reference(n: int) -> Circuit:
 
 
 def qft_reference_spec(n: int) -> ConstructionSpec:
-    """The textbook transform circuit paired with its action: the
-    normalised inverse FFT of the bit-reversed state, whose rows a check
-    reads one block at a time."""
-    return ConstructionSpec(qft_reference(n), BitReversedIFFT(n))
+    """The textbook transform circuit, built on the first read of
+    ``generated``, paired with its action: the normalised inverse FFT of
+    the bit-reversed state, whose rows a check reads one block at a time."""
+    check_register(n)
+    return ConstructionSpec(lambda: qft_reference(n), BitReversedIFFT(n))
 
 
 def _gms_laws(profile) -> list:

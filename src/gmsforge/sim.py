@@ -9,10 +9,13 @@ lays them onto a state that holds each wire at a given position: ``apply``
 runs the register's own placement, kept on the plan, and every dense
 check the placement on its columns.  A check runs the basis columns
 |x>|0...0> of its d data wires through the circuit at once (d = n for a
-unitary) as one state of |M| + d wires, the circuit's moved wires M (the
-wires its compiled block and CNOT passes move) followed by the column
-index.  Every other wire meets only diagonal phase tables, so a basis
-column keeps its bit there, and the columns are 2^|M| x 2^d entries.  The
+unitary), in the end as one state of |M| + d wires, the circuit's moved
+wires M (the wires its compiled block and CNOT passes move) followed by
+the column index.  Every other wire meets only diagonal phase tables, so a
+basis column keeps its bit there, and the columns are 2^|M| x 2^d entries.
+A wire no pass has moved yet still holds its starting bit too, so the
+columns grow as the plan moves wires: they start as one row per column,
+and each pass runs on the wires moved up to it (``Plan.segments``).  The
 columns are compared with the reference in place: lam times a phased
 permutation (``IndexMap``) is subtracted from their data rows entry by
 entry, and lam times any other reference one row block at a time, a
@@ -27,7 +30,8 @@ ArgumentError).  A request above it raises ``circuit.GuardError``.  The
 statevector path has no such guard and is used for wide-register parity
 checks.
 
-Every path runs through ``_run`` on the numpy kernels, three of them.
+Every path runs its placed passes through ``_lay`` on the numpy kernels,
+three of them.
 Every multi-qubit gate but CNOT is one diagonal phase table between
 single-qubit frames: a GMS pulse is diagonal in the X basis, so it costs
 one phase pass between Hadamards on its wires instead of one XX pass per
@@ -66,8 +70,8 @@ first run, the plan is kept on the circuit (an immutable value) for the
 circuit's lifetime, and every run only executes it.  The plan's tables are
 the memory this costs, about 2.5 MiB for ``qft_gms(16)`` and 2 MiB for
 ``phase_polynomial_identity(17)``.  ``_run`` returns the passes by kind,
-and ``equiv_on_ancilla`` reports them with the plan's bytes, moved wires
-and compile time.
+and ``equiv_on_ancilla`` reports them with the bytes they ran over, the
+plan's bytes, moved wires and compile time.
 
 The textbook references a check compares against are given by their
 action on a state (the classes ``IndexMap``, which ``AllOnesSign``
@@ -76,6 +80,7 @@ builds, and ``BitReversedIFFT``), not by a gate list to be simulated.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 import os
@@ -281,8 +286,11 @@ class Plan:
     state.  ``passes`` counts them by kind, and ``nbytes`` is what the
     plan's phase tables and blocks hold.  ``moved`` are the sorted wires of
     the block and CNOT passes: every other wire meets only diagonal tables,
-    so a basis state keeps its bit there.  ``compile_s`` is the seconds
-    ``_compile`` took.
+    so a basis state keeps its bit there.  ``segments`` cut the steps where
+    a block or CNOT first moves a wire, each as (the wires it first moves,
+    its first step, the step after its last); until then a wire keeps the
+    bit it started with.
+    ``compile_s`` is the seconds ``_compile`` took.
     """
 
     n: int
@@ -290,12 +298,22 @@ class Plan:
     passes: dict[str, int]
     nbytes: int
     moved: tuple[int, ...]
+    segments: tuple[tuple[tuple[int, ...], int, int], ...]
     compile_s: float
 
     @cached_property
     def register(self) -> list[tuple]:
         """The steps placed on the plan's own register, built on first use."""
-        return list(_placed(self, range(self.n), self.n))
+        return list(_placed(self.steps, range(self.n), self.n))
+
+    def pass_bytes(self, d: int) -> int:
+        """The bytes the passes of ``_columns`` run over on d data wires:
+        16 * 2^(m + d) for each step, m the wires moved up to that step."""
+        total, m = 0, 0
+        for new, start, end in self.segments:
+            m += len(new)
+            total += (end - start) * 16 << (m + d)
+        return total
 
 
 def _compile(circuit: Circuit) -> Plan:
@@ -469,9 +487,16 @@ def _compile(circuit: Circuit) -> Plan:
         a.flags.writeable = False  # shared by every run of the plan
     passes = {kind: sum(name == kernel for name, _, _ in steps) for kind, kernel in
               (("block", "apply_block"), ("phase", "apply_scale"), ("cnot", "apply_cnot"))}
-    moved = {q for name, wires, _ in steps if name != "apply_scale" for q in wires}
+    moved, cuts = set(), []
+    for i, (name, wires, _) in enumerate(steps):
+        new = () if name == "apply_scale" else tuple(q for q in wires if q not in moved)
+        if new or not cuts:
+            cuts.append((new, i))
+            moved.update(new)
+    segments = tuple((new, i, end) for (new, i), end in
+                     zip(cuts, [i for _, i in cuts[1:]] + [len(steps)]))
     return Plan(n, tuple(steps), passes, sum(a.nbytes for a in arrays),
-                tuple(sorted(moved)), time.perf_counter() - start)
+                tuple(sorted(moved)), segments, time.perf_counter() - start)
 
 
 def _plan(circuit: Circuit) -> Plan:
@@ -484,20 +509,21 @@ def _plan(circuit: Circuit) -> Plan:
     return plan
 
 
-def _placed(plan: Plan, at, width: int):
-    """Yield ``plan``'s steps as kernel calls on a (2^width, batch) state that
-    holds wire q at position ``at[q]``, position 0 most significant: each a
-    kernel name on ``BACKEND``, the view the kernel takes of the state (a
-    shape less its batch axis, or None for the state as it is) and its
-    arguments.  A CNOT runs on its wires' masks, and a block at its first
-    wire's position, with its wires in order below it.  A block that spans
-    idle wires above its own is kron(I, B), the identity on whatever sits
-    at those positions, so it runs over as many of them as the state has
-    above its wires: on the register its whole window, at position 0 B
-    alone.  A phase table is laid out on its wires' positions, and takes
-    its entry at 0 on a wire outside ``at``, which the state holds in |0>
-    and no pass moves."""
-    for name, wires, a in plan.steps:
+def _placed(steps: Sequence[tuple], at, width: int):
+    """Yield a plan's ``steps``, all of them or a segment, as kernel calls on
+    a (2^width, batch) state that holds wire q at position ``at[q]``,
+    position 0 most significant: each a kernel name on ``BACKEND``, the
+    view the kernel takes of the state (a shape less its batch axis, or
+    None for the state as it is) and its arguments.  A CNOT runs on its
+    wires' masks, and a block at its first wire's position, with its wires
+    in order below it.  A block that spans idle wires above its own is
+    kron(I, B), the identity on whatever sits at those positions, so it
+    runs over as many of them as the state has above its wires: on the
+    register its whole window, at position 0 B alone.  A phase table is
+    laid out on its wires' positions, and takes its entry at 0 on a wire
+    outside ``at``: an ancilla that no step has moved before these, which
+    the state holds in |0>."""
+    for name, wires, a in steps:
         if name == "apply_cnot":
             yield name, None, tuple(1 << (width - 1 - at[q]) for q in wires)
         elif name == "apply_block":
@@ -514,17 +540,21 @@ def _placed(plan: Plan, at, width: int):
             yield name, view, (table,)
 
 
-def _run(circuit: Circuit, st: np.ndarray, at=None) -> dict[str, int]:
-    """Apply every gate of ``circuit`` to the (dim, batch) array in place,
-    through the circuit's plan placed on it (``_placed``): on the register,
-    the placement the plan keeps, or with wire q at position ``at[q]`` of
-    log2(dim) wires.  Return the passes over the state by kind (block,
-    phase, cnot), a copy the caller may keep.  The kernels are looked up on
-    ``BACKEND`` at every pass."""
-    plan, batch = _plan(circuit), st.shape[1]
-    calls = plan.register if at is None else _placed(plan, at, len(st).bit_length() - 1)
+def _lay(calls, st: np.ndarray) -> None:
+    """Make the kernel calls ``_placed`` yields on the (dim, batch) array in
+    place, each kernel looked up on ``BACKEND`` at its pass."""
+    batch = st.shape[1]
     for name, view, args in calls:
         getattr(BACKEND, name)(st if view is None else st.reshape(*view, batch), *args)
+
+
+def _run(circuit: Circuit, st: np.ndarray) -> dict[str, int]:
+    """Apply every gate of ``circuit`` to the (2^n, batch) array in place,
+    through the placement of its plan on the register, which the plan
+    keeps.  Return the passes over the state by kind (block, phase, cnot),
+    a copy the caller may keep."""
+    plan = _plan(circuit)
+    _lay(plan.register, st)
     return dict(plan.passes)
 
 
@@ -534,14 +564,49 @@ def _dense_zeros(n: int, d: int) -> np.ndarray:
     return np.zeros((1 << n, 1 << d), dtype=np.complex128)
 
 
+@lru_cache(maxsize=None)
+def _bits(w: int) -> np.ndarray:
+    """The bits of every w-bit index, first most significant, as a read-only
+    (2^w, w) array of 0 and 1, built once per width."""
+    bits = np.arange(1 << w)[:, None] >> np.arange(w - 1, -1, -1) & 1
+    bits.flags.writeable = False
+    return bits
+
+
 def _spread(k: int, masks: Sequence[int]) -> np.ndarray:
     """Every k-bit index with bit p, first most significant, moved to
-    ``masks[p]`` (dropped where that is 0)."""
-    x = np.arange(1 << k)
-    out = np.zeros_like(x)
-    for p, m in enumerate(masks):
-        out |= (x >> (k - 1 - p) & 1) * m
-    return out
+    ``masks[p]``, distinct single bits (dropped where that is 0): the outer
+    OR of the spreads of the index's top and bottom halves, each its bits
+    times its masks."""
+    top, bottom = (_bits(len(ms)) @ np.array(ms, dtype=np.int64)
+                   for ms in (masks[:k // 2], masks[k // 2:]))
+    return np.bitwise_or.outer(top, bottom).reshape(-1)
+
+
+def _grow(state: np.ndarray, m: int, d: int, j: int, p: int | None) -> None:
+    """Grow the state of m + d wires at the front of the flat ``state`` to
+    m + 1 + d wires in place, a new wire at position j: in column x it holds
+    x's bit p, first most significant, or 0 when p is None.  The rows above
+    j are moved back to front in log2 chunks, each chunk [h/2, h) written
+    past its own read, and the bits of the 2^d columns are the only
+    temporary."""
+    hi, dim = 1 << j, 1 << d
+    old = state[:1 << (m + d)].reshape(hi, -1, dim)
+    new = state[:2 << (m + d)].reshape(hi, 2, -1, dim)
+    bit = None if p is None else np.arange(dim) >> (d - 1 - p) & 1
+    top = hi
+    while top:
+        low = top // 2
+        src, dst = old[low:top], new[low:top]
+        # the bit-1 half first: the last chunk's bit-0 half is its own read
+        if bit is None:  # an ancilla: a fill and a copy, cheaper than products
+            dst[:, 1] = 0.0
+            if low:
+                dst[:, 0] = src
+        else:
+            np.multiply(src, bit, out=dst[:, 1])
+            np.multiply(src, 1 - bit, out=dst[:, 0] if low else src)
+        top = low
 
 
 def _columns(circuit: Circuit, data: Sequence[int]
@@ -553,10 +618,18 @@ def _columns(circuit: Circuit, data: Sequence[int]
     wires outside M (``keys``), and the passes over the columns by kind.
     Column x's row r stands for the register state with r's bits on M and
     x's elsewhere, so column x holds V's data row y only where keys[y] ==
-    keys[x].  The columns run as one state of |M| + d wires, M followed by
-    the column index, through the plan placed there (``_placed``): a data
-    wire outside M takes the column's own bit, an ancilla outside M stays
-    in |0>.  They are held under the dense guard, 16 << (|M| + d) bytes.
+    keys[x].
+
+    The columns grow as the plan moves wires (``Plan.segments``): they
+    start as one row per column, and before the step that first moves a
+    wire that wire's row bit is inserted (``_grow``), the column's own bit
+    for a data wire and 0 for an ancilla.  Each segment runs through its
+    steps placed (``_placed``) on the wires moved so far, in order,
+    followed by the column index: a data wire not yet moved, or outside M,
+    takes the column's own bit, an ancilla not yet moved stays in |0>.  At
+    the end the columns are one state of |M| + d wires, M followed by the
+    column index, held in one buffer under the dense guard, 16 << (|M| +
+    d) bytes, in which they grew.
     """
     plan, d = _plan(circuit), len(data)
     k = len(plan.moved)
@@ -564,9 +637,21 @@ def _columns(circuit: Circuit, data: Sequence[int]
     rows = _spread(d, [1 << (k - 1 - at[q]) if q in at else 0 for q in data])
     keys = _spread(d, [0 if q in at else 1 << (d - 1 - p) for p, q in enumerate(data)])
     cols = _dense_zeros(k, d)
-    cols[rows, np.arange(1 << d)] = 1.0
-    at.update((q, k + p) for p, q in enumerate(data) if q not in at)
-    return cols, rows, keys, _run(circuit, cols.reshape(-1, 1), at)
+    state = cols.reshape(-1)
+    state[:1 << d] = 1.0
+    index = {q: p for p, q in enumerate(data)}
+    moved: list[int] = []
+    for new, start, end in plan.segments:
+        for q in new:
+            j = bisect.bisect(moved, q)
+            _grow(state, len(moved), d, j, index.get(q))
+            moved.insert(j, q)
+        m = len(moved)
+        place = {q: p for p, q in enumerate(moved)}
+        place.update((q, m + p) for p, q in enumerate(data) if q not in place)
+        _lay(_placed(plan.steps[start:end], place, m + d),
+             state[:1 << (m + d)].reshape(-1, 1))
+    return cols, rows, keys, dict(plan.passes)
 
 
 def unitary_of(circuit: Circuit) -> np.ndarray:
@@ -615,21 +700,19 @@ def _row_blocks(a: np.ndarray):
 
 def _pivot(v, at, tol: float) -> tuple[bool, complex]:
     """The phase lam of u = lam * V, read at V's pivot and renormalized to
-    unit modulus; u's entry there is ``at(row, column)``.  The pivot is V's
-    first largest-magnitude entry in row-major order, so lam never divides
-    by a near-zero.  A 2-D ``v`` (a matrix, or a reference that makes its
-    rows as they are read) is scanned for it one row block ``v[r:r +
-    step]`` at a time, each read once; an ``IndexMap``, one entry per row,
-    has it at its largest |phase| on the lowest destination row.  (False,
-    1) when V is 0 there or |u| is at most ``tol``: there is no phase to
-    read, only rounding.  A unitary V on d wires has |V| >= 2^(-d/2) at its
-    pivot, so a pass needs |u| >= 2^(-d/2) - tol there, and at the default
-    tol of 1e-9 this rule fails no check that would pass; under a tol near
-    2^(-d/2) an entry within tol of 0 fails, as an exact 0 does."""
-    if isinstance(v, IndexMap):
-        c = int(np.lexsort((v.dest, -np.abs(v.phase)))[0])
-        r, b = v.dest[c], np.complex128(v.phase[c])
-    else:
+    unit modulus; u's entry there is ``at(row, column)``.  The pivot is an
+    entry of V's largest magnitude, so lam never divides by a near-zero.  A
+    matrix has it at its first such entry in row-major order, scanned one
+    row block ``v[r:r + step]`` at a time, each read once; a reference that
+    acts on a state names its own (``IndexMap.pivot``,
+    ``BitReversedIFFT.pivot``), so the phase a failing check reports does
+    not depend on how its entries round.  (False, 1) when V is 0 there or
+    |u| is at most ``tol``: there is no phase to read, only rounding.  A
+    unitary V on d wires has |V| >= 2^(-d/2) at its pivot, so a pass needs
+    |u| >= 2^(-d/2) - tol there, and at the default tol of 1e-9 this rule
+    fails no check that would pass; under a tol near 2^(-d/2) an entry
+    within tol of 0 fails, as an exact 0 does."""
+    if isinstance(v, np.ndarray):
         height, width = v.shape
         step, top = max(1, CHUNK // width), -1.0
         for start in range(0, height, step):
@@ -638,6 +721,8 @@ def _pivot(v, at, tol: float) -> tuple[bool, complex]:
             i, j = divmod(int(np.argmax(mag)), width)
             if mag[i, j] > top:  # the first largest block wins a tie
                 top, r, c, b = mag[i, j], start + i, j, blk[i, j]
+    else:
+        r, c, b = v.pivot
     u = at(r, c)
     if not b or abs(u) <= tol:
         return False, 1.0 + 0j
@@ -664,7 +749,8 @@ class AncillaMatch:
     phase: complex
     max_deviation: float
     leakage: float
-    passes: dict[str, int]  # passes over the columns by kind, from ``_run``
+    passes: dict[str, int]  # passes over the columns by kind, ``Plan.passes``
+    pass_bytes: int  # the bytes those passes ran over, ``Plan.pass_bytes``
     plan_bytes: int  # held in the circuit's plan, ``Plan.nbytes``
     moved_wires: tuple[int, ...]  # the wires the columns ran on, ``Plan.moved``
     compile_s: float  # the seconds the plan's compile took, ``Plan.compile_s``
@@ -705,6 +791,7 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
             f"dimension {ddim}, the whole register {1 << n}")
     cols, rows, keys, passes = _columns(circuit, data)
     plan = _plan(circuit)
+    pass_bytes = plan.pass_bytes(len(data))
     ok, lam = _pivot(reference, lambda r, c: cols[rows[r], c] if keys[r] == keys[c] else 0, tol)
     if isinstance(reference, IndexMap):
         sub, dest = lam * reference.phase, reference.dest
@@ -722,6 +809,8 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
                 off = max(off, far.max())
                 i, j = np.nonzero(held)
                 cols[rows[r + i], j] -= sub[i, j]
+            elif len(cols) == ddim:  # M is the data wires: rows is arange
+                cols[r:r + step] -= sub
             else:  # every data wire moves: each data row is one row of cols
                 cols[rows[r:r + step]] -= sub
     peaks = np.concatenate([np.abs(b).max(axis=1) for b in _row_blocks(cols)])
@@ -730,10 +819,10 @@ def equiv_on_ancilla(circuit: Circuit, reference, tol: float = 1e-9) -> AncillaM
     leakage = float(peaks.max())
     if leakage > tol:
         return AncillaMatch(False, "leakage", 1.0 + 0j, float("inf"), leakage,
-                            passes, plan.nbytes, plan.moved, plan.compile_s)
+                            passes, pass_bytes, plan.nbytes, plan.moved, plan.compile_s)
     ok = ok and dev <= tol
     return AncillaMatch(ok, None if ok else "mismatch", lam, dev, leakage,
-                        passes, plan.nbytes, plan.moved, plan.compile_s)
+                        passes, pass_bytes, plan.nbytes, plan.moved, plan.compile_s)
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +852,15 @@ class IndexMap:
     @cached_property
     def phase(self) -> np.ndarray:
         return self._phases()
+
+    @property
+    def pivot(self) -> tuple[int, int, complex]:
+        """(row, column, entry) of V's pivot: its largest |phase|, on the
+        lowest destination row among ties."""
+        mag = np.abs(self.phase)
+        tied = np.flatnonzero(mag == mag.max())
+        c = int(tied[np.argmin(self.dest[tied])])
+        return int(self.dest[c]), c, np.complex128(self.phase[c])
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         out = np.empty_like(cols, np.result_type(cols, self.phase))
@@ -800,6 +898,12 @@ class BitReversedIFFT:
         """w^m / sqrt(2^d) for m = 0 ... 2^d - 1."""
         dim = 1 << self.d
         return np.exp(2j * math.pi / dim * np.arange(dim)) / math.sqrt(dim)
+
+    @property
+    def pivot(self) -> tuple[int, int, complex]:
+        """(0, 0, 2^(-d/2)): every entry has magnitude 2^(-d/2), and V[0, 0]
+        is ``roots[0]`` exactly."""
+        return 0, 0, self.roots[0]
 
     def __call__(self, cols: np.ndarray) -> np.ndarray:
         return np.fft.ifft(self.reverse(cols), axis=0, norm="ortho")

@@ -14,8 +14,8 @@ import pytest
 
 from gmsforge import cli, fourier, sim
 from gmsforge import constructions as cons
-from gmsforge.circuit import (Exponential, GuardError, PowerLawSum, deserialize, rx,
-                              rz, serialize)
+from gmsforge.circuit import (Exponential, Gate, GuardError, PowerLawSum, deserialize,
+                              rx, rz, serialize)
 from gmsforge.constructions import fanin, fanout, toffoli_n
 
 
@@ -254,6 +254,67 @@ def test_verify_transform_holds_no_reference_matrix(tmp_path, capsys, monkeypatc
         tracemalloc.stop()
     assert code == 0 and out.startswith("PASS")
     assert peak < (16 << 20) + (4 << 20)
+
+
+@pytest.mark.parametrize("against, synth, n", [("toffoli", "toffoli", 5),
+                                               ("fanin", "fanin", 5),
+                                               ("qft-ref", "qft-gms", 3)])
+def test_verify_against_a_construction_builds_no_gate(tmp_path, capsys, monkeypatch,
+                                                      against, synth, n):
+    # the check reads the spec's action alone: beyond the file's own gates,
+    # which deserialize checks, no gate is built, checked or derived, and
+    # the Toffoli chain's unit templates are not built either.  A bad --n
+    # is still refused before any check
+    path = tmp_path / "c.json"
+    run(capsys, "synth", synth, "--n", str(n), "--out", str(path))
+    in_file = len(deserialize(path.read_text()).gates)
+    cons._unit_gates.cache_clear()
+    built, post = [], Gate.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counted)
+    monkeypatch.setattr(cons, "_derived", lambda *a, **k: pytest.fail("a gate was derived"))
+    code, out, _ = run(capsys, "verify", str(path), "--against", against, "--n", str(n))
+    assert code == 0 and out.startswith("PASS") and len(built) == in_file
+    code, out, err = run(capsys, "verify", str(path), "--against", against, "--n", "0")
+    assert code == 2 and out == "" and "n >=" in err
+
+
+def test_verify_json_reports_the_bytes_each_pass_ran_over(tmp_path, capsys):
+    # qft-gms-8 moves one new wire per block, bottom up: each pass runs on
+    # the wires moved up to it, 16 * 2^(m + 8) bytes for m of them
+    path = tmp_path / "q8.json"
+    run(capsys, "synth", "qft-gms", "--n", "8", "--out", str(path))
+    code, out, _ = run(capsys, "verify", str(path), "--against", "qft-ref", "--n", "8",
+                       "--json")
+    c = json.loads(out.splitlines()[1])["checks"][0]
+    moved, want = set(), 0
+    for name, wires, _ in sim._plan(deserialize(path.read_text())).steps:
+        if name != "apply_scale":
+            moved.update(wires)
+        want += 16 << (len(moved) + 8)
+    assert code == 0 and c["pass_bytes"] == want
+    assert c["pass_bytes"] < sum(c["passes"].values()) * c["columns_bytes"]
+
+
+def test_failing_transform_checks_read_their_phase_at_0_0(tmp_path, capsys):
+    # the transform's pivot is V[0, 0] = 2^(-d/2): a failing check reports
+    # u(0, 0) / |u(0, 0)| whatever the rounding of V's other entries
+    for n in range(2, 7):
+        circuit = fourier.qft_gms(n, Exponential())
+        for q in range(n):
+            mutant = circuit.append(rz(q, 0.1))
+            path = tmp_path / "m.json"
+            path.write_text(serialize(mutant))
+            code, out, _ = run(capsys, "verify", str(path), "--against", "qft-ref",
+                               "--n", str(n), "--json")
+            c = json.loads(out.splitlines()[1])["checks"][0]
+            u = sim.unitary_of(mutant)[0, 0]
+            assert code == 1 and c["failure"] == "mismatch"
+            assert abs(complex(*c["phase"]) - u / abs(u)) <= 1e-15
 
 
 def test_python_m_gmsforge(tmp_path, capsys):

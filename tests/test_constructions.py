@@ -961,23 +961,34 @@ def test_table1_builds_no_reference(monkeypatch):
 
 def test_reference_built_once():
     # a spec's reference is its action; the index array is built on first
-    # use and kept
-    calls = []
+    # use and kept, and so is the circuit, which the action never builds
+    calls, circuits = [], []
 
     def build():
         calls.append(1)
         return cons._toffoli_map(3)
 
-    spec = cons.ConstructionSpec(cons.toffoli3_gms().generated,
-                                 sim.IndexMap(3, build))
-    assert calls == []
+    def circuit():
+        circuits.append(1)
+        return cons.toffoli3_gms().generated
+
+    spec = cons.ConstructionSpec(circuit, sim.IndexMap(3, build))
+    assert calls == [] and circuits == []
     assert spec.act.dest is spec.act.dest
     spec.act.matrix()
     spec.act(np.eye(8))
-    assert len(calls) == 1
+    assert len(calls) == 1 and circuits == []
     assert_spec_ok(spec)
+    assert spec.generated is spec.generated and len(circuits) == 1
     tof = cons.toffoli_n(5)
     assert tof.act.dest is tof.act.dest
+
+
+def test_specs_compare_by_identity():
+    # a spec holds a builder, not a circuit value: two builds of one
+    # construction are two specs, and a spec equals itself
+    a, b = cons.toffoli_n(5), cons.toffoli_n(5)
+    assert a != b and a == a and len({a, b}) == 2
 
 
 def test_cccz_3gms_derivable_from_4gms():

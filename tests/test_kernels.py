@@ -683,7 +683,7 @@ def test_placed_on_random_layouts():
         width = n + extra
         psi = nrng.normal(size=1 << width) + 1j * nrng.normal(size=1 << width)
         got = psi.reshape(-1, 1).copy()
-        sim._run(circ, got, at)
+        sim._lay(sim._placed(plan.steps, at, width), got)
         # the register's wires first, in order, then the others
         others = sorted(set(range(width)) - set(at.values()))
         perm = [at[q] for q in range(n)] + others
@@ -692,7 +692,7 @@ def test_placed_on_random_layouts():
         want = want.reshape((2,) * width).transpose(np.argsort(perm)).reshape(-1)
         assert np.max(np.abs(got[:, 0] - want)) < 1e-12
         for (name, wires, blk), (_, _, args) in zip(plan.steps,
-                                                    sim._placed(plan, at, width)):
+                                                    sim._placed(plan.steps, at, width)):
             if name == "apply_block":
                 foreign += bool(set(range(args[1], at[wires[0]])) & set(others))
                 clipped += len(args[0]) < len(blk)

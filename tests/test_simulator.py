@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import math
 import random
@@ -170,6 +171,24 @@ def test_pivot_scans_each_row_block_once():
         assert seen == [(r, c)]
         want = (0.3 - 0.4j) / b / abs((0.3 - 0.4j) / b) if b else 1.0 + 0j
         assert (ok, repr(lam)) == (bool(b), repr(want))
+
+
+def test_action_pivots():
+    # an IndexMap's pivot is its largest |phase| on the lowest destination
+    # row, as the lexsort of (-|phase|, dest) that found it before; the
+    # transform's is V[0, 0], 2^(-d/2) up to rounding, as large as any entry
+    rng = np.random.default_rng(23)
+    for d in (1, 3, 6):
+        for values in ([1.0], [1.0, -1.0, 1j], [0.5, 1.0, 2 ** -0.5 * (1 + 1j)]):
+            dest, phase = rng.permutation(1 << d), rng.choice(values, 1 << d)
+            act = sim.IndexMap(d, lambda: dest, lambda: phase)
+            c = int(np.lexsort((dest, -np.abs(phase)))[0])
+            assert act.pivot == (dest[c], c, phase[c])
+        ifft = sim.BitReversedIFFT(d)
+        r, c, b = ifft.pivot
+        assert (r, c, b) == (0, 0, ifft[:1][0, 0]) and b.imag == 0
+        assert abs(b * 2 ** (d / 2) - 1) <= 1e-15
+        assert np.abs(ifft.matrix()).max() / b - 1 <= 1e-15
 
 
 def test_equiv_phase_temporaries_are_one_block():
@@ -385,17 +404,9 @@ def plan_run_columns(circuit, data):
     return cols
 
 
-def test_every_plan_runs_its_columns_through_placed(monkeypatch):
-    # one column path: ``_columns`` places every plan once, one that moves
-    # every wire included, and such a plan's columns keep the bits of its
-    # register placement run on the batch
-    placed, calls = sim._placed, []
-
-    def counted(plan, at, width):
-        calls.append(plan)
-        return placed(plan, at, width)
-
-    monkeypatch.setattr(sim, "_placed", counted)
+def column_corpus():
+    """qft_gms(2..8), 40 seeded random circuits that move every wire, with
+    random ancillas, then Toffoli-6 and fan-in-6."""
     whole = [qft_gms(n, Exponential()) for n in range(2, 9)]
     rng = random.Random(31)
     while len(whole) < 47:
@@ -404,15 +415,81 @@ def test_every_plan_runs_its_columns_through_placed(monkeypatch):
                     frozenset(rng.sample(range(n), rng.randint(0, n - 1))))
         if len(sim._plan(c).moved) == n:
             whole.append(c)
-    for c in whole + [cons.toffoli_n(6).generated, cons.fanin(6).generated]:
+    return whole + [cons.toffoli_n(6).generated, cons.fanin(6).generated]
+
+
+def test_every_plan_runs_its_columns_through_placed(monkeypatch):
+    # one column path: ``_columns`` places each segment of every plan once,
+    # a plan that moves every wire included, the segments' steps in order
+    # and together every step; such a plan's columns keep the bits of its
+    # register placement run on the batch
+    placed, calls = sim._placed, []
+
+    def counted(steps, at, width):
+        calls.append(steps)
+        return placed(steps, at, width)
+
+    monkeypatch.setattr(sim, "_placed", counted)
+    for c in column_corpus():
         calls.clear()
         cols, rows, keys, _ = sim._columns(c, c.data_qubits)
-        assert len(calls) == 1 and calls[0] is sim._plan(c)
-        if len(sim._plan(c).moved) == c.n_qubits:
+        plan = sim._plan(c)
+        assert len(calls) == len(plan.segments)
+        assert [s for steps in calls for s in steps] == list(plan.steps)
+        if len(plan.moved) == c.n_qubits:
             want = plan_run_columns(c, c.data_qubits)
             assert cols.tobytes() == want.tobytes()
             assert np.array_equal(rows, data_rows(c.n_qubits, c.data_qubits))
             assert not keys.any()
+
+
+def full_size_columns(circuit, data):
+    """The columns run at full size from the first step, the path every
+    check took before they grew as wires move: all 2^|M| x 2^d entries,
+    each column's one 1 at its row on M, through the whole plan placed on
+    M followed by the column index."""
+    plan, d = sim._plan(circuit), len(data)
+    k = len(plan.moved)
+    at = {q: p for p, q in enumerate(plan.moved)}
+    cols = np.zeros((1 << k, 1 << d), dtype=np.complex128)
+    cols[sim._spread(d, [1 << (k - 1 - at[q]) if q in at else 0 for q in data]),
+         np.arange(1 << d)] = 1.0
+    at.update((q, k + p) for p, q in enumerate(data) if q not in at)
+    sim._lay(sim._placed(plan.steps, at, k + d), cols.reshape(-1, 1))
+    return cols
+
+
+def test_grown_columns_are_the_full_size_run(monkeypatch):
+    # bit for bit on the placement corpus, grown inside the one buffer
+    # under the guard; within 1e-15 on random circuits with random
+    # ancillas and CNOTs, whose kernels may take other shapes on a
+    # narrower state.  Among them, wires first moved between wires
+    # already moved, so that a row bit is inserted inside the row index
+    dense, zeros = [], sim._dense_zeros
+
+    def counted(n, d):
+        dense.append((n, d))
+        return zeros(n, d)
+
+    monkeypatch.setattr(sim, "_dense_zeros", counted)
+    for c in column_corpus():
+        dense.clear()
+        got = sim._columns(c, c.data_qubits)[0]
+        assert dense == [(len(sim._plan(c).moved), len(c.data_qubits))]
+        assert got.tobytes() == full_size_columns(c, c.data_qubits).tobytes()
+    rng, inside, worst = random.Random(7), 0, 0.0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        c = Circuit(n, random_circuit(rng, n, rng.randint(1, 20)).gates,
+                    frozenset(rng.sample(range(n), rng.randint(0, n - 1))))
+        moved = []
+        for new, _, _ in sim._plan(c).segments:
+            for q in new:
+                inside += 0 < bisect.bisect(moved, q) < len(moved)
+                bisect.insort(moved, q)
+        got = sim._columns(c, c.data_qubits)[0]
+        worst = max(worst, np.abs(got - full_size_columns(c, c.data_qubits)).max())
+    assert worst <= 1e-15 and inside > 0
 
 
 def test_in_place_compare_with_unit_phases():
@@ -516,6 +593,34 @@ def test_dense_compare_holds_no_copy_of_the_data_rows():
     r, held = held_beyond_the_columns(spec.generated, v)
     assert r.ok and r.failure is None
     assert held < v.nbytes
+
+
+def loop_spread(k, masks):
+    """The spread as one pass over all 2^k indices per bit: the form before
+    the outer OR of two half-width spreads."""
+    x = np.arange(1 << k)
+    out = np.zeros_like(x)
+    for p, m in enumerate(masks):
+        out |= (x >> (k - 1 - p) & 1) * m
+    return out
+
+
+def test_spread_is_the_loop_in_half_width_memory():
+    # every k <= 12 with distinct single-bit masks, zeros among them, in
+    # any order; at k = 20 the output's 8 MiB and two half-width spreads
+    rng = random.Random(3)
+    for k in range(13):
+        for _ in range(8):
+            masks = [rng.choice([0, 1 << b]) for b in rng.sample(range(40), k)]
+            got = sim._spread(k, masks)
+            assert got.dtype == np.int64 and np.array_equal(got, loop_spread(k, masks))
+    tracemalloc.start()
+    try:
+        got = sim._spread(20, [1 << p for p in range(20)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nbytes == 8 << 20 and peak < got.nbytes + (1 << 20)
 
 
 def test_all_ones_sign_is_an_index_map():
