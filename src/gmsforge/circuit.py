@@ -27,6 +27,14 @@ Conventions fixed here and relied on everywhere else:
   of the RZ it merges finite; ``toffoli_n``, ``gms_shrink`` and
   ``_stack_pass`` emit circuits on their input's register with no new
   wire.
+* Each rule of a gate or a profile is written once, in its constructor:
+  the gate kind and the presence of an angle or a profile included.
+  ``deserialize`` checks only JSON types (exact integers, numbers, lists,
+  objects, row widths), a positive ``n_qubits`` and a profile's kind.  A
+  ``Gate`` refusal about one field raises ``FieldError`` naming it, which
+  ``deserialize`` reports at that field (``gates[k].theta``).
+* A GMS keeps its wires ascending, however they were given, so one pulse
+  has one form.
 """
 
 from __future__ import annotations
@@ -45,6 +53,16 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+class FieldError(ValueError):
+    """Raised by ``Gate`` on a refusal about one of its fields, which
+    ``field`` names (``kind``, ``theta`` or ``profile``); ``deserialize``
+    adds it to the gate's path."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(message)
 
 
 class ArgumentError(ValueError):
@@ -218,7 +236,7 @@ class Gate:
     def __post_init__(self):
         kind, qubits, theta = self.kind, self.qubits, self.theta
         if kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {kind!r}")
+            raise FieldError("kind", f"unknown gate kind {kind!r}")
         arity, angled = _RULES[kind]
         width = len(qubits)
         if width > 1 and len(set(qubits)) != width:
@@ -229,23 +247,24 @@ class Gate:
             raise ValueError(f"{kind} takes {arity} qubit(s), got {width}")
         if theta is None:
             if angled:
-                raise ValueError(f"{kind} requires an angle")
+                raise FieldError("theta", f"{kind} requires an angle")
         elif not math.isfinite(theta):
-            raise ValueError("angle must be finite")
+            raise FieldError("theta", "angle must be finite")
         elif not angled:
-            raise ValueError(f"{kind} takes no angle")
+            raise FieldError("theta", f"{kind} takes no angle")
         if kind != "GMS":
             if self.profile is not None:
-                raise ValueError(f"{kind} takes no profile")
+                raise FieldError("profile", f"{kind} takes no profile")
             return
         if width < 2:
             raise ValueError("GMS needs at least 2 participating qubits")
         if self.profile is None:
-            raise ValueError("GMS requires a coupling profile")
+            raise FieldError("profile", "GMS requires a coupling profile")
+        # one pulse, one form: its wires ascending, however they were given
+        object.__setattr__(self, "qubits", qubits := tuple(sorted(qubits)))
         # a table's pairs are sorted and distinct: compare them as a list
         if (isinstance(self.profile, PerPair)
-                and [(i, j) for i, j, _ in self.profile.table]
-                != list(combinations(sorted(qubits), 2))):
+                and [(i, j) for i, j, _ in self.profile.table] != list(combinations(qubits, 2))):
             raise ValueError("per-pair table must cover exactly the participating pairs")
 
     def pair_angles(self) -> Sequence[tuple[int, int, float]]:
@@ -255,7 +274,7 @@ class Gate:
             raise ValueError("pair_angles is defined for GMS gates only")
         if isinstance(self.profile, PerPair):
             return self.profile.table
-        return [(i, j, self.profile.angle(i, j)) for i, j in combinations(sorted(self.qubits), 2)]
+        return [(i, j, self.profile.angle(i, j)) for i, j in combinations(self.qubits, 2)]
 
     def inverse(self) -> "Gate":
         if self.kind in ("H", "CNOT"):
@@ -299,7 +318,7 @@ def xx(q1: int, q2: int, chi: float) -> Gate:
 
 
 def gms(qubits: Iterable[int], profile: CouplingProfile) -> Gate:
-    return Gate("GMS", tuple(sorted(qubits)), profile=profile)
+    return Gate("GMS", tuple(qubits), profile=profile)
 
 
 def global_phase(theta: float) -> Gate:
@@ -518,21 +537,18 @@ def deserialize(text: str) -> Circuit:
         path = f"gates[{idx}]"
         if not isinstance(obj, dict):
             raise SchemaError(path, "gate must be an object")
-        kind = obj.get("kind")
-        if kind not in GATE_KINDS:
-            raise SchemaError(f"{path}.kind", f"unknown gate kind {kind!r}")
         qubits = _integers(obj.get("qubits", []), f"{path}.qubits")
         theta = profile = None
-        if kind in _PARAMETRIC:
-            theta = float(_typed(obj.get("theta"), _NUMBER, f"{path}.theta"))
-        elif "theta" in obj:
-            raise SchemaError(f"{path}.theta", f"{kind} takes no angle")
-        if kind == "GMS":
-            profile = _profile_from_obj(obj.get("profile"), f"{path}.profile")
-        elif "profile" in obj:
-            raise SchemaError(f"{path}.profile", f"{kind} takes no profile")
+        if "theta" in obj:
+            theta = float(_typed(obj["theta"], _NUMBER, f"{path}.theta"))
+        if "profile" in obj:
+            profile = _profile_from_obj(obj["profile"], f"{path}.profile")
+        # the kind, the presence of an angle or a profile and every other
+        # gate rule are Gate's; a refusal about one field names it
         try:
-            gates.append(Gate(kind, qubits, theta, profile))
+            gates.append(Gate(obj.get("kind"), qubits, theta, profile))
+        except FieldError as exc:
+            raise SchemaError(f"{path}.{exc.field}", str(exc)) from exc
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from exc
     try:

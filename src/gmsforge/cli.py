@@ -217,7 +217,7 @@ def cmd_verify(args) -> int:
              "columns_bytes": 16 << (len(res.moved_wires) + d),
              "pass_bytes": res.pass_bytes, "passes": res.passes,
              "plan_bytes": res.plan_bytes, "compile_s": round(res.compile_s, 6),
-             "reference_s": round(built - read, 6),
+             "read_s": round(read - start, 6), "reference_s": round(built - read, 6),
              "reference_bytes": reference.nbytes if isinstance(reference, np.ndarray) else 0,
              "check_s": round(checked - built, 6)}])))
     return EXIT_OK if res.ok else EXIT_FAIL

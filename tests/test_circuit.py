@@ -1,17 +1,18 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import compose, expand_gms, gf2_mul, random_circuit
-from gmsforge.circuit import (ArgumentError, Circuit, Exponential, Gate,
+from gmsforge.circuit import (ArgumentError, Circuit, Exponential, FieldError, Gate,
                               PerPair, PowerLawSum, SchemaError, Uniform, cnot,
                               deserialize, empty, global_phase, gms, h, rx,
                               serialize, xx)
-from gmsforge.constructions import fanout, toffoli3_gms, toffoli_n
+from gmsforge.constructions import cancel_inverse_gms, fanout, toffoli3_gms, toffoli_n
 from gmsforge.gf2 import FanLayer, Gf2Matrix, linear_simulate
 from gmsforge.sim import apply, unitary_of
 
@@ -261,6 +262,22 @@ def test_per_pair_angle_lookup():
     assert all(chi == want[frozenset((i, j))] for i, j, chi in got)
 
 
+def test_gate_field_refusals_keep_their_type_and_message():
+    # deserialize reports these refusals at the field they name; a caller
+    # of Gate sees the ValueError and the message it always saw
+    cases = ((lambda: rx(0, math.nan), "theta", "angle must be finite"),
+             (lambda: rx(0, math.inf), "theta", "angle must be finite"),
+             (lambda: Gate("SWAP", (0, 1)), "kind", "unknown gate kind 'SWAP'"),
+             (lambda: Gate("RX", (0,)), "theta", "RX requires an angle"),
+             (lambda: Gate("H", (0,), 0.5), "theta", "H takes no angle"),
+             (lambda: Gate("RX", (0,), 0.5, Exponential()), "profile", "RX takes no profile"),
+             (lambda: Gate("GMS", (0, 1)), "profile", "GMS requires a coupling profile"))
+    for build, name, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as err:
+            build()
+        assert type(err.value) is FieldError and err.value.field == name
+
+
 def test_ancilla_validation():
     with pytest.raises(ValueError):
         Circuit(3, (), frozenset({3}))
@@ -296,6 +313,24 @@ def test_roundtrip_all_profiles():
         gms((0, 1, 2, 3), PowerLawSum(((0.4, 2.5), (-0.5, 3.4)), 1)),
     ))
     assert deserialize(serialize(c)).gates == c.gates
+
+
+def test_gms_wires_read_in_one_order():
+    # a file may list a pulse's wires in any order; they read ascending, as
+    # gms() stores them, so a pulse and its inverse cancel however listed
+    def pulse(wires, theta):
+        return {"kind": "GMS", "qubits": wires, "profile": {"kind": "uniform", "theta": theta}}
+
+    for wires in ([0, 2], [2, 0]):
+        c = deserialize(json.dumps({"n_qubits": 3, "gates": [pulse([0, 2], 0.5),
+                                                               pulse(wires, -0.5)]}))
+        assert c.gates[1] == gms((0, 2), Uniform(-0.5)) and c.gates[1].qubits == (0, 2)
+        assert cancel_inverse_gms(c).gates == ()
+        assert deserialize(serialize(c)) == c
+    table = {"kind": "per_pair", "table": [[2, 0, 0.1], [1, 2, 0.2], [0, 1, 0.3]]}
+    back = deserialize(_one_gate({"kind": "GMS", "qubits": [2, 1, 0], "profile": table}))
+    want = gms((0, 1, 2), PerPair(((0, 1, 0.3), (0, 2, 0.1), (1, 2, 0.2))))
+    assert back.gates == (want,) and Gate("GMS", (2, 0, 1), profile=want.profile) == want
 
 
 def test_malformed_profile_kind_names_field():
@@ -348,11 +383,20 @@ def _one_gate(gate, n=3):
     (_one_gate({"kind": "H", "qubits": [3]}), "$"),
     (_one_gate({"kind": "GMS", "qubits": [0, 1, 2], "profile": {
         "kind": "per_pair", "table": [[0, 1, 0.5], [0, 2, 0.5], [1, 1, 0.5]]}}), "gates[0]"),
+    (_one_gate({"kind": "RX", "qubits": [0], "theta": math.nan}), "gates[0].theta"),
+    (_one_gate({"kind": "RZ", "qubits": [0], "theta": math.inf}), "gates[0].theta"),
+    (_one_gate({"kind": "SWAP", "qubits": [0, 1]}), "gates[0].kind"),
+    (_one_gate({"kind": "RX", "qubits": [0]}), "gates[0].theta"),
+    (_one_gate({"kind": "GMS", "qubits": [0, 1]}), "gates[0].profile"),
+    # a null angle or profile is refused, not read as absent
+    (_one_gate({"kind": "H", "qubits": [0], "theta": None}), "gates[0].theta"),
+    (_one_gate({"kind": "RX", "qubits": [0], "theta": 0.5, "profile": None}), "gates[0].profile"),
 ], ids=["bool-n_qubits", "bool-qubit", "float-pair-index", "bool-offset",
         "theta-on-H", "profile-on-RX", "nan-coupling", "top-level-list",
         "gates-not-list", "gate-not-object", "qubits-not-list", "profile-not-object",
         "short-pair-row", "offset-2", "ancilla-out-of-range", "gate-beyond-register",
-        "self-pair-row"])
+        "self-pair-row", "nan-angle", "infinite-angle", "unknown-kind", "rx-without-theta",
+        "gms-without-profile", "null-theta-on-H", "null-profile-on-RX"])
 def test_strict_schema_names_field(text, path):
     with pytest.raises(SchemaError) as err:
         deserialize(text)

@@ -158,8 +158,11 @@ def test_verify_json_reports_how_the_check_ran(tmp_path, capsys):
         _, plain, _ = run(capsys, "verify", str(path), "--against", *against)
         code, out, _ = run(capsys, "verify", str(path), "--against", *against, "--json")
         text, doc = out.splitlines()
-        c = json.loads(doc)["checks"][0]
+        manifest = json.loads(doc)
+        c = manifest["checks"][0]
         assert code == 0 and plain == text + "\n"
+        # reading the file is timed from the command's start
+        assert 0 <= c["read_s"] <= manifest["wall_time_s"]
         assert c["method"] == method and c["reference"] == how
         assert c["moved_wires"] == moved and c["columns_bytes"] == 16 << width
         assert 0 <= c["reference_s"] and 0 <= c["check_s"]
